@@ -74,16 +74,16 @@ class Penalization:
 class DiscreteFunctional:
     """Energy/gradient engine for one (multiplier values, nonlinearity, grid)
     triple, working directly on coefficient arrays.  Shared by the public
-    functional evaluations, the minimizer, and the fixed-point iteration."""
+    functional evaluations, the minimizer, and the fixed-point iteration.
+    ``j_star`` (the order of m at 0) fixes the minimizer's long-wave scaling."""
 
     def __init__(self, grid: PeriodicGrid, mvals: np.ndarray, nl: Nonlinearity,
-                 penalization: Penalization | None = None,
-                 precond: np.ndarray | None = None):
+                 j_star: int, penalization: Penalization | None = None):
         self.grid = grid
         self.mvals = np.asarray(mvals, dtype=float)
         self.nl = nl
+        self.j_star = j_star
         self.pen = penalization
-        self.precond = precond
         self.mask = grid.dealias_mask
         self.h1_weight = 1.0 + grid.wavenumbers**2
         self.quad_weight = grid.period / grid.n
@@ -117,15 +117,11 @@ class DiscreteFunctional:
         equation solved here is nu*c = m*c + nonlinear_coeffs(c)."""
         return self.mask * self.grid.to_coeffs(self.nl.n(self.values_dealiased(c)))
 
-    def residual(self, c: np.ndarray, nu: float) -> float:
-        r = (nu - self.mvals) * c - self.nonlinear_coeffs(c)
-        return float(np.sqrt(np.sum(np.abs(r) ** 2)))
-
 
 def discretize(prob: Problem, grid: PeriodicGrid,
                penalization: Penalization | None = None) -> DiscreteFunctional:
     return DiscreteFunctional(grid, multiplier_values(prob.symbol, grid),
-                              prob.nonlinearity, penalization)
+                              prob.nonlinearity, prob.symbol.j_star, penalization)
 
 
 def reduced_multiplier(j_star: int, d2j_star: float, grid: PeriodicGrid) -> np.ndarray:
@@ -137,12 +133,11 @@ def reduced_multiplier(j_star: int, d2j_star: float, grid: PeriodicGrid) -> np.n
 
 def discretize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
                        grid: PeriodicGrid) -> DiscreteFunctional:
-    """Engine for the reduced problem; the gradient direction is preconditioned
-    by (1 + k^(2 j_star))^-1 since the polynomial multiplier is unbounded."""
+    """Engine for the reduced problem: the polynomial multiplier and the
+    leading part of the nonlinearity."""
     lead = Nonlinearity(nl.name + ":leading", nl.p, nl.cp, nl.kind)
-    mvals = reduced_multiplier(j_star, d2j_star, grid)
-    precond = 1.0 / (1.0 + grid.wavenumbers ** (2 * j_star))
-    return DiscreteFunctional(grid, mvals, lead, precond=precond)
+    return DiscreteFunctional(grid, reduced_multiplier(j_star, d2j_star, grid),
+                              lead, j_star)
 
 
 # public evaluations ----------------------------------------------------------

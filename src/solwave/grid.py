@@ -174,12 +174,6 @@ def shift(u: SpectralField, y: float) -> SpectralField:
     return SpectralField.from_coeffs(u.grid, u.coeffs * np.exp(1j * u.grid.wavenumbers * y))
 
 
-def reflect(u: SpectralField) -> SpectralField:
-    """Spatial reflection x -> -x; exact on the symmetric node set."""
-    idx = (-np.arange(u.grid.n)) % u.grid.n
-    return SpectralField.from_values(u.grid, u.values[idx])
-
-
 def roll(u: SpectralField, j: int) -> SpectralField:
     """Cyclic shift by j nodes (exact translation by j*h)."""
     return SpectralField.from_values(u.grid, np.roll(u.values, j))

@@ -140,11 +140,3 @@ def orbit_distance(u: SpectralField, v: SpectralField,
     # report the shift in (-P/2, P/2]
     y = y - g.period * round(y / g.period)
     return d, y
-
-
-def align(u: SpectralField, v: SpectralField, s_norm: float = 0.0) -> tuple[SpectralField, float, float]:
-    """Translate v onto u; returns (shifted v, distance, shift)."""
-    d, y = orbit_distance(u, v, s_norm)
-    shifted = SpectralField.from_coeffs(
-        v.grid, v.coeffs * np.exp(1j * v.grid.wavenumbers * y))
-    return shifted, d, y

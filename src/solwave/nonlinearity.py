@@ -20,6 +20,15 @@ from .errors import ConfigError, UnsupportedRegularity
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
+def _ipow(x, n: int):
+    """x**n (n >= 1) by squaring: numpy special-cases the exponent 2.0, while
+    other exponents take libm's pow, some 70 times slower on negative bases."""
+    if n == 1:
+        return x
+    half = _ipow(x, n // 2) ** 2.0
+    return x * half if n % 2 else half
+
+
 class Kind(Enum):
     SIGNED_MODULUS = "modulus"
     ODD_POWER = "oddpower"
@@ -77,20 +86,20 @@ class Nonlinearity:
         x = np.asarray(x, dtype=float)
         if self.kind is Kind.SIGNED_MODULUS:
             return self.cp * np.abs(x) ** self.p
-        return self.cp * x ** self.p
+        return self.cp * _ipow(x, int(self.p))
 
     def leading_prime(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind is Kind.SIGNED_MODULUS:
             return self.cp * self.p * x * np.abs(x) ** (self.p - 2.0)
-        return self.cp * self.p * x ** (self.p - 1.0)
+        return self.cp * self.p * _ipow(x, int(self.p) - 1)
 
     def leading_primitive(self, x):
         """N_(p+1): the primitive of the leading part vanishing at 0."""
         x = np.asarray(x, dtype=float)
         if self.kind is Kind.SIGNED_MODULUS:
             return self.cp * x * np.abs(x) ** self.p / (self.p + 1.0)
-        return self.cp * x ** (self.p + 1.0) / (self.p + 1.0)
+        return self.cp * _ipow(x, int(self.p) + 1) / (self.p + 1.0)
 
     # full nonlinearity ------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Constrained minimization of the wave energy at fixed momentum.
 
-The minimizer runs projected gradient descent on the momentum sphere
-Q(u) = mu: at each iterate the multiplier estimate nu = -<g, u>/(2 mu)
-makes the residual g + nu u tangent, a backtracking line search with exact
-renormalization to Q = mu accepts the step, and descent stops when the
+The minimizer runs preconditioned projected gradient descent on Q(u) = mu:
+the multiplier estimate nu = -<g, u>/(2 mu) makes the residual g + nu u
+tangent, (c_ref - L)^-1 preconditions it, a backtracking line search with
+exact renormalization to Q = mu accepts the step, and descent stops when the
 residual drops below tolerance.  An independent Petviashvili fixed-point
 iteration at given speed serves as a cross-check oracle: the two methods
 meet on the same discrete travelling-wave equation from different sides.
@@ -56,12 +56,16 @@ class SolveConfig:
     seed_band: float = 45.0       # scaled Nyquist demand of the seed spectrum
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ConfigError("mu must be positive", field="mu")
-        if self.tol_residual <= 0:
-            raise ConfigError("tol_residual must be positive", field="tol_residual")
-        if self.polarity not in (-1, 1):
-            raise ConfigError("polarity must be +1 or -1", field="polarity")
+        for name, ok, need in (  # every test is false on NaN
+                ("mu", 0 < self.mu < math.inf, "finite and positive"),
+                ("tol_residual", 0 < self.tol_residual < math.inf, "finite and positive"),
+                ("max_iter", self.max_iter >= 1, "at least 1"),
+                ("step_shrink", 0 < self.step_shrink < 1, "in (0, 1)"),
+                ("armijo", 0 < self.armijo < 1, "in (0, 1)"),
+                ("step_grow", self.step_grow >= 1, "at least 1"),
+                ("polarity", self.polarity in (-1, 1), "+1 or -1")):
+            if not ok:
+                raise ConfigError(f"{name} must be {need}", field=name)
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,11 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
              c0: np.ndarray) -> tuple[np.ndarray, float, float, int, dict]:
-    """Projected-gradient core on coefficient arrays.
+    """Preconditioned projected-gradient core on coefficient arrays.
+
+    The preconditioner (c_ref - L)^-1 takes c_ref = m(0) + nu_lw mu^gamma from
+    the long-wave speed law (accelerated imaginary-time evolution): it is
+    positive definite, and the rate no longer degrades with the gap nu - m(0).
 
     Returns (coeffs, nu, residual, iterations, history) with history holding
     the residual and the accepted energy per iteration.  The line search
@@ -144,9 +152,12 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
         raise BallExit(f"initial iterate has ||u||_H1^2 = {eng.h1_sq(c):.3e}, "
                        f"outside the barrier domain (2R)^2 = "
                        f"{(2.0 * eng.pen.radius) ** 2:.3e}")
+    c_ref = np.max(eng.mvals) + kdv_speed() * mu ** exponents(eng.j_star, eng.nl.p).gamma
+    precond = 1.0 / (c_ref - eng.mvals)
     two_mu = 2.0 * mu
     step = cfg.step_init
     history: dict = {"residuals": [], "energies": []}
+    e0 = eng.energy(c, infinite_outside=True)
     for it in range(cfg.max_iter):
         g = eng.gradient(c)
         nu = -_vdot(g, c) / two_mu
@@ -155,35 +166,27 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
         history["residuals"].append(res)
         if res <= cfg.tol_residual:
             return c, nu, res, it, history
-        if eng.precond is not None:
-            d = -eng.precond * r
-            d -= (_vdot(d, c) / two_mu) * c
-            lam = eng.precond * (nu - eng.mvals)
-        else:
-            d = -r
-            lam = nu - eng.mvals
+        d = -precond * r
+        d -= (_vdot(d, c) / two_mu) * c
         slope = _vdot(r, d)  # strictly negative for a descent direction
         # explicit-descent stability bound: steps beyond 2/lam_max amplify the
         # stiffest mode, and near convergence the energy test cannot see that
-        lam_max = float(np.max(lam))
+        lam_max = float(np.max(precond * (nu - eng.mvals)))
         cap = 1.7 / lam_max if lam_max > 0 else cfg.step_init
-        e0 = eng.energy(c, infinite_outside=True)
         t = min(step, cap)
-        accepted = False
         while t > 1e-18:
             trial = c + t * d
             trial *= scale / np.sqrt(np.sum(np.abs(trial) ** 2))
             e1 = eng.energy(trial, infinite_outside=True)
             if e1 <= e0 + cfg.armijo * t * slope + _LEDGE * abs(e0):
-                accepted = True
                 break
             t *= cfg.step_shrink
-        if not accepted:
+        else:
             raise MuTooLarge(
                 f"line search collapsed at residual {res:.3e}; no minimizer "
                 f"in reach at mu = {mu:g}", residual=res,
                 history=history["residuals"])
-        c = trial
+        c, e0 = trial, e1
         history["energies"].append(e1)
         step = min(t * cfg.step_grow, cfg.step_max)
     raise MaxIterations(
@@ -245,8 +248,8 @@ def minimize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
                      guess: SpectralField | None = None) -> WaveProfile:
     """Ground state of the reduced long-wave functional on Q = 1.
 
-    The polynomial multiplier is unbounded, so the descent direction is
-    preconditioned by (1 + k^(2 j_star))^-1; stationary points are unchanged.
+    The descent's preconditioner, here (nu_lw - L)^-1, tames the unbounded
+    polynomial multiplier; stationary points are unchanged.
     """
     cfg = replace(cfg, mu=1.0) if cfg is not None else SolveConfig(mu=1.0, tol_residual=1e-10)
     if guess is not None:
@@ -282,6 +285,8 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
     if prob.nonlinearity.remainder is not None:
         raise ConfigError("fixed-point oracle needs a homogeneous nonlinearity",
                           field="nonlinearity")
+    if max_iter < 1:
+        raise ConfigError("max_iter must be at least 1", field="max_iter")
     tol = cfg.tol_residual if tol is None else tol
     exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
     if guess is None:

@@ -62,6 +62,27 @@ def test_primitive_consistent_with_derivative(nl):
     assert np.max(np.abs(fd - nl.n(xs)) / denom) < 1e-8
 
 
+@pytest.mark.parametrize("nl", [quadratic(), polynomial({4: 0.5}), odd_power(3, 2.0),
+                                odd_power(5, 1.0), signed_modulus(2.5, -1.5),
+                                signed_modulus(3.0, 1.0)])
+def test_leading_part_matches_closed_form(nl):
+    # integer powers are formed by multiplication; they must agree with the
+    # closed forms, negative arguments included, to a few ulp
+    xs = np.concatenate([-np.geomspace(1e-3, 2.0, 40), np.geomspace(1e-3, 2.0, 40)])
+    p, cp = nl.p, nl.cp
+    if nl.kind is Kind.SIGNED_MODULUS:
+        lead = [cp * abs(x) ** p for x in xs]
+        prime = [cp * p * x * abs(x) ** (p - 2.0) for x in xs]
+        prim = [cp * x * abs(x) ** p / (p + 1.0) for x in xs]
+    else:
+        lead = [cp * x**p for x in xs]
+        prime = [cp * p * x ** (p - 1.0) for x in xs]
+        prim = [cp * x ** (p + 1.0) / (p + 1.0) for x in xs]
+    assert nl.leading(xs) == approx(lead, rel=1e-15, abs=0)
+    assert nl.leading_prime(xs) == approx(prime, rel=1e-15, abs=0)
+    assert nl.leading_primitive(xs) == approx(prim, rel=1e-15, abs=0)
+
+
 def test_exponent_window_checked_at_assembly():
     with pytest.raises(ExponentWindow):
         Problem(whitham(), odd_power(5, 1.0))

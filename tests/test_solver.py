@@ -4,19 +4,21 @@ Quick solves run at mu around 3e-3 where the automatic grids are small;
 the acceptance suite exercises the production mu range.
 """
 
+import math
+
 import numpy as np
 import pytest
 from pytest import approx
 
 from solwave.errors import (ConfigError, MaxIterations, SubcriticalSpeed)
-from solwave.functionals import Problem, discretize, momentum
+from solwave.functionals import Penalization, Problem, discretize, momentum
 from solwave.grid import tail_max
 from solwave.longwave import exponents, kdv_speed, orbit_distance
-from solwave.nonlinearity import quadratic
+from solwave.nonlinearity import odd_power, polynomial, quadratic, signed_modulus
 from solwave.solver import (SolveConfig, continuation_sweep, default_grid,
                             kdv_scaled_seed, minimize_constrained,
                             petviashvili, renormalize, sweep_rows)
-from solwave.symbols import whitham
+from solwave.symbols import symbol_from_name, whitham
 
 PROB = Problem(whitham(), quadratic())
 EXPS = exponents(1, 2.0)
@@ -70,6 +72,33 @@ def test_descent_is_monotone():
     es = np.array(history["energies"])
     assert len(es) > 10
     assert np.all(np.diff(es) <= 1e-14 * np.abs(es[:-1]))
+
+
+@pytest.mark.parametrize("symbol, nl, mu, pen", [
+    ("gaussian", quadratic(), 1e-3, None),
+    ("rational:1", quadratic(), 1e-3, None),
+    ("whitham", odd_power(3, 1.0), 0.1, None),
+    ("whitham", signed_modulus(2.5, 1.0), 1e-2, None),
+    ("whitham", polynomial({2: 1.0, 3: 0.5}), 1e-3, None),
+    ("whitham", quadratic(), 1e-2, Penalization(1.0)),
+])
+def test_preconditioned_cold_solve(symbol, nl, mu, pen):
+    # every symbol, nonlinearity kind and the penalized functional converge
+    # from the long-wave seed; the iteration bound guards the preconditioner,
+    # without which these cases take 238-2260 iterations
+    prob = Problem(symbol_from_name(symbol), nl)
+    wave = minimize_constrained(prob, SolveConfig(mu=mu, tol_residual=1e-10,
+                                                  penalization=pen))
+    assert wave.residual <= 1e-10 and wave.supercritical
+    assert momentum(wave.field) == approx(mu, rel=1e-12)
+    assert wave.iterations < 100
+
+
+def test_iterations_do_not_grow_as_mu_shrinks():
+    # the spectral gap nu - m(0) ~ mu^(2/3) no longer sets the rate
+    its = {mu: minimize_constrained(PROB, SolveConfig(mu=mu, tol_residual=1e-10)).iterations
+           for mu in (1e-4, 1e-2)}
+    assert its[1e-4] <= its[1e-2]
 
 
 def test_constraint_exact_after_renormalize():
@@ -147,6 +176,22 @@ def test_solve_config_validation():
         SolveConfig(tol_residual=0.0)
     with pytest.raises(ConfigError):
         SolveConfig(polarity=0)
+    # NaN and infinities fail closed, and each error names its field
+    for field, value in [
+            ("mu", math.nan), ("mu", math.inf), ("mu", 0.0),
+            ("tol_residual", math.nan), ("tol_residual", math.inf),
+            ("max_iter", 0), ("max_iter", -3),
+            ("step_shrink", 0.0), ("step_shrink", 1.0), ("step_shrink", 1.5),
+            ("step_shrink", math.nan), ("armijo", 0.0), ("armijo", 1.0),
+            ("armijo", math.nan), ("step_grow", 0.5), ("step_grow", math.nan)]:
+        with pytest.raises(ConfigError) as err:
+            SolveConfig(**{field: value})
+        assert err.value.info["field"] == field
+
+
+def test_petviashvili_rejects_zero_max_iter():
+    with pytest.raises(ConfigError):
+        petviashvili(PROB, 1.01, SolveConfig(mu=1e-3), max_iter=0)
 
 
 def test_seed_file_roundtrip(tmp_path, wave):
