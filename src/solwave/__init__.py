@@ -15,13 +15,13 @@ from .evolution import (EvolutionConfig, EvolutionTrace, StabilityReport,
 from .functionals import (Penalization, Problem, energy, energy_gradient,
                           inner_l2, momentum, penalized_energy,
                           penalized_gradient, reduced_energy, weighted_norm)
-from .grid import (PeriodicGrid, SpectralField, dealias, l2_norm, resample,
-                   shift, sobolev_norm, sup_norm, tail_max)
+from .grid import (PeriodicGrid, SpectralField, dealias, l2_norm, sobolev_norm,
+                   sup_norm, tail_max)
 from .longwave import (ScalingExponents, exponents, kdv_energy, kdv_soliton,
-                       kdv_speed, orbit_distance, scale_down, scale_up)
+                       kdv_speed, orbit_distance, scale_down)
 from .nonlinearity import (Kind, Nonlinearity, nonlinearity_from_name,
                            odd_power, polynomial, quadratic, signed_modulus)
-from .operators import apply_multiplier, band_split, ddx, resolvent
+from .operators import band_split
 from .solver import (SolveConfig, WaveProfile, continuation_sweep,
                      minimize_constrained, minimize_reduced, petviashvili)
 from .symbols import (DispersionSymbol, gaussian, rational, symbol_from_name,

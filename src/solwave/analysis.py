@@ -44,16 +44,12 @@ class ScalingRecord:
                                # eps^2 ||u||_0^2 sum_{|k|>k_cut} (1+k^2) / N, same scaling
 
 
-def reduced_reference(prob: Problem, comparison_grid,
-                      cfg: SolveConfig | None = None) -> WaveProfile:
+def reduced_reference(prob: Problem, comparison_grid) -> WaveProfile:
     """Ground state of the reduced problem on the comparison grid."""
-    from .grid import SpectralField  # local: only for the guess construction
-    sym = prob.symbol
-    guess = SpectralField.from_values(
-        comparison_grid, np.exp(-0.5 * comparison_grid.nodes**2)
-        * (1 if prob.nonlinearity.cp > 0 else -1))
+    sym, g = prob.symbol, comparison_grid
     return minimize_reduced(sym.j_star, sym.d2j_star, prob.nonlinearity,
-                            cfg, guess=guess)
+                            SolveConfig(mu=1.0, tol_residual=1e-10,
+                                        period=g.period, points=g.n))
 
 
 def convergence_study(prob: Problem, profiles: list[WaveProfile],

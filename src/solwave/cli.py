@@ -23,7 +23,7 @@ from .evolution import (EvolutionConfig, StabilityReport, perturbation,
                         stability_experiment, travel_test)
 from .functionals import Penalization, Problem
 from .grid import PeriodicGrid, l2_norm
-from .longwave import exponents
+from .longwave import exponents, scale_down
 from .nonlinearity import nonlinearity_from_name
 from .solver import (SolveConfig, WaveProfile, continuation_sweep,
                      minimize_constrained, sweep_rows)
@@ -116,14 +116,6 @@ def cmd_solve(args, cfg) -> int:
     return 0
 
 
-def _run_sweep(cfg) -> tuple[Problem, list[WaveProfile]]:
-    prob = build_problem(cfg)
-    scfg = build_solve_config(cfg, prob)
-    mu_list = [float(m) for m in cfg["sweep"]["mu_list"]]
-    profiles = continuation_sweep(prob, mu_list, scfg)
-    return prob, profiles
-
-
 def _convergence_outputs(prob, profiles, tau, outdir: Path):
     exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
     n_ref = max(p.field.grid.n for p in profiles)
@@ -142,7 +134,9 @@ def cmd_sweep(args, cfg) -> int:
         cfg["sweep"]["mu_list"] = [float(v) for v in args.mu_list.split(",")]
     out = Path(args.out)
     t0 = time.time()
-    prob, profiles = _run_sweep(cfg)
+    prob = build_problem(cfg)
+    mu_list = [float(m) for m in cfg["sweep"]["mu_list"]]
+    profiles = continuation_sweep(prob, mu_list, build_solve_config(cfg, prob))
     for i, prof in enumerate(profiles):
         _write_profile(out / "profiles", prof, stem=f"profile_{i:03d}")
     fileio.write_rows_csv(out / "sweep.csv", sweep_rows(profiles), fileio.SWEEP_COLUMNS)
@@ -159,20 +153,12 @@ def cmd_compare_kdv(args, cfg) -> int:
     if not metas:
         raise ConfigError(f"no sweep profiles under {src}", field="sweep-dir")
     prob = build_problem(cfg)
-    profiles = []
-    for mp in metas:
-        meta = json.loads(mp.read_text())
-        u = fileio.read_field_csv(mp.parent / f"profile_{mp.stem.split('_')[1]}.csv")
-        profiles.append(WaveProfile(
-            field=u, mu=meta["mu"], speed=meta["nu"], residual=meta["residual"],
-            energy=meta["energy"], symbol=meta["symbol"],
-            nonlinearity=meta["nonlinearity"], iterations=meta["iterations"],
-            supercritical=meta["supercritical"]))
+    profiles = [_load_profile(mp.parent / f"profile{mp.stem.removeprefix('meta')}.csv")
+                for mp in metas]
     out = Path(args.out or args.sweep_dir)
     t0 = time.time()
     exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
     ref = _convergence_outputs(prob, profiles, float(cfg["sweep"]["tau"]), out)
-    from .longwave import scale_down
     for i, prof in enumerate(profiles):
         w = scale_down(prof.mu, exps, prof.field, period_hint=ref.field.grid.period)
         fileio.write_field_csv(out / "scaled" / f"scaled_{i:03d}.csv", w)
@@ -183,18 +169,14 @@ def cmd_compare_kdv(args, cfg) -> int:
     return 0
 
 
-def _load_profile(path: str) -> WaveProfile:
+def _load_profile(path) -> WaveProfile:
+    """A stored profile.csv together with its meta.json."""
     p = Path(path)
     u = fileio.read_field_csv(p)
     meta_path = p.parent / ("meta" + p.stem.removeprefix("profile") + ".json")
     if not meta_path.exists():
         raise ConfigError(f"missing metadata {meta_path}", field="profile")
-    meta = json.loads(meta_path.read_text())
-    return WaveProfile(field=u, mu=meta["mu"], speed=meta["nu"],
-                       residual=meta["residual"], energy=meta["energy"],
-                       symbol=meta["symbol"], nonlinearity=meta["nonlinearity"],
-                       iterations=meta["iterations"],
-                       supercritical=meta["supercritical"])
+    return WaveProfile.from_meta(u, json.loads(meta_path.read_text()))
 
 
 def cmd_evolve(args, cfg) -> int:
@@ -249,7 +231,7 @@ def cmd_validate_symbol(args, cfg) -> int:
     if not name:
         raise ConfigError("symbol name is missing", field="problem.symbol")
     sym = symbol_from_name(name)
-    report = validate_symbol(sym, k_max=float(args.k_max), n_samples=int(args.samples))
+    report = validate_symbol(sym, k_max=args.k_max, n_samples=args.samples)
     for line in report.lines():
         print(line)
     if args.out:
@@ -259,9 +241,7 @@ def cmd_validate_symbol(args, cfg) -> int:
             "checks": [{"name": c.name, "passed": c.passed, "worst_k": c.worst_k,
                         "detail": c.detail} for c in report.checks],
         })
-    if not report.passed:
-        print(f"symbol {name!r} FAILED validation", file=sys.stderr)
-        return 2
+    report.raise_if_failed()
     print(f"symbol {name!r} passed all checks")
     return 0
 
@@ -305,8 +285,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("validate-symbol", help="run the multiplier checks")
     p.add_argument("--name")
-    p.add_argument("--k-max", default=100.0)
-    p.add_argument("--samples", default=10_000)
+    p.add_argument("--k-max", type=float, default=100.0)
+    p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_validate_symbol)
 

@@ -36,11 +36,6 @@ class ExponentWindow(SolwaveError):
     exit_code = 1
 
 
-class UnsupportedRegularity(SolwaveError):
-    code = "UNSUPPORTED_REGULARITY"
-    exit_code = 1
-
-
 class SymbolViolation(SolwaveError):
     code = "SYMBOL_INVALID"
     exit_code = 2

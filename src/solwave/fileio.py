@@ -84,7 +84,11 @@ def read_field_csv(path) -> SpectralField:
     if abs(period - h * n) > 1e-9 * period:
         raise ConfigError(f"{path}: nodes are not a uniform centered grid",
                           field="profile")
-    return SpectralField.from_values(PeriodicGrid(period, n), vs)
+    try:
+        grid = PeriodicGrid(period, n)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}", field="profile")
+    return SpectralField.from_values(grid, vs)
 
 
 def write_rows_csv(path, rows: list[dict], columns: list[str]) -> None:

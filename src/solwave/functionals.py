@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentWindow, OutOfDomain
-from .grid import PeriodicGrid, SpectralField, inner_l2
+from .errors import ConfigError, ExponentWindow, OutOfDomain
+from .grid import PeriodicGrid, SpectralField, inner_l2  # inner_l2 is re-exported
 from .nonlinearity import Nonlinearity
 from .operators import multiplier_values
 from .symbols import DispersionSymbol
@@ -33,8 +33,9 @@ class Problem:
     ball_radius: float = 1.0
 
     def __post_init__(self):
-        if self.ball_radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < self.ball_radius < math.inf:  # false on NaN
+            raise ConfigError("ball_radius must be finite and positive",
+                              field="ball_radius")
         p, j = self.nonlinearity.p, self.symbol.j_star
         if not 2.0 <= p < 4.0 * j + 1.0:
             raise ExponentWindow(
@@ -188,22 +189,3 @@ def weighted_norm(u: SpectralField, tau: float, mu: float, j_star: int,
     deriv = float(np.sum(k ** (4 * j_star) * c2))
     return float(np.sqrt(np.sum(c2) + mu ** (-4.0 * j_star * tau * beta) * deriv))
 
-
-def quadratic_part(prob: Problem, u: SpectralField) -> float:
-    """-1/2 <u, Lu>, the multiplier half of the energy."""
-    mvals = multiplier_values(prob.symbol, u.grid)
-    return -0.5 * float(np.sum(mvals * np.abs(u.coeffs) ** 2))
-
-
-def nonlinear_part(prob: Problem, u: SpectralField) -> float:
-    """-int N(u) with dealiased nodewise quadrature."""
-    return energy(prob, u) - quadratic_part(prob, u)
-
-
-__all__ = [
-    "Problem", "Penalization", "DiscreteFunctional", "discretize",
-    "discretize_reduced", "reduced_multiplier", "momentum", "energy",
-    "energy_gradient", "penalized_energy", "penalized_gradient",
-    "reduced_energy", "reduced_gradient", "weighted_norm",
-    "quadratic_part", "nonlinear_part", "inner_l2",
-]

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, ResolutionLoss, TailTooLarge
+from .errors import GridMismatch, ResolutionLoss
 
 
 @dataclass(frozen=True)
@@ -169,16 +169,6 @@ def dealias(u: SpectralField) -> SpectralField:
     return SpectralField.from_coeffs(u.grid, u.coeffs * u.grid.dealias_mask)
 
 
-def shift(u: SpectralField, y: float) -> SpectralField:
-    """Translate by y: u(. + y), exact for band-limited fields."""
-    return SpectralField.from_coeffs(u.grid, u.coeffs * np.exp(1j * u.grid.wavenumbers * y))
-
-
-def roll(u: SpectralField, j: int) -> SpectralField:
-    """Cyclic shift by j nodes (exact translation by j*h)."""
-    return SpectralField.from_values(u.grid, np.roll(u.values, j))
-
-
 def tail_max(u: SpectralField) -> float:
     """max |u| over the outer tenth of the period (|x| >= 0.45 P).
 
@@ -197,43 +187,6 @@ def spectral_tail(u: SpectralField) -> float:
     return top / full if full > 0 else 0.0
 
 
-def resample(u: SpectralField, target: PeriodicGrid, tail_tol: float = 1e-10) -> SpectralField:
-    """Move a field to a finer or larger grid.
-
-    Same period: refinement by zero-padding coefficients (exact).
-    Larger period with identical spacing: embed the samples centered in the
-    new period, zeros elsewhere; requires the boundary samples to be below
-    ``tail_tol`` since the field is cut at +-P/2.
-    """
-    g = u.grid
-    if target == g:
-        return u
-    if target.period == g.period:
-        if target.n < g.n:
-            raise GridMismatch("refinement only: target must not have fewer points")
-        return _pad_modes(u, target)
-    if target.period > g.period:
-        if abs(target.spacing - g.spacing) > 1e-12 * g.spacing:
-            raise GridMismatch("enlargement requires identical node spacing")
-        if (target.n - g.n) % 2:
-            raise GridMismatch("enlargement requires an even number of added nodes")
-        t = tail_max(u)
-        if t > tail_tol:
-            raise TailTooLarge(f"boundary samples {t:.3e} exceed {tail_tol:.1e}")
-        pad = (target.n - g.n) // 2
-        v = np.zeros(target.n)
-        v[pad:pad + g.n] = u.values
-        return SpectralField.from_values(target, v)
-    raise GridMismatch("cannot shrink the period")
-
-
-def _pad_modes(u: SpectralField, target: PeriodicGrid) -> SpectralField:
-    c = np.zeros(target.n, dtype=complex)
-    src = u.grid.modes
-    c[src % target.n] = u.coeffs
-    return SpectralField.from_coeffs(target, c)
-
-
 def change_points(u: SpectralField, n: int, drop_tol: float = 1e-8) -> SpectralField:
     """Re-express on the same period with n points, padding or truncating modes.
 
@@ -244,9 +197,7 @@ def change_points(u: SpectralField, n: int, drop_tol: float = 1e-8) -> SpectralF
     if n == g.n:
         return u
     target = PeriodicGrid(g.period, n)
-    if n > g.n:
-        return _pad_modes(u, target)
-    keep = np.abs(g.modes) < n // 2
+    keep = np.abs(g.modes) < n // 2  # every mode when padding
     dropped = float(np.sqrt(np.sum(np.abs(u.coeffs[~keep]) ** 2)))
     total = float(np.sqrt(np.sum(np.abs(u.coeffs) ** 2)))
     if total > 0 and dropped > drop_tol * total:

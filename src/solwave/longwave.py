@@ -38,36 +38,20 @@ def exponents(j_star: int, p: float) -> ScalingExponents:
     return ScalingExponents(alpha, beta, 2.0 * j_star * beta)
 
 
-def scale_up(mu: float, exps: ScalingExponents, w: SpectralField,
-             period_hint: float | None = None) -> SpectralField:
-    """mu^alpha w(mu^beta x) on the stretched grid (period P/mu^beta, same N).
+def scale_down(mu: float, exps: ScalingExponents, u: SpectralField,
+               period_hint: float | None = None) -> SpectralField:
+    """mu^-alpha u(mu^-beta x) on the compressed grid (period P mu^beta, same N).
 
-    Q(scale_up(w)) = mu Q(w) exactly.  ``period_hint`` snaps the target period
+    Q(scale_down(u)) = Q(u)/mu exactly.  ``period_hint`` snaps the target period
     when a separately computed value is known to agree to round-off.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    period = w.grid.period * mu ** (-exps.beta)
-    period = _snap(period, period_hint)
-    grid = PeriodicGrid(period, w.grid.n)
-    return SpectralField.from_values(grid, mu**exps.alpha * w.values)
-
-
-def scale_down(mu: float, exps: ScalingExponents, u: SpectralField,
-               period_hint: float | None = None) -> SpectralField:
-    """Inverse of scale_up: mu^-alpha u(mu^-beta x) on the compressed grid."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
     period = u.grid.period * mu**exps.beta
-    period = _snap(period, period_hint)
+    if period_hint is not None and abs(period - period_hint) <= 1e-9 * period_hint:
+        period = period_hint
     grid = PeriodicGrid(period, u.grid.n)
     return SpectralField.from_values(grid, mu ** (-exps.alpha) * u.values)
-
-
-def _snap(period: float, hint: float | None) -> float:
-    if hint is not None and abs(period - hint) <= 1e-9 * hint:
-        return hint
-    return period
 
 
 def kdv_profile(x: np.ndarray, polarity: int = 1) -> np.ndarray:

@@ -8,16 +8,15 @@ remainder must vanish faster, n_r = O(|x|^(p+delta)) near zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .errors import ConfigError, UnsupportedRegularity
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+from .errors import ConfigError
 
 
 def _ipow(x, n: int):
@@ -37,26 +36,13 @@ class Kind(Enum):
 
 @dataclass(frozen=True)
 class Remainder:
-    """Higher-order part n_r with growth exponent delta.
-
-    ``primitive`` may be omitted; it is then computed by fixed Gauss-Legendre
-    quadrature on [0, x], which is accurate for smooth remainders at the
-    amplitudes this package works at (|x| of order one).
-    ``derivatives`` holds n_r', n_r'', ... as far as the caller can supply.
-    """
+    """Higher-order part n_r with growth exponent delta, its primitive
+    vanishing at 0, and its derivative."""
 
     func: Callable
     delta: float
-    primitive: Callable | None = None
-    derivatives: tuple[Callable, ...] = ()
-
-    def antiderivative(self, x):
-        if self.primitive is not None:
-            return self.primitive(x)
-        x = np.asarray(x, dtype=float)
-        # int_0^x f = (x/2) sum w_i f(x (t_i + 1)/2), vectorized over x
-        pts = 0.5 * np.multiply.outer(x, _GL_NODES + 1.0)
-        return 0.5 * x * np.sum(_GL_WEIGHTS * self.func(pts), axis=-1)
+    primitive: Callable
+    prime: Callable
 
 
 @dataclass(frozen=True)
@@ -112,44 +98,14 @@ class Nonlinearity:
     def n_prime(self, x):
         out = self.leading_prime(x)
         if self.remainder is not None:
-            if not self.remainder.derivatives:
-                raise UnsupportedRegularity("remainder derivative not supplied")
-            out = out + self.remainder.derivatives[0](np.asarray(x, dtype=float))
+            out = out + self.remainder.prime(np.asarray(x, dtype=float))
         return out
-
-    def derivative(self, order: int) -> Callable:
-        """n^(order) as a callable; raises if the remainder lacks regularity data."""
-        if order < 1:
-            raise ValueError("order must be positive")
-        if self.kind is Kind.SIGNED_MODULUS and self.p != int(self.p) and self.p - order < 0:
-            raise UnsupportedRegularity(
-                f"|x|^{self.p:g} admits only {int(self.p)} derivatives at 0")
-        if self.remainder is None:
-            return lambda x: self._leading_derivative(order, x)
-        if len(self.remainder.derivatives) < order:
-            raise UnsupportedRegularity(
-                f"remainder supplies {len(self.remainder.derivatives)} derivatives, "
-                f"order {order} requested")
-        rd = self.remainder.derivatives[order - 1]
-        return lambda x: self._leading_derivative(order, x) + rd(np.asarray(x, dtype=float))
-
-    def _leading_derivative(self, order: int, x):
-        x = np.asarray(x, dtype=float)
-        q = self.p - order
-        fac = self.cp * math.prod(self.p - i for i in range(order))
-        if self.kind is Kind.SIGNED_MODULUS:
-            if q < 0:
-                raise UnsupportedRegularity("derivative order exceeds modulus smoothness")
-            return fac * np.sign(x) ** order * np.abs(x) ** q
-        if q < 0:
-            return np.zeros_like(x)
-        return fac * x ** q
 
     def primitive(self, x):
         """N(x) = int_0^x n, vanishing at the origin."""
         out = self.leading_primitive(x)
         if self.remainder is not None:
-            out = out + self.remainder.antiderivative(x)
+            out = out + self.remainder.primitive(np.asarray(x, dtype=float))
         return out
 
 
@@ -182,27 +138,16 @@ def polynomial(coeffs: dict[int, float]) -> Nonlinearity:
     p = degs[0]
     cp = coeffs[p]
     kind = Kind.PURE_POWER if p % 2 == 0 else Kind.ODD_POWER
-    rest = {d: coeffs[d] for d in degs[1:]}
     remainder = None
-    if rest:
-        delta = float(degs[1] - p)
-
-        def rem(x, rest=rest):
-            return sum(c * x**d for d, c in rest.items())
-
-        def rem_prime(x, rest=rest):
-            return sum(c * d * x ** (d - 1) for d, c in rest.items())
-
-        def rem_primitive(x, rest=rest):
-            return sum(c * x ** (d + 1) / (d + 1) for d, c in rest.items())
-
-        derivs = []
-        for order in range(1, 9):
-            def dk(x, rest=rest, order=order):
-                return sum(c * math.prod(d - i for i in range(order)) * x ** (d - order)
-                           for d, c in rest.items() if d >= order)
-            derivs.append(dk)
-        remainder = Remainder(rem, delta, rem_primitive, tuple(derivs))
+    if len(degs) > 1:
+        # Horner evaluation: x**d with integer d takes libm's slow pow on
+        # negative bases
+        c = np.zeros(degs[-1] + 1)
+        for d in degs[1:]:
+            c[d] = coeffs[d]
+        rem, prim, prime = (partial(P.polyval, c=a)
+                            for a in (c, P.polyint(c), P.polyder(c)))
+        remainder = Remainder(rem, float(degs[1] - p), prim, prime)
     name = "poly:" + ",".join(f"{coeffs.get(d, 0.0):g}" for d in range(2, degs[-1] + 1))
     return Nonlinearity(name, float(p), float(cp), kind, remainder)
 

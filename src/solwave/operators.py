@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SubcriticalSpeed
 from .grid import SpectralField
 from .symbols import DispersionSymbol
 
@@ -12,23 +11,6 @@ from .symbols import DispersionSymbol
 def multiplier_values(sym: DispersionSymbol, grid) -> np.ndarray:
     """m(k) sampled on the grid's wavenumbers (FFT order)."""
     return np.asarray(sym.eval(grid.wavenumbers), dtype=float)
-
-
-def apply_multiplier(sym: DispersionSymbol, u: SpectralField) -> SpectralField:
-    """Lu: coefficient-wise product with m(k); evenness of m keeps the field real."""
-    return SpectralField.from_coeffs(u.grid, multiplier_values(sym, u.grid) * u.coeffs)
-
-
-def ddx(u: SpectralField) -> SpectralField:
-    return SpectralField.from_coeffs(u.grid, u.grid.ik * u.coeffs)
-
-
-def resolvent(sym: DispersionSymbol, nu: float, u: SpectralField) -> SpectralField:
-    """(nu - L)^(-1) u for supercritical speeds nu > m(0)."""
-    if nu <= sym.m_zero:
-        raise SubcriticalSpeed(f"nu = {nu:g} does not exceed m(0) = {sym.m_zero:g}")
-    mvals = multiplier_values(sym, u.grid)
-    return SpectralField.from_coeffs(u.grid, u.coeffs / (nu - mvals))
 
 
 def band_split(sym: DispersionSymbol, u: SpectralField) -> tuple[SpectralField, SpectralField]:

@@ -24,7 +24,12 @@ from .grid import PeriodicGrid, SpectralField, change_points, l2_norm, tail_max
 from .longwave import ScalingExponents, exponents, kdv_profile, kdv_speed
 from .nonlinearity import Nonlinearity
 
-_LEDGE = 1e-15  # roundoff slack for the descent test near the floor of E
+_LEDGE = 1e-15         # roundoff slack for the descent test near the floor of E
+_STEP_GROW = 2.0       # the next trial step is min(_STEP_GROW t, _STEP_MAX)
+_STEP_MAX = 64.0
+_MIN_PERIOD = 64.0
+_NYQUIST_FACTOR = 2.2  # times the band-split cutoff
+_SEED_BAND = 45.0      # scaled Nyquist demand of the seed spectrum
 
 
 @dataclass
@@ -45,15 +50,10 @@ class SolveConfig:
     step_init: float = 1.0
     step_shrink: float = 0.5
     armijo: float = 1e-4
-    step_grow: float = 2.0
-    step_max: float = 64.0
     penalization: Penalization | None = None
-    seed_profile: str = "kdv"     # kdv | file:<path> | previous (sweep-internal)
+    seed_profile: str = "kdv"     # kdv | file:<path>
     polarity: int = 1
     period_scale: float = 80.0
-    min_period: float = 64.0
-    nyquist_factor: float = 2.2   # times the band-split cutoff
-    seed_band: float = 45.0       # scaled Nyquist demand of the seed spectrum
 
     def __post_init__(self):
         for name, ok, need in (  # every test is false on NaN
@@ -62,7 +62,6 @@ class SolveConfig:
                 ("max_iter", self.max_iter >= 1, "at least 1"),
                 ("step_shrink", 0 < self.step_shrink < 1, "in (0, 1)"),
                 ("armijo", 0 < self.armijo < 1, "in (0, 1)"),
-                ("step_grow", self.step_grow >= 1, "at least 1"),
                 ("polarity", self.polarity in (-1, 1), "+1 or -1")):
             if not ok:
                 raise ConfigError(f"{name} must be {need}", field=name)
@@ -92,6 +91,15 @@ class WaveProfile:
             "convention": "unitary-sqrtP",
         }
 
+    @classmethod
+    def from_meta(cls, field: SpectralField, meta: dict) -> "WaveProfile":
+        """The profile that ``meta()`` described, around its stored field."""
+        return cls(field=field, mu=meta["mu"], speed=meta["nu"],
+                   residual=meta["residual"], energy=meta["energy"],
+                   symbol=meta["symbol"], nonlinearity=meta["nonlinearity"],
+                   iterations=meta["iterations"],
+                   supercritical=meta["supercritical"])
+
 
 def next_pow2(x: float) -> int:
     return 1 << max(4, math.ceil(math.log2(max(x, 16))))
@@ -100,10 +108,10 @@ def next_pow2(x: float) -> int:
 def default_grid(cfg: SolveConfig, k_cut: float, exps: ScalingExponents) -> PeriodicGrid:
     period = cfg.period
     if period is None:
-        period = max(cfg.min_period, cfg.period_scale * cfg.mu ** (-exps.beta))
+        period = max(_MIN_PERIOD, cfg.period_scale * cfg.mu ** (-exps.beta))
     n = cfg.points
     if n is None:
-        k_need = max(cfg.nyquist_factor * k_cut, cfg.seed_band * cfg.mu**exps.beta)
+        k_need = max(_NYQUIST_FACTOR * k_cut, _SEED_BAND * cfg.mu**exps.beta)
         n = next_pow2(max(256, period * k_need / math.pi))
     return PeriodicGrid(period, n)
 
@@ -188,7 +196,7 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
                 history=history["residuals"])
         c, e0 = trial, e1
         history["energies"].append(e1)
-        step = min(t * cfg.step_grow, cfg.step_max)
+        step = min(t * _STEP_GROW, _STEP_MAX)
     raise MaxIterations(
         f"residual {history['residuals'][-1]:.3e} after {cfg.max_iter} "
         f"iterations (tol {cfg.tol_residual:g})",
@@ -230,7 +238,7 @@ def minimize_constrained(prob: Problem, cfg: SolveConfig,
 
 def _build_seed(cfg: SolveConfig, grid: PeriodicGrid,
                 exps: ScalingExponents) -> SpectralField:
-    if cfg.seed_profile in ("kdv", "kdv-scaled"):
+    if cfg.seed_profile == "kdv":
         return kdv_scaled_seed(grid, cfg.mu, exps, cfg.polarity)
     if cfg.seed_profile.startswith("file:"):
         from .fileio import read_field_csv
@@ -244,25 +252,20 @@ def _build_seed(cfg: SolveConfig, grid: PeriodicGrid,
 
 
 def minimize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
-                     cfg: SolveConfig | None = None,
-                     guess: SpectralField | None = None) -> WaveProfile:
+                     cfg: SolveConfig) -> WaveProfile:
     """Ground state of the reduced long-wave functional on Q = 1.
 
     The descent's preconditioner, here (nu_lw - L)^-1, tames the unbounded
     polynomial multiplier; stationary points are unchanged.
     """
-    cfg = replace(cfg, mu=1.0) if cfg is not None else SolveConfig(mu=1.0, tol_residual=1e-10)
-    if guess is not None:
-        grid = guess.grid
-    else:
-        period = cfg.period if cfg.period is not None else cfg.period_scale
-        n = cfg.points if cfg.points is not None else next_pow2(
-            max(256, period * cfg.seed_band / math.pi))
-        grid = PeriodicGrid(period, n)
-        polarity = cfg.polarity if nl.cp > 0 else -1
-        # generic unit-width bump: the descent must find the ground state itself
-        guess = SpectralField.from_values(
-            grid, polarity * np.exp(-0.5 * grid.nodes**2))
+    cfg = replace(cfg, mu=1.0)
+    period = cfg.period if cfg.period is not None else cfg.period_scale
+    n = cfg.points if cfg.points is not None else next_pow2(
+        max(256, period * _SEED_BAND / math.pi))
+    grid = PeriodicGrid(period, n)
+    polarity = cfg.polarity if nl.cp > 0 else -1
+    # generic unit-width bump: the descent must find the ground state itself
+    guess = SpectralField.from_values(grid, polarity * np.exp(-0.5 * grid.nodes**2))
     eng = discretize_reduced(j_star, d2j_star, nl, grid)
     c, nu, res, its, _ = _descend(eng, 1.0, cfg, guess.coeffs)
     if nu <= 0:

@@ -172,10 +172,10 @@ def _fd_even_derivative(eval_m, order: int, step: float) -> float:
 def validate_symbol(sym: DispersionSymbol, k_max: float = 100.0,
                     n_samples: int = 10_000) -> SymbolReport:
     """Evaluate the multiplier invariants on a uniform sample of [-k_max, k_max]."""
-    if k_max <= 0:
-        raise ValueError("k_max must be positive")
+    if not 0 < k_max < math.inf:  # false on NaN
+        raise ConfigError("k_max must be finite and positive", field="k_max")
     if n_samples < 16:
-        raise ValueError("need at least 16 samples")
+        raise ConfigError("need at least 16 samples", field="samples")
     ks = np.linspace(-k_max, k_max, n_samples)
     vals = np.asarray(sym.eval(ks), dtype=float)
     checks = []

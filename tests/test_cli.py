@@ -1,10 +1,14 @@
 """Command-line contract: files, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from solwave.cli import main
+from solwave.cli import (build_evolution_config, build_problem,
+                         build_solve_config, load_config, main)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -59,6 +63,46 @@ def test_validate_symbol_command(tmp_path, capsys):
     assert report["passed"] is True
     assert any(c["name"] == "NO_STRICT_MAX" for c in report["checks"])
     assert main(["validate-symbol", "--name", "nosuch"]) == 1
+
+
+def test_failed_symbol_is_json_error(capsys):
+    rc = main(["validate-symbol", "--name", "rational:200"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "SYMBOL_INVALID"
+    assert err["check"] == "TAYLOR_MISMATCH" and err["k"] == 0.0
+
+
+def bad_inputs(d):
+    rows = d / "profile_100.csv"  # uniform centred nodes, but not 2^k of them
+    rows.write_text("x,u\n" + "".join(f"{j - 50.0!r},0.0\n" for j in range(100)))
+    return {
+        "ball_radius": ["--config", write_config(d, {"problem": {"ball_radius": 0}}),
+                        "solve"],
+        "profile": ["evolve", "--profile", str(rows)],
+        "k_max": ["validate-symbol", "--k-max", "0"],
+        "samples": ["validate-symbol", "--samples", "8"],
+    }
+
+
+@pytest.mark.parametrize("field", ["ball_radius", "profile", "k_max", "samples"])
+def test_bad_input_fails_closed(tmp_path, capsys, field):
+    rc = main([*bad_inputs(tmp_path)[field], "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    line = json.loads(err.strip().splitlines()[-1])
+    assert line["error"] == "CONFIG" and line["field"] == field
+
+
+def test_shipped_configs_load():
+    # a key renamed or removed later fails here, without running the studies
+    paths = sorted(CONFIGS.glob("*.json"))
+    assert paths
+    for path in paths:
+        cfg = load_config(str(path))
+        build_solve_config(cfg, build_problem(cfg))
+        build_evolution_config(cfg)
 
 
 @pytest.fixture(scope="module")

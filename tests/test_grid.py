@@ -5,9 +5,8 @@ from pytest import approx
 
 from solwave.errors import GridMismatch, ResolutionLoss, TailTooLarge
 from solwave.grid import (PeriodicGrid, SpectralField, band_noise,
-                          change_points, dealias, inner_l2, l2_norm, resample,
-                          roll, shift, sobolev_norm, spectral_tail, sup_norm,
-                          tail_max)
+                          change_points, dealias, inner_l2, l2_norm,
+                          sobolev_norm, spectral_tail, sup_norm, tail_max)
 from solwave.longwave import KDV_DECAY, kdv_profile, kdv_soliton
 
 
@@ -109,28 +108,6 @@ def test_dealias():
     assert np.array_equal(once.coeffs, twice.coeffs)
 
 
-def test_resample_refinement_preserves_samples():
-    g = PeriodicGrid(25.0, 64)
-    u = random_field(g, 11)
-    fine = resample(u, PeriodicGrid(25.0, 128))
-    assert np.max(np.abs(fine.values[::2] - u.values)) < 1e-12
-    assert l2_norm(fine) == approx(l2_norm(u), rel=1e-13)
-
-
-def test_resample_enlargement():
-    hw = np.arccosh(np.sqrt(2.0)) / KDV_DECAY
-    g = PeriodicGrid(64 * hw, 256)
-    w = kdv_soliton(g)
-    big = resample(w, PeriodicGrid(2 * g.period, 2 * g.n))
-    assert l2_norm(big) == approx(l2_norm(w), rel=1e-10)
-    cosg = PeriodicGrid(10.0, 64)
-    cos = SpectralField.from_values(cosg, np.cos(2 * np.pi * cosg.nodes / 10.0))
-    with pytest.raises(TailTooLarge):
-        resample(cos, PeriodicGrid(20.0, 128))
-    with pytest.raises(GridMismatch):
-        resample(w, PeriodicGrid(g.period / 2, g.n))
-
-
 def test_change_points_pad_and_truncate():
     g = PeriodicGrid(30.0, 64)
     u = random_field(g, 5, band=10)
@@ -140,12 +117,6 @@ def test_change_points_pad_and_truncate():
     wide = random_field(g, 6, band=31)
     with pytest.raises(ResolutionLoss):
         change_points(wide, 32)
-
-
-def test_shift_matches_cyclic_roll():
-    g = PeriodicGrid(17.0, 64)
-    u = random_field(g, 21)
-    assert np.max(np.abs(shift(u, 3 * g.spacing).values - roll(u, -3).values)) < 1e-11
 
 
 def test_tail_max_gate():

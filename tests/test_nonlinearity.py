@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from solwave.errors import ConfigError, ExponentWindow, UnsupportedRegularity
+from solwave.errors import ConfigError, ExponentWindow
 from solwave.functionals import Problem
 from solwave.nonlinearity import (Kind, Nonlinearity, nonlinearity_from_name,
                                   odd_power, polynomial, quadratic,
@@ -39,14 +39,13 @@ def test_polynomial_with_remainder():
     assert nl.remainder is not None and nl.remainder.delta == 2.0
     assert nl.n(0.3) == approx(0.3**2 + 0.3**4)
     assert nl.primitive(0.3) == approx(0.3**3 / 3 + 0.3**5 / 5)
-
-
-def test_remainder_quadrature_primitive():
-    # primitive omitted: Gauss-Legendre fallback must match the closed form
-    from solwave.nonlinearity import Remainder
-    rem = Remainder(func=lambda x: x**4, delta=2.0)
-    xs = np.linspace(-1.0, 1.0, 17)
-    assert rem.antiderivative(xs) == approx(xs**5 / 5, abs=1e-14)
+    # remainder terms of every parity, on negative arguments where no two
+    # terms cancel
+    nl = polynomial({2: 1.0, 3: -0.5, 4: 1.0})
+    xs = -np.geomspace(1e-3, 2.0, 40)
+    assert nl.n(xs) == approx(xs**2 - 0.5 * xs**3 + xs**4, rel=1e-14, abs=0)
+    assert nl.n_prime(xs) == approx(2 * xs - 1.5 * xs**2 + 4 * xs**3, rel=1e-14, abs=0)
+    assert nl.primitive(xs) == approx(xs**3 / 3 - xs**4 / 8 + xs**5 / 5, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("nl", [quadratic(), polynomial({2: 1.0, 3: -0.5}),
@@ -123,22 +122,6 @@ def test_remainder_growth_bound():
     nl = polynomial({2: 1.0, 4: 1.0})
     xs = np.linspace(1e-3, 1.0, 200)
     assert np.max(np.abs(nl.remainder.func(xs)) / xs ** (nl.p + nl.remainder.delta)) <= 1.0 + 1e-12
-
-
-def test_regularity_requests():
-    nl = quadratic()
-    d2 = nl.derivative(2)
-    assert d2(0.3) == approx(2.0)
-    assert nl.derivative(3)(0.3) == 0.0
-    frac = signed_modulus(2.5, 1.0)
-    with pytest.raises(UnsupportedRegularity):
-        frac.derivative(3)
-
-    from solwave.nonlinearity import Remainder
-    opaque = Nonlinearity("x", 2.0, 1.0, Kind.PURE_POWER,
-                          Remainder(func=lambda x: x**4, delta=2.0))
-    with pytest.raises(UnsupportedRegularity):
-        opaque.n_prime(0.1)
 
 
 def test_names_roundtrip():
