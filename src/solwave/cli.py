@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -94,7 +95,7 @@ def build_evolution_config(cfg: dict) -> EvolutionConfig:
     e = cfg["evolution"]
     return EvolutionConfig(dt=float(e["dt"]), t_final=float(e["t_final"]),
                            integrator=e["integrator"], dealias=bool(e["dealias"]),
-                           stride=int(e["stride"]))
+                           stride=e["stride"])
 
 
 def _write_profile(outdir: Path, prof: WaveProfile, stem: str = "profile"):
@@ -176,7 +177,11 @@ def _load_profile(path) -> WaveProfile:
     meta_path = p.parent / ("meta" + p.stem.removeprefix("profile") + ".json")
     if not meta_path.exists():
         raise ConfigError(f"missing metadata {meta_path}", field="profile")
-    return WaveProfile.from_meta(u, json.loads(meta_path.read_text()))
+    try:
+        return WaveProfile.from_meta(u, json.loads(meta_path.read_text()))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"{meta_path}: unusable metadata: {type(exc).__name__}: {exc}",
+                          field="meta")
 
 
 def cmd_evolve(args, cfg) -> int:
@@ -246,8 +251,15 @@ def cmd_validate_symbol(args, cfg) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a config error (exit 1, JSON on stderr)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}", field="argv")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="solwave", description=__doc__)
+    parser = _Parser(prog="solwave", description=__doc__)
     parser.add_argument("--config", help="JSON config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -290,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_validate_symbol)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(args.config)
         if getattr(args, "mu", None) is not None:
             cfg["solver"]["mu"] = args.mu
@@ -304,8 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args, cfg)
     except SolwaveError as exc:
         err = {"error": exc.code, "message": str(exc)}
-        err.update({k: v for k, v in exc.info.items() if isinstance(v, (str, int, float))})
-        print(json.dumps(err), file=sys.stderr)
+        err.update({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                    for k, v in exc.info.items() if isinstance(v, (str, int, float))})
+        print(json.dumps(err, allow_nan=False), file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(json.dumps({"error": "CONFIG", "message": str(exc)}), file=sys.stderr)

@@ -35,14 +35,21 @@ class EvolutionConfig:
     stride: int = 10              # record every stride steps
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive", field="dt")
-        if self.t_final == 0:
-            raise ConfigError("t_final must be nonzero", field="t_final")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError("dt must be finite and positive", field="dt", value=self.dt)
+        if not (math.isfinite(self.t_final) and self.t_final != 0):
+            raise ConfigError("t_final must be finite and nonzero", field="t_final",
+                              value=self.t_final)
         if self.integrator not in ("ifrk4", "rk4"):
             raise ConfigError(f"unknown integrator {self.integrator!r}", field="integrator")
-        if self.stride < 1:
-            raise ConfigError("stride must be positive", field="stride")
+        if (not isinstance(self.stride, (int, np.integer)) or isinstance(self.stride, bool)
+                or self.stride < 1):
+            raise ConfigError("stride must be an integer >= 1", field="stride",
+                              value=self.stride)
+        steps = abs(self.t_final) / self.dt
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ConfigError(f"t_final = {self.t_final:g} is not a whole number of "
+                              f"steps of dt = {self.dt:g}", field="t_final", value=self.t_final)
 
 
 @dataclass
@@ -57,13 +64,10 @@ class EvolutionTrace:
     q0: float = 0.0
 
     def rows(self) -> list[dict]:
-        out = []
-        for i, t in enumerate(self.times):
-            out.append({"t": float(t), "E_drift": float(self.e_drift[i]),
-                        "Q_drift": float(self.q_drift[i]),
-                        "orbit_dist": float(self.orbit_dist[i]),
-                        "shift": float(self.shifts[i])})
-        return out
+        return [{"t": float(t), "E_drift": float(e), "Q_drift": float(q),
+                 "orbit_dist": float(d), "shift": float(y)}
+                for t, e, q, d, y in zip(self.times, self.e_drift, self.q_drift,
+                                         self.orbit_dist, self.shifts)]
 
 
 def _advise_on_dt(system, u0: SpectralField, cfg: EvolutionConfig):
@@ -81,7 +85,10 @@ def _advise_on_dt(system, u0: SpectralField, cfg: EvolutionConfig):
 
 
 def _rhs_factory(system, grid: PeriodicGrid, use_dealias: bool):
-    """Returns (lam, f): linear spectral symbol and nonlinear flux term."""
+    """Returns (lam, f) on the half spectrum m = 0..N/2 of a real field: f(c) is
+    -ik mask to_coeffs(n(to_values(c mask))) at m >= 0, with the transforms'
+    scale, the node phase (-1)^m, the mask and -ik folded into two constant
+    arrays, so one irfft and one rfft remain per evaluation."""
     if isinstance(system, Problem):
         sym = system.symbol
         nl = system.nonlinearity
@@ -89,18 +96,25 @@ def _rhs_factory(system, grid: PeriodicGrid, use_dealias: bool):
         sym, nl = system, None
     else:
         raise TypeError("system must be a Problem or a DispersionSymbol")
-    mvals = multiplier_values(sym, grid)
-    ik = grid.ik
-    lam = -ik * mvals
+    n, half = grid.n, grid.n // 2 + 1
+    ik = grid.ik[:half]
+    lam = -ik * multiplier_values(sym, grid)[:half]
     if nl is None:
         return lam, None
-    mask = grid.dealias_mask if use_dealias else 1.0
+    mask = grid.dealias_mask[:half] if use_dealias else 1.0
+    phase = 1.0 - 2.0 * (grid.modes[:half] % 2)  # exp(-i k_m x_0) = (-1)^m
+    scale = n / math.sqrt(grid.period)
+    to_vals, to_flux = mask * phase * scale, -ik * mask * phase / scale
 
     def f(c):
-        v = grid.to_values(c * mask)
-        return -ik * (mask * grid.to_coeffs(nl.n(v)))
+        return to_flux * np.fft.rfft(nl.n(np.fft.irfft(c * to_vals, n)))
 
     return lam, f
+
+
+def _mirror(c: np.ndarray, n: int) -> np.ndarray:
+    """FFT-order coefficients of the real field whose half spectrum is c."""
+    return np.concatenate((c, np.conj(c[n // 2 - 1:0:-1])))
 
 
 def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
@@ -118,48 +132,46 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
     _advise_on_dt(system, u0, cfg)
     lam, f = _rhs_factory(system, grid, cfg.dealias)
     dt = math.copysign(cfg.dt, cfg.t_final)
-    n_steps = max(1, round(abs(cfg.t_final) / cfg.dt))
-    prob = system if isinstance(system, Problem) else None
-    eng = discretize(prob, grid) if prob is not None else None
+    n_steps = round(abs(cfg.t_final) / cfg.dt)  # whole, at least 1: see EvolutionConfig
+    if isinstance(system, Problem):
+        energy_of = discretize(system, grid).energy
+    else:
+        mvals = multiplier_values(system, grid)
 
-    def energy_of(c):
-        if eng is not None:
-            return eng.energy(c)
-        return -0.5 * float(np.sum(multiplier_values(system, grid) * np.abs(c) ** 2))
+        def energy_of(full):
+            return -0.5 * float(np.sum(mvals * np.abs(full) ** 2))
 
-    c = u0.coeffs.copy()
+    n = grid.n
+    c = u0.coeffs[:n // 2 + 1].copy()
+    c_full = _mirror(c, n)
     sup0 = float(np.max(np.abs(u0.values)))
-    e0, q0 = energy_of(c), 0.5 * float(np.sum(np.abs(c) ** 2))
+    e0, q0 = energy_of(c_full), 0.5 * float(np.sum(np.abs(c_full) ** 2))
     e_den = max(abs(e0), np.finfo(float).tiny)
 
     times, e_dr, q_dr, dists, shifts = [], [], [], [], []
 
     def record(step):
-        u = SpectralField.from_coeffs(grid, c)
+        u = SpectralField.from_coeffs(grid, _mirror(c, n))
         times.append(step * dt)
-        e_dr.append((energy_of(c) - e0) / e_den)
-        q_dr.append((0.5 * float(np.sum(np.abs(c) ** 2)) - q0) / q0 if q0 else 0.0)
-        if reference is not None:
-            d, y = orbit_distance(u, reference)
-        else:
-            d, y = 0.0, 0.0
+        e_dr.append((energy_of(u.coeffs) - e0) / e_den)
+        q_dr.append((0.5 * float(np.sum(np.abs(u.coeffs) ** 2)) - q0) / q0 if q0 else 0.0)
+        d, y = orbit_distance(u, reference) if reference is not None else (0.0, 0.0)
         dists.append(d)
         shifts.append(y)
         sup = float(np.max(np.abs(u.values)))
         if not np.isfinite(sup) or sup > _BLOWUP_FACTOR * max(sup0, np.finfo(float).tiny):
             raise Blowup(f"sup |u| = {sup:.3e} at t = {step * dt:g} "
-                         f"(initial {sup0:.3e})", t=step * dt, trace=_pack())
+                         f"(initial {sup0:.3e})", t=step * dt, trace=_pack(u))
         if spectral_tail(u) > _TAIL_GATE:
             raise ResolutionLoss(f"spectral tail {spectral_tail(u):.2e} at "
-                                 f"t = {step * dt:g}", t=step * dt, trace=_pack())
+                                 f"t = {step * dt:g}", t=step * dt, trace=_pack(u))
         return u
 
-    def _pack():
+    def _pack(final):
         return EvolutionTrace(np.array(times), np.array(e_dr), np.array(q_dr),
-                              np.array(dists), np.array(shifts),
-                              SpectralField.from_coeffs(grid, c), e0, q0)
+                              np.array(dists), np.array(shifts), final, e0, q0)
 
-    if cfg.integrator == "ifrk4" :
+    if cfg.integrator == "ifrk4":
         e_half = np.exp(0.5 * dt * lam)
         e_full = np.exp(dt * lam)
 
@@ -188,12 +200,12 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
             k4 = rhs(c + dt * k3)
             return c + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
-    record(0)
+    u = record(0)
     for step in range(1, n_steps + 1):
         c = step_once(c)
         if step % cfg.stride == 0 or step == n_steps:
-            record(step)
-    return _pack()
+            u = record(step)
+    return _pack(u)
 
 
 @dataclass

@@ -17,10 +17,6 @@ from .errors import ConfigError
 from .grid import PeriodicGrid, SpectralField
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def atomic_write(path, text: str):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -35,10 +31,11 @@ def atomic_write(path, text: str):
         raise
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """One line per row; each row has one number per header column."""
+    fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.extend(fmt % tuple(row) for row in rows)
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -48,15 +45,11 @@ def write_json(path, obj) -> None:
 
 def write_field_csv(path, u: SpectralField, spectral_sidecar: bool = False) -> None:
     """Physical samples as `x,u`; optional spectral sidecar `m,re,im`."""
-    write_csv(path, ["x", "u"], [[x, v] for x, v in zip(u.grid.nodes, u.values)])
+    write_csv(path, ["x", "u"], zip(u.grid.nodes, u.values))
     if spectral_sidecar:
-        side = Path(path).with_suffix(".spectral.csv")
-        rows = [[int(m), c.real, c.imag]
-                for m, c in zip(u.grid.modes, u.coeffs)]
-        lines = [",".join(["m", "re", "im"])]
-        for m, re, im in rows:
-            lines.append(f"{m:d},{_fmt(re)},{_fmt(im)}")
-        atomic_write(side, "\n".join(lines) + "\n")
+        # %.17g writes each integer mode m as the integer itself
+        write_csv(Path(path).with_suffix(".spectral.csv"), ["m", "re", "im"],
+                  zip(u.grid.modes, u.coeffs.real, u.coeffs.imag))
 
 
 def read_field_csv(path) -> SpectralField:
@@ -65,15 +58,20 @@ def read_field_csv(path) -> SpectralField:
         header = f.readline().strip()
         if header.split(",")[:2] != ["x", "u"]:
             raise ConfigError(f"{path}: expected header 'x,u'", field="profile")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")[:2]
-            xs.append(float(a))
-            vs.append(float(b))
+        try:
+            for line in f:
+                line = line.strip()
+                if not line:
+                    continue
+                a, b = line.split(",")[:2]
+                xs.append(float(a))
+                vs.append(float(b))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: unreadable row: {exc}", field="profile")
     xs = np.asarray(xs)
     vs = np.asarray(vs)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+        raise ConfigError(f"{path}: non-finite sample", field="profile")
     n = len(xs)
     if n < 2:
         raise ConfigError(f"{path}: too few samples", field="profile")

@@ -76,23 +76,54 @@ def test_failed_symbol_is_json_error(capsys):
 def bad_inputs(d):
     rows = d / "profile_100.csv"  # uniform centred nodes, but not 2^k of them
     rows.write_text("x,u\n" + "".join(f"{j - 50.0!r},0.0\n" for j in range(100)))
-    return {
-        "ball_radius": ["--config", write_config(d, {"problem": {"ball_radius": 0}}),
-                        "solve"],
-        "profile": ["evolve", "--profile", str(rows)],
-        "k_max": ["validate-symbol", "--k-max", "0"],
-        "samples": ["validate-symbol", "--samples", "8"],
+    good = "x,u\n" + "".join(f"{j - 8.0!r},0.0\n" for j in range(16))
+    for name, meta in [("keys", '{"mu": 0.01}'), ("json", "not json")]:
+        (d / name).mkdir()
+        (d / name / "profile.csv").write_text(good)
+        (d / name / "meta.json").write_text(meta)
+    cell = d / "profile_cell.csv"
+    cell.write_text("x,u\n-8,abc\n")
+    evolution = {"dt_nan": {"dt": float("nan")}, "t_final_inf": {"t_final": float("inf")},
+                 "stride_fraction": {"stride": 2.5}}
+    cases = {  # id: (field, argv)
+        "ball_radius": ("ball_radius", ["--config", write_config(
+            d, {"problem": {"ball_radius": 0}}), "solve"]),
+        "profile": ("profile", ["evolve", "--profile", str(rows)]),
+        "k_max": ("k_max", ["validate-symbol", "--k-max", "0"]),
+        "samples": ("samples", ["validate-symbol", "--samples", "8"]),
+        "k_max_text": ("argv", ["validate-symbol", "--k-max", "abc"]),
+        "meta_keys": ("meta", ["evolve", "--profile", str(d / "keys" / "profile.csv")]),
+        "meta_json": ("meta", ["evolve", "--profile", str(d / "json" / "profile.csv")]),
+        "profile_cell": ("profile", ["evolve", "--profile", str(cell)]),
+        "steps_fraction": ("t_final", ["evolve", "--profile", str(cell),
+                                       "--T", "1", "--dt", "0.3"]),
     }
+    for case, sec in evolution.items():
+        cases[case] = (next(iter(sec)), [
+            "--config", write_config(d, {"evolution": sec}, f"{case}.json"),
+            "evolve", "--profile", str(cell)])
+    return cases
 
 
-@pytest.mark.parametrize("field", ["ball_radius", "profile", "k_max", "samples"])
-def test_bad_input_fails_closed(tmp_path, capsys, field):
-    rc = main([*bad_inputs(tmp_path)[field], "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize("case", [
+    "ball_radius", "profile", "k_max", "samples", "k_max_text", "meta_keys",
+    "meta_json", "profile_cell", "steps_fraction", "dt_nan", "t_final_inf",
+    "stride_fraction"])
+def test_bad_input_fails_closed(tmp_path, capsys, case):
+    field, argv = bad_inputs(tmp_path)[case]
+    rc = main([*argv, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
     assert "Traceback" not in err
-    line = json.loads(err.strip().splitlines()[-1])
+
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in the error line")
+
+    # strict JSON: a non-finite value is written as null
+    line = json.loads(err.strip().splitlines()[-1], parse_constant=reject)
     assert line["error"] == "CONFIG" and line["field"] == field
+    if case == "dt_nan":
+        assert line["value"] is None
 
 
 def test_shipped_configs_load():

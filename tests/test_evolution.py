@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from pytest import approx
 
 from solwave.errors import Blowup, ConfigError, ResolutionLoss
-from solwave.evolution import (EvolutionConfig, evolve, perturbation,
+from solwave.evolution import (EvolutionConfig, _rhs_factory, evolve, perturbation,
                                stability_experiment, travel_test)
 from solwave.functionals import Problem, momentum
 from solwave.grid import PeriodicGrid, SpectralField, l2_norm, spectral_tail
 from solwave.longwave import kdv_profile
-from solwave.nonlinearity import quadratic
+from solwave.nonlinearity import nonlinearity_from_name, quadratic
 from solwave.solver import SolveConfig, minimize_constrained
 from solwave.symbols import whitham
 
@@ -135,6 +137,55 @@ def test_config_validation():
         EvolutionConfig(integrator="euler")
     with pytest.raises(ConfigError):
         EvolutionConfig(stride=0)
+    bad = [({"dt": math.nan}, "dt"), ({"dt": math.inf}, "dt"), ({"dt": -0.01}, "dt"),
+           ({"t_final": math.nan}, "t_final"), ({"t_final": math.inf}, "t_final"),
+           ({"t_final": -math.inf}, "t_final"),
+           ({"stride": 2.5}, "stride"), ({"stride": True}, "stride"),
+           ({"stride": "10"}, "stride"),
+           ({"t_final": 1.0, "dt": 0.3}, "t_final"),     # would run to t = 0.9
+           ({"t_final": 0.001, "dt": 0.01}, "t_final"),  # less than one step
+           ({"t_final": 1e300, "dt": 1e-300}, "t_final")]
+    for kwargs, field in bad:
+        with pytest.raises(ConfigError) as err:
+            EvolutionConfig(**kwargs)
+        assert err.value.info["field"] == field, kwargs
+    # whole numbers of steps up to round-off, either direction
+    for dt, t_final in [(0.1, 0.3), (0.02, -4.0), (0.02, 0.02 * 80)]:
+        EvolutionConfig(dt=dt, t_final=t_final, stride=np.int64(5))
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("name", ["quadratic", "poly:1,0.5", "modulus:2.5,1"])
+def test_half_spectrum_flux_matches_grid_transforms(name, dealias):
+    # a full-band field, Nyquist mode included, so the folded phase, scale,
+    # mask and Nyquist slot are all exercised
+    g = PeriodicGrid(40.0, 64)
+    c = g.to_coeffs(np.random.default_rng(5).standard_normal(g.n))
+    assert c[g.n // 2] != 0
+    nl = nonlinearity_from_name(name)
+    _, f = _rhs_factory(Problem(whitham(), nl), g, dealias)
+    mask = g.dealias_mask if dealias else 1.0
+    ref = -g.ik * mask * g.to_coeffs(nl.n(g.to_values(c * mask)))
+    got = f(c[:g.n // 2 + 1])
+    assert np.max(np.abs(got - ref[:g.n // 2 + 1])) <= 1e-14 * np.max(np.abs(ref))
+    assert got[-1] == 0
+
+
+@pytest.mark.parametrize("integrator", ["ifrk4", "rk4"])
+def test_final_is_exactly_hermitian(wave, integrator):
+    cfg = EvolutionConfig(dt=0.02, t_final=1.0, stride=25, integrator=integrator)
+    c = evolve(PROB, wave.field, cfg).final.coeffs
+    assert np.array_equal(c, np.conj(c[-wave.field.grid.modes]))
+
+
+def test_stability_runs_are_bit_identical(wave):
+    cfg = EvolutionConfig(dt=0.02, t_final=2.0, stride=25)
+    pert = perturbation(wave.field.grid, l2_norm(wave.field), 0.01, seed=11)
+    a, b = (stability_experiment(PROB, wave, pert, cfg).trace for _ in range(2))
+    for name in ("times", "e_drift", "q_drift", "orbit_dist", "shifts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(a.final.coeffs, b.final.coeffs)
+    assert a.e_drift[0] == 0.0 and a.q_drift[0] == 0.0
 
 
 def test_trace_rows(wave):
