@@ -13,8 +13,7 @@ from .evolution import (EvolutionConfig, EvolutionTrace, StabilityReport,
                         TravelReport, evolve, perturbation,
                         stability_experiment, travel_test)
 from .functionals import (Penalization, Problem, energy, energy_gradient,
-                          inner_l2, momentum, penalized_energy,
-                          penalized_gradient, reduced_energy, weighted_norm)
+                          inner_l2, momentum, reduced_energy, weighted_norm)
 from .grid import (PeriodicGrid, SpectralField, dealias, l2_norm, sobolev_norm,
                    sup_norm, tail_max)
 from .longwave import (ScalingExponents, exponents, kdv_energy, kdv_soliton,

@@ -68,34 +68,69 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+_KINDS = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _checked(value, kind: type, field: str):
+    """``value`` converted to ``kind``; a value of another type is a config
+    error naming ``field``.  Booleans are not numbers; an integer may be
+    written as a whole float."""
+    if kind in (bool, str):
+        ok = isinstance(value, kind)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or float(value).is_integer()))
+    if not ok:
+        raise ConfigError(f"{field} must be {_KINDS[kind]}, got {value!r}", field=field)
+    return kind(value)
+
+
+def _get(cfg: dict, section: str, key: str, kind: type = float, optional: bool = False):
+    value = cfg[section][key]
+    if value is None and optional:
+        return None
+    return _checked(value, kind, f"{section}.{key}")
+
+
+def _numbers(cfg: dict, section: str, key: str) -> list[float]:
+    value, field = cfg[section][key], f"{section}.{key}"
+    if not isinstance(value, list):
+        raise ConfigError(f"{field} must be a list of numbers, got {value!r}", field=field)
+    return [_checked(v, float, field) for v in value]
+
+
 def build_problem(cfg: dict) -> Problem:
+    for key in ("symbol", "nonlinearity"):
+        if not _get(cfg, "problem", key, str):
+            raise ConfigError(f"problem.{key} is missing", field=f"problem.{key}")
     sec = cfg["problem"]
-    if not sec.get("symbol"):
-        raise ConfigError("problem.symbol is missing", field="problem.symbol")
-    if not sec.get("nonlinearity"):
-        raise ConfigError("problem.nonlinearity is missing", field="problem.nonlinearity")
     return Problem(symbol_from_name(sec["symbol"]),
                    nonlinearity_from_name(sec["nonlinearity"]),
-                   ball_radius=float(sec["ball_radius"]))
+                   ball_radius=_get(cfg, "problem", "ball_radius"))
 
 
 def build_solve_config(cfg: dict, prob: Problem) -> SolveConfig:
-    s, g = cfg["solver"], cfg["grid"]
-    pen = Penalization(prob.ball_radius) if s["penalized"] else None
+    pen = Penalization(prob.ball_radius) if _get(cfg, "solver", "penalized", bool) else None
     return SolveConfig(
-        mu=float(s["mu"]), period=g["period"], points=g["points"],
-        tol_residual=float(s["tol_residual"]), max_iter=int(s["max_iter"]),
-        step_init=float(s["step_init"]), step_shrink=float(s["step_shrink"]),
-        armijo=float(s["armijo"]), penalization=pen,
-        seed_profile=s["seed_profile"], polarity=int(s["polarity"]),
-        period_scale=float(g["period_scale"]))
+        mu=_get(cfg, "solver", "mu"),
+        period=_get(cfg, "grid", "period", optional=True),
+        points=_get(cfg, "grid", "points", int, optional=True),
+        tol_residual=_get(cfg, "solver", "tol_residual"),
+        max_iter=_get(cfg, "solver", "max_iter", int),
+        step_init=_get(cfg, "solver", "step_init"),
+        step_shrink=_get(cfg, "solver", "step_shrink"),
+        armijo=_get(cfg, "solver", "armijo"), penalization=pen,
+        seed_profile=_get(cfg, "solver", "seed_profile", str),
+        polarity=_get(cfg, "solver", "polarity", int),
+        period_scale=_get(cfg, "grid", "period_scale"))
 
 
 def build_evolution_config(cfg: dict) -> EvolutionConfig:
-    e = cfg["evolution"]
-    return EvolutionConfig(dt=float(e["dt"]), t_final=float(e["t_final"]),
-                           integrator=e["integrator"], dealias=bool(e["dealias"]),
-                           stride=e["stride"])
+    return EvolutionConfig(dt=_get(cfg, "evolution", "dt"),
+                           t_final=_get(cfg, "evolution", "t_final"),
+                           integrator=_get(cfg, "evolution", "integrator", str),
+                           dealias=_get(cfg, "evolution", "dealias", bool),
+                           stride=cfg["evolution"]["stride"])
 
 
 def _write_profile(outdir: Path, prof: WaveProfile, stem: str = "profile"):
@@ -130,18 +165,27 @@ def _convergence_outputs(prob, profiles, tau, outdir: Path):
     return ref
 
 
+def _sweep_tau(cfg: dict) -> float:
+    """The weighted-norm exponent, checked before any solve runs."""
+    tau = _get(cfg, "sweep", "tau")
+    if not tau < 1:  # true on NaN
+        raise ConfigError(f"sweep.tau must be below 1, got {tau!r}", field="sweep.tau")
+    return tau
+
+
 def cmd_sweep(args, cfg) -> int:
     if args.mu_list:
-        cfg["sweep"]["mu_list"] = [float(v) for v in args.mu_list.split(",")]
+        cfg["sweep"]["mu_list"] = args.mu_list
     out = Path(args.out)
     t0 = time.time()
     prob = build_problem(cfg)
-    mu_list = [float(m) for m in cfg["sweep"]["mu_list"]]
-    profiles = continuation_sweep(prob, mu_list, build_solve_config(cfg, prob))
+    tau = _sweep_tau(cfg)
+    profiles = continuation_sweep(prob, _numbers(cfg, "sweep", "mu_list"),
+                                  build_solve_config(cfg, prob))
     for i, prof in enumerate(profiles):
         _write_profile(out / "profiles", prof, stem=f"profile_{i:03d}")
     fileio.write_rows_csv(out / "sweep.csv", sweep_rows(profiles), fileio.SWEEP_COLUMNS)
-    _convergence_outputs(prob, profiles, float(cfg["sweep"]["tau"]), out)
+    _convergence_outputs(prob, profiles, tau, out)
     fileio.write_json(out / "manifest.json",
                       fileio.manifest("sweep", cfg, {"elapsed_s": round(time.time() - t0, 3)}))
     print(f"sweep of {len(profiles)} waves written to {out}")
@@ -159,7 +203,7 @@ def cmd_compare_kdv(args, cfg) -> int:
     out = Path(args.out or args.sweep_dir)
     t0 = time.time()
     exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
-    ref = _convergence_outputs(prob, profiles, float(cfg["sweep"]["tau"]), out)
+    ref = _convergence_outputs(prob, profiles, _sweep_tau(cfg), out)
     for i, prof in enumerate(profiles):
         w = scale_down(prof.mu, exps, prof.field, period_hint=ref.field.grid.period)
         fileio.write_field_csv(out / "scaled" / f"scaled_{i:03d}.csv", w)
@@ -206,17 +250,19 @@ def cmd_evolve(args, cfg) -> int:
 def cmd_stability(args, cfg) -> int:
     prob = build_problem(cfg)
     ecfg = build_evolution_config(cfg)
+    seed = _get(cfg, "stability", "seed", int) if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"stability seed must be nonnegative, got {seed}",
+                          field="stability.seed")
+    scales = [args.scale] if args.scale is not None else _numbers(cfg, "stability", "scales")
+    band = _get(cfg, "stability", "band", int)
     prof = _load_profile(args.profile)
-    st = cfg["stability"]
-    seed = int(st["seed"] if args.seed is None else args.seed)
-    scales = ([float(args.scale)] if args.scale is not None
-              else [float(s) for s in st["scales"]])
     out = Path(args.out)
     t0 = time.time()
     summaries = []
     for i, scale in enumerate(scales):
         pert = perturbation(prof.field.grid, l2_norm(prof.field), scale,
-                            seed + i, band=int(st["band"]))
+                            seed + i, band=band)
         rep: StabilityReport = stability_experiment(prob, prof, pert, ecfg)
         fileio.write_rows_csv(out / f"trace_{i:03d}.csv", rep.trace.rows(),
                               fileio.TRACE_COLUMNS)
@@ -251,6 +297,10 @@ def cmd_validate_symbol(args, cfg) -> int:
     return 0
 
 
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
 class _Parser(argparse.ArgumentParser):
     """A bad command line is a config error (exit 1, JSON on stderr)."""
 
@@ -270,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("sweep", help="continuation over a mu list + convergence study")
-    p.add_argument("--mu-list")
+    p.add_argument("--mu-list", type=_float_list)
     p.add_argument("--out", default="out-sweep")
     p.set_defaults(fn=cmd_sweep)
 

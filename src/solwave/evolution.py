@@ -60,8 +60,6 @@ class EvolutionTrace:
     orbit_dist: np.ndarray        # L2 distance to the reference over translates
     shifts: np.ndarray            # minimizing translation per sample
     final: SpectralField
-    e0: float = 0.0
-    q0: float = 0.0
 
     def rows(self) -> list[dict]:
         return [{"t": float(t), "E_drift": float(e), "Q_drift": float(q),
@@ -169,7 +167,7 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
 
     def _pack(final):
         return EvolutionTrace(np.array(times), np.array(e_dr), np.array(q_dr),
-                              np.array(dists), np.array(shifts), final, e0, q0)
+                              np.array(dists), np.array(shifts), final)
 
     if cfg.integrator == "ifrk4":
         e_half = np.exp(0.5 * dt * lam)

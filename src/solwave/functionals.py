@@ -157,14 +157,6 @@ def energy_gradient(prob: Problem, u: SpectralField) -> SpectralField:
     return SpectralField.from_coeffs(u.grid, discretize(prob, u.grid).gradient(u.coeffs))
 
 
-def penalized_energy(prob: Problem, pen: Penalization, u: SpectralField) -> float:
-    return discretize(prob, u.grid, pen).energy(u.coeffs)
-
-
-def penalized_gradient(prob: Problem, pen: Penalization, u: SpectralField) -> SpectralField:
-    return SpectralField.from_coeffs(u.grid, discretize(prob, u.grid, pen).gradient(u.coeffs))
-
-
 def reduced_energy(j_star: int, d2j_star: float, nl: Nonlinearity,
                    w: SpectralField) -> float:
     """-int( m^(2j*)(0)/(2 (2j*)!) (w^(j*))^2 + N_(p+1)(w) ), evaluated spectrally."""

@@ -62,7 +62,12 @@ class SolveConfig:
                 ("max_iter", self.max_iter >= 1, "at least 1"),
                 ("step_shrink", 0 < self.step_shrink < 1, "in (0, 1)"),
                 ("armijo", 0 < self.armijo < 1, "in (0, 1)"),
-                ("polarity", self.polarity in (-1, 1), "+1 or -1")):
+                ("polarity", self.polarity in (-1, 1), "+1 or -1"),
+                ("period", self.period is None or 0 < self.period < math.inf,
+                 "finite and positive"),
+                ("points", self.points is None
+                 or (self.points >= 16 and self.points & (self.points - 1) == 0),
+                 "a power of two, at least 16")):
             if not ok:
                 raise ConfigError(f"{name} must be {need}", field=name)
 

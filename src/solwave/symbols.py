@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, SymbolViolation
 
@@ -40,8 +39,9 @@ class DispersionSymbol:
 
 def cutoff_wavenumber(eval_m, m_zero: float, k_max: float = 100.0,
                       samples: int = 10_000) -> float:
-    """Smallest k beyond which m stays at or below m_zero/2, by sampling
-    then bisection on the last crossing."""
+    """Smallest k beyond which m stays at or below m_zero/2: sample, then
+    bisect the last crossing until the bracket holds two adjacent doubles
+    and return its upper end, where m <= m_zero/2."""
     ks = np.linspace(0.0, k_max, samples)
     vals = np.asarray(eval_m(ks), dtype=float)
     above = np.nonzero(vals > 0.5 * m_zero)[0]
@@ -50,8 +50,13 @@ def cutoff_wavenumber(eval_m, m_zero: float, k_max: float = 100.0,
     i = int(above[-1])
     if i + 1 >= len(ks):
         raise ValueError("m(k) still exceeds m(0)/2 at k_max; increase k_max")
-    return float(brentq(lambda k: float(eval_m(k)) - 0.5 * m_zero,
-                        ks[i], ks[i + 1], xtol=1e-12, rtol=1e-15))
+    lo, hi = float(ks[i]), float(ks[i + 1])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if float(eval_m(mid)) > 0.5 * m_zero:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _whitham_eval(k):
@@ -93,15 +98,18 @@ def gaussian() -> DispersionSymbol:
 
 
 def rational(s: float) -> DispersionSymbol:
-    """(1 + k^2)^(-s) for s > 0."""
-    if s <= 0:
-        raise ValueError("rational symbol needs s > 0")
+    """(1 + k^2)^(-s) for finite s > 0 whose cut-off sqrt(2^(1/s) - 1) is finite."""
+    if not 0 < 2.0 * s < math.inf:  # false on NaN; -2s is both the order and m''(0)
+        raise ConfigError(f"rational symbol needs finite s > 0, got {s!r}", field="symbol")
+    try:
+        k_cut = math.sqrt(2.0 ** (1.0 / s) - 1.0)
+    except OverflowError:
+        raise ConfigError(f"rational:{s!r} has no finite cut-off wavenumber", field="symbol")
 
     def m(k):
         k = np.asarray(k, dtype=float)
         return (1.0 + k**2) ** (-s)
 
-    k_cut = math.sqrt(2.0 ** (1.0 / s) - 1.0)
     return DispersionSymbol(f"rational:{s:g}", m, 1.0, -2.0 * s, 1, -2.0 * s, k_cut)
 
 

@@ -1,6 +1,9 @@
 """Command-line contract: files, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,13 +105,33 @@ def bad_inputs(d):
         cases[case] = (next(iter(sec)), [
             "--config", write_config(d, {"evolution": sec}, f"{case}.json"),
             "evolve", "--profile", str(cell)])
+    for s in ("-1", "1e-300", "nan", "inf"):
+        cases[f"rational_{s}"] = ("symbol", ["validate-symbol", "--name", f"rational:{s}"])
+    typed = {  # id: (config document, command); the field is section.key
+        "mu_null": ({"solver": {"mu": None}}, ["solve"]),
+        "points_text": ({"grid": {"points": "abc"}}, ["solve"]),
+        "dt_text": ({"evolution": {"dt": "abc"}}, ["evolve", "--profile", str(cell)]),
+        "tau_above_1": ({"sweep": {"tau": 1.5}}, ["sweep"]),
+        "scales_text": ({"stability": {"scales": "abc"}}, ["stability", "--profile", str(cell)]),
+    }
+    for case, (doc, cmd) in typed.items():
+        (section, sec), = doc.items()
+        cases[case] = (f"{section}.{next(iter(sec))}",
+                       ["--config", write_config(d, doc, f"{case}.json"), *cmd])
+    cases["points_range"] = ("points", ["--config", write_config(
+        d, {"grid": {"points": 1000}}, "points_range.json"), "solve"])
+    cases["mu_list_text"] = ("argv", ["sweep", "--mu-list", "abc"])
+    cases["seed_negative"] = ("stability.seed", ["stability", "--profile", str(cell),
+                                                 "--seed", "-1"])
     return cases
 
 
 @pytest.mark.parametrize("case", [
     "ball_radius", "profile", "k_max", "samples", "k_max_text", "meta_keys",
     "meta_json", "profile_cell", "steps_fraction", "dt_nan", "t_final_inf",
-    "stride_fraction"])
+    "stride_fraction", "rational_-1", "rational_1e-300", "rational_nan",
+    "rational_inf", "mu_null", "points_text", "dt_text", "tau_above_1",
+    "scales_text", "points_range", "mu_list_text", "seed_negative"])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
     field, argv = bad_inputs(tmp_path)[case]
     rc = main([*argv, "--out", str(tmp_path / "o")])
@@ -124,6 +147,20 @@ def test_bad_input_fails_closed(tmp_path, capsys, case):
     assert line["error"] == "CONFIG" and line["field"] == field
     if case == "dt_nan":
         assert line["value"] is None
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # a fresh interpreter: the top-level packages that importing the CLI adds
+    # are solwave, numpy and the standard library
+    probe = ("import sys; before = set(sys.modules); import solwave.cli; "
+             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+             "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'solwave'}))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_shipped_configs_load():

@@ -9,9 +9,8 @@ import pytest
 from pytest import approx
 
 from solwave.errors import OutOfDomain
-from solwave.functionals import (Penalization, Problem, energy,
+from solwave.functionals import (Penalization, Problem, discretize, energy,
                                  energy_gradient, inner_l2, momentum,
-                                 penalized_energy, penalized_gradient,
                                  reduced_energy, reduced_gradient,
                                  weighted_norm)
 from solwave.grid import PeriodicGrid, SpectralField, band_noise, dealias, sobolev_norm
@@ -100,10 +99,9 @@ def test_penalized_equals_plain_inside_ball():
     pen = Penalization(1.0)
     u = field(3, scale=0.2)
     assert sobolev_norm(u, 1.0) ** 2 < 1.0
-    assert penalized_energy(PROB, pen, u) == energy(PROB, u)
-    gp = penalized_gradient(PROB, pen, u)
-    g = energy_gradient(PROB, u)
-    assert np.array_equal(gp.coeffs, g.coeffs)
+    eng = discretize(PROB, u.grid, pen)
+    assert eng.energy(u.coeffs) == energy(PROB, u)
+    assert np.array_equal(eng.gradient(u.coeffs), energy_gradient(PROB, u).coeffs)
 
 
 def test_penalized_gradient_finite_differences():
@@ -114,9 +112,9 @@ def test_penalized_gradient_finite_differences():
     t = sobolev_norm(u, 1.0) ** 2
     assert 0.0625 < t < 0.25  # inside the active band (R^2, (2R)^2)
     v = field(9)
-    gp = penalized_gradient(PROB, pen, u)
-    fd = (penalized_energy(PROB, pen, u + h * v)
-          - penalized_energy(PROB, pen, u - h * v)) / (2 * h)
+    eng = discretize(PROB, u.grid, pen)
+    gp = SpectralField.from_coeffs(u.grid, eng.gradient(u.coeffs))
+    fd = (eng.energy((u + h * v).coeffs) - eng.energy((u - h * v).coeffs)) / (2 * h)
     assert fd == approx(inner_l2(gp, v), rel=1e-5)
 
 

@@ -5,6 +5,8 @@ sqrt(tanh(k)/k) at 2*pi, the root of tanh(k)/k = 1/4, and the Maclaurin
 remainder sqrt(tanh(k)/k) - 1 + k^2/6 at k = 0.1.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,17 @@ def test_whitham_cutoff():
     ks = np.linspace(sym.k_cut - 0.1, sym.k_cut - 1e-6, 50)
     assert np.any(sym.eval(ks) > 0.5)
     assert np.all(sym.eval(np.linspace(sym.k_cut, 100.0, 1000)) <= 0.5)
+
+
+def test_cutoff_is_first_double_at_half_height():
+    # the bracket is bisected to adjacent doubles; 3.9973026920604333 is the
+    # value a Brent root finder at xtol 1e-12 returned on the same bracket
+    w, g = whitham(), gaussian()
+    assert w.k_cut == approx(3.9973026920604333, abs=1e-12)
+    assert abs(g.k_cut - math.sqrt(math.log(2.0))) <= 2 * np.spacing(g.k_cut)
+    for sym in (w, g):
+        assert sym.eval(sym.k_cut) <= sym.m_zero / 2 < sym.eval(sym.k_cut - 1e-12)
+        assert sym.eval(np.nextafter(sym.k_cut, 0.0)) > sym.m_zero / 2
 
 
 def test_series_and_direct_branch_agree_at_switch():
@@ -114,8 +127,11 @@ def test_symbol_from_name():
     from solwave.errors import ConfigError
     with pytest.raises(ConfigError):
         symbol_from_name("nosuch")
-    with pytest.raises(ConfigError):
-        symbol_from_name("rational:abc")
+    for bad in ("rational:abc", "rational:-1", "rational:0", "rational:1e-300",
+                "rational:nan", "rational:inf", "rational:1e308"):
+        with pytest.raises(ConfigError) as err:
+            symbol_from_name(bad)
+        assert err.value.info["field"] == "symbol"
 
 
 @settings(max_examples=50, deadline=None)
