@@ -134,7 +134,7 @@ def build_evolution_config(cfg: dict) -> EvolutionConfig:
 
 
 def _write_profile(outdir: Path, prof: WaveProfile, stem: str = "profile"):
-    fileio.write_field_csv(outdir / f"{stem}.csv", prof.field, spectral_sidecar=True)
+    fileio.write_field_csv(outdir / f"{stem}.csv", prof.field)
     fileio.write_json(outdir / f"meta{stem.removeprefix('profile')}.json", prof.meta())
 
 

@@ -84,9 +84,9 @@ def _advise_on_dt(system, u0: SpectralField, cfg: EvolutionConfig):
 
 def _rhs_factory(system, grid: PeriodicGrid, use_dealias: bool):
     """Returns (lam, f) on the half spectrum m = 0..N/2 of a real field: f(c) is
-    -ik mask to_coeffs(n(to_values(c mask))) at m >= 0, with the transforms'
-    scale, the node phase (-1)^m, the mask and -ik folded into two constant
-    arrays, so one irfft and one rfft remain per evaluation."""
+    -ik mask to_coeffs(n(to_values(c mask))) at m >= 0, with the grid's
+    node phase and scale, the mask and -ik folded into two constant arrays, so
+    one irfft and one rfft remain per evaluation."""
     if isinstance(system, Problem):
         sym = system.symbol
         nl = system.nonlinearity
@@ -100,19 +100,13 @@ def _rhs_factory(system, grid: PeriodicGrid, use_dealias: bool):
     if nl is None:
         return lam, None
     mask = grid.dealias_mask[:half] if use_dealias else 1.0
-    phase = 1.0 - 2.0 * (grid.modes[:half] % 2)  # exp(-i k_m x_0) = (-1)^m
-    scale = n / math.sqrt(grid.period)
-    to_vals, to_flux = mask * phase * scale, -ik * mask * phase / scale
+    phase = mask * grid.node_phase
+    to_vals, to_flux = phase * grid.scale, -ik * phase / grid.scale
 
     def f(c):
         return to_flux * np.fft.rfft(nl.n(np.fft.irfft(c * to_vals, n)))
 
     return lam, f
-
-
-def _mirror(c: np.ndarray, n: int) -> np.ndarray:
-    """FFT-order coefficients of the real field whose half spectrum is c."""
-    return np.concatenate((c, np.conj(c[n // 2 - 1:0:-1])))
 
 
 def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
@@ -139,9 +133,8 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
         def energy_of(full):
             return -0.5 * float(np.sum(mvals * np.abs(full) ** 2))
 
-    n = grid.n
-    c = u0.coeffs[:n // 2 + 1].copy()
-    c_full = _mirror(c, n)
+    c = u0.coeffs[:grid.n // 2 + 1].copy()
+    c_full = grid.unfold(c)
     sup0 = float(np.max(np.abs(u0.values)))
     e0, q0 = energy_of(c_full), 0.5 * float(np.sum(np.abs(c_full) ** 2))
     e_den = max(abs(e0), np.finfo(float).tiny)
@@ -149,7 +142,7 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
     times, e_dr, q_dr, dists, shifts = [], [], [], [], []
 
     def record(step):
-        u = SpectralField.from_coeffs(grid, _mirror(c, n))
+        u = SpectralField.from_coeffs(grid, grid.unfold(c))
         times.append(step * dt)
         e_dr.append((energy_of(u.coeffs) - e0) / e_den)
         q_dr.append((0.5 * float(np.sum(np.abs(u.coeffs) ** 2)) - q0) / q0 if q0 else 0.0)

@@ -43,13 +43,9 @@ def write_json(path, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_field_csv(path, u: SpectralField, spectral_sidecar: bool = False) -> None:
-    """Physical samples as `x,u`; optional spectral sidecar `m,re,im`."""
+def write_field_csv(path, u: SpectralField) -> None:
+    """Physical samples as `x,u`."""
     write_csv(path, ["x", "u"], zip(u.grid.nodes, u.values))
-    if spectral_sidecar:
-        # %.17g writes each integer mode m as the integer itself
-        write_csv(Path(path).with_suffix(".spectral.csv"), ["m", "re", "im"],
-                  zip(u.grid.modes, u.coeffs.real, u.coeffs.imag))
 
 
 def read_field_csv(path) -> SpectralField:

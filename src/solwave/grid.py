@@ -6,9 +6,11 @@ The Fourier convention is unitary in L2 over one period,
 
 so sum_m |c_m|**2 equals the squared L2 norm over the period and
 closed-form integrals of band-limited fields are reproduced to round-off.
-Coefficients are stored in FFT order; the node offset -P/2 is absorbed
-into an exact (+-1) phase so that c_m are coefficients about x, not about
-the array index.
+Fields are real, so one rfft/irfft pair on the half spectrum m = 0..N/2
+carries them: c_m = (-1)^m rfft(u)_m / scale with scale = N/sqrt(P), where
+the exact phase (-1)^m absorbs the node offset -P/2 so that c_m are
+coefficients about x, not about the array index.  Full coefficient arrays
+are mirrored back to FFT order (``unfold``).
 """
 
 from __future__ import annotations
@@ -57,10 +59,14 @@ class PeriodicGrid:
         k.setflags(write=False)
         return k
 
+    @property
+    def scale(self) -> float:
+        return self.n / np.sqrt(self.period)
+
     @cached_property
-    def _phase(self) -> np.ndarray:
-        # exp(-i k_m x_0) with x_0 = -P/2 is exactly (-1)^m
-        p = np.where(self.modes % 2 == 0, 1.0, -1.0)
+    def node_phase(self) -> np.ndarray:
+        # exp(-i k_m x_0) with x_0 = -P/2 is exactly (-1)^m, on m = 0..N/2
+        p = 1.0 - 2.0 * (np.arange(self.n // 2 + 1) % 2)
         p.setflags(write=False)
         return p
 
@@ -79,11 +85,15 @@ class PeriodicGrid:
         v.setflags(write=False)
         return v
 
+    def unfold(self, half: np.ndarray) -> np.ndarray:
+        """FFT-order coefficients of the real field whose half spectrum is ``half``."""
+        return np.concatenate((half, np.conj(half[self.n // 2 - 1:0:-1])))
+
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return (np.sqrt(self.period) / self.n) * self._phase * np.fft.fft(values)
+        return self.unfold(np.fft.rfft(values) * (self.node_phase / self.scale))
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return (self.n / np.sqrt(self.period)) * np.fft.ifft(coeffs * self._phase).real
+        return np.fft.irfft(coeffs[:self.n // 2 + 1] * (self.scale * self.node_phase), self.n)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -108,6 +118,8 @@ class SpectralField:
 
     @classmethod
     def from_coeffs(cls, grid: PeriodicGrid, coeffs) -> "SpectralField":
+        """``coeffs`` in FFT order must be those of a real field, c_-m = conj(c_m):
+        the samples are computed from the half spectrum m = 0..N/2 alone."""
         c = np.asarray(coeffs, dtype=complex)
         if c.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} coefficients, got {c.shape}")
@@ -204,6 +216,8 @@ def change_points(u: SpectralField, n: int, drop_tol: float = 1e-8) -> SpectralF
         raise ResolutionLoss(f"truncation would drop {dropped / total:.2e} of the field")
     c = np.zeros(n, dtype=complex)
     c[g.modes[keep] % n] = u.coeffs[keep]
+    if n > g.n:  # the old Nyquist mode is a cosine: half of it on each of +-N0/2
+        c[g.n // 2] = c[-(g.n // 2)] = 0.5 * u.coeffs[g.n // 2]
     return SpectralField.from_coeffs(target, c)
 
 

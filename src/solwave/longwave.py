@@ -91,7 +91,8 @@ def orbit_distance(u: SpectralField, v: SpectralField,
     k = g.wavenumbers
     w = (1.0 + k**2) ** s_norm
     z = w * u.coeffs * np.conj(v.coeffs)
-    corr = np.fft.fft(z).real  # corr[l] = sum_m z_m exp(-2 pi i m l / N)
+    # corr[l] = sum_m z_m exp(-2 pi i m l / N), real since z is Hermitian
+    corr = g.n * np.fft.irfft(np.conj(z[:g.n // 2 + 1]), g.n)
     l0 = int(np.argmax(corr))
     y0 = l0 * g.spacing
 

@@ -30,6 +30,7 @@ _STEP_MAX = 64.0
 _MIN_PERIOD = 64.0
 _NYQUIST_FACTOR = 2.2  # times the band-split cutoff
 _SEED_BAND = 45.0      # scaled Nyquist demand of the seed spectrum
+MAX_POINTS = 2**20     # largest grid a solve may ask for
 
 
 @dataclass
@@ -70,6 +71,9 @@ class SolveConfig:
                  "a power of two, at least 16")):
             if not ok:
                 raise ConfigError(f"{name} must be {need}", field=name)
+        if self.points is not None and self.points > MAX_POINTS:
+            raise ConfigError(f"points = {self.points} exceeds {MAX_POINTS}",
+                              field="grid.points", value=self.points)
 
 
 @dataclass(frozen=True)
@@ -111,14 +115,18 @@ def next_pow2(x: float) -> int:
 
 
 def default_grid(cfg: SolveConfig, k_cut: float, exps: ScalingExponents) -> PeriodicGrid:
-    period = cfg.period
-    if period is None:
-        period = max(_MIN_PERIOD, cfg.period_scale * cfg.mu ** (-exps.beta))
-    n = cfg.points
-    if n is None:
+    try:
+        period = cfg.period or max(_MIN_PERIOD, cfg.period_scale * cfg.mu ** (-exps.beta))
         k_need = max(_NYQUIST_FACTOR * k_cut, _SEED_BAND * cfg.mu**exps.beta)
-        n = next_pow2(max(256, period * k_need / math.pi))
-    return PeriodicGrid(period, n)
+    except OverflowError:
+        raise ConfigError(f"mu = {cfg.mu:g}: mu^(+-{exps.beta:g}) overflows",
+                          field="solver.mu", value=cfg.mu) from None
+    need = cfg.points or max(256, period * k_need / math.pi)
+    if not (need <= MAX_POINTS and period < math.inf):  # also false on NaN
+        raise ConfigError(f"mu = {cfg.mu:g} needs {need:.3g} points on a period of "
+                          f"{period:.3g}; at most {MAX_POINTS} on a finite one",
+                          field="grid.points", value=need)
+    return PeriodicGrid(period, next_pow2(need))
 
 
 def kdv_scaled_seed(grid: PeriodicGrid, mu: float, exps: ScalingExponents,

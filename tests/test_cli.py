@@ -30,7 +30,7 @@ def solved_dir(tmp_path_factory):
 
 def test_solve_outputs(solved_dir):
     assert (solved_dir / "profile.csv").exists()
-    assert (solved_dir / "profile.spectral.csv").exists()
+    assert not (solved_dir / "profile.spectral.csv").exists()
     meta = json.loads((solved_dir / "meta.json").read_text())
     assert meta["supercritical"] is True
     assert meta["convention"] == "unitary-sqrtP"
@@ -121,6 +121,13 @@ def bad_inputs(d):
     cases["points_range"] = ("points", ["--config", write_config(
         d, {"grid": {"points": 1000}}, "points_range.json"), "solve"])
     cases["mu_list_text"] = ("argv", ["sweep", "--mu-list", "abc"])
+    cases["grid_huge_symbol"] = ("grid.points", ["--config", write_config(
+        d, {"problem": {"symbol": "rational:0.02"}}, "grid_huge_symbol.json"),
+        "solve", "--mu", "1e-3"])
+    cases["grid_huge_mu"] = ("grid.points", ["solve", "--mu", "1e300"])
+    cases["grid_overflow_mu"] = ("solver.mu", ["--config", write_config(
+        d, {"problem": {"nonlinearity": "modulus:4.9,1"}}, "grid_overflow_mu.json"),
+        "solve", "--mu", "1e-30"])
     cases["seed_negative"] = ("stability.seed", ["stability", "--profile", str(cell),
                                                  "--seed", "-1"])
     return cases
@@ -131,7 +138,8 @@ def bad_inputs(d):
     "meta_json", "profile_cell", "steps_fraction", "dt_nan", "t_final_inf",
     "stride_fraction", "rational_-1", "rational_1e-300", "rational_nan",
     "rational_inf", "mu_null", "points_text", "dt_text", "tau_above_1",
-    "scales_text", "points_range", "mu_list_text", "seed_negative"])
+    "scales_text", "points_range", "mu_list_text", "seed_negative",
+    "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu"])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
     field, argv = bad_inputs(tmp_path)[case]
     rc = main([*argv, "--out", str(tmp_path / "o")])

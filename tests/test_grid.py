@@ -15,7 +15,7 @@ def random_field(grid, seed=0, band=None):
     return band_noise(grid, band or grid.n // 3, rng)
 
 
-grids = st.tuples(st.sampled_from([16, 64, 128]),
+grids = st.tuples(st.sampled_from([16, 64, 128, 1024, 8192]),
                   st.floats(min_value=1.0, max_value=100.0))
 
 
@@ -44,6 +44,14 @@ def test_roundtrip_and_parseval(gp, seed):
     phys = (g.period / g.n) * np.sum(u.values**2)
     spec = np.sum(np.abs(u.coeffs) ** 2)
     assert phys == approx(spec, rel=1e-10)
+    # the rfft pair against the complex FFT, on samples with every mode present
+    v = np.random.Generator(np.random.Philox(seed)).standard_normal(n)
+    c = g.to_coeffs(v)
+    ref = np.sqrt(period) / n * (-1.0) ** g.modes * np.fft.fft(v)
+    assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(c[1:], np.conj(c[:0:-1]))
+    assert c[0].imag == 0.0 and c[n // 2].imag == 0.0
+    assert np.max(np.abs(g.to_values(c) - v)) <= 1e-13 * np.max(np.abs(v))
 
 
 def test_cosine_coefficients_are_real():
@@ -117,6 +125,12 @@ def test_change_points_pad_and_truncate():
     wide = random_field(g, 6, band=31)
     with pytest.raises(ResolutionLoss):
         change_points(wide, 32)
+    # the Nyquist mode of the coarse grid is a cosine on the fine one
+    nyq = SpectralField.from_values(PeriodicGrid(30.0, 16), np.cos(np.pi * np.arange(16)))
+    up = change_points(nyq, 32)
+    assert np.array_equal(up.coeffs[1:], np.conj(up.coeffs[:0:-1]))
+    assert np.max(np.abs(up.coeffs - up.grid.to_coeffs(up.values))) < 1e-14
+    assert np.max(np.abs(up.values[::2] - nyq.values)) < 1e-14
 
 
 def test_tail_max_gate():

@@ -15,8 +15,8 @@ from solwave.functionals import Penalization, Problem, discretize, momentum
 from solwave.grid import tail_max
 from solwave.longwave import exponents, kdv_speed, orbit_distance
 from solwave.nonlinearity import odd_power, polynomial, quadratic, signed_modulus
-from solwave.solver import (SolveConfig, continuation_sweep, default_grid,
-                            kdv_scaled_seed, minimize_constrained,
+from solwave.solver import (MAX_POINTS, SolveConfig, continuation_sweep,
+                            default_grid, kdv_scaled_seed, minimize_constrained,
                             petviashvili, renormalize, sweep_rows)
 from solwave.symbols import symbol_from_name, whitham
 
@@ -187,6 +187,11 @@ def test_solve_config_validation():
         with pytest.raises(ConfigError) as err:
             SolveConfig(**{field: value})
         assert err.value.info["field"] == field
+    # an explicit grid is bounded before anything is allocated
+    assert SolveConfig(points=MAX_POINTS).points == MAX_POINTS
+    with pytest.raises(ConfigError) as err:
+        SolveConfig(points=2 * MAX_POINTS)
+    assert err.value.info["field"] == "grid.points"
 
 
 def test_petviashvili_rejects_zero_max_iter():
