@@ -83,10 +83,16 @@ def _advise_on_dt(system, u0: SpectralField, cfg: EvolutionConfig):
 
 
 def _rhs_factory(system, grid: PeriodicGrid, use_dealias: bool):
-    """Returns (lam, f) on the half spectrum m = 0..N/2 of a real field: f(c) is
-    -ik mask to_coeffs(n(to_values(c mask))) at m >= 0, with the grid's
-    node phase and scale, the mask and -ik folded into two constant arrays, so
-    one irfft and one rfft remain per evaluation."""
+    """Returns (lam, f) on the half spectrum m = 0..N/2 of a real field.
+
+    f(c, out) writes -ik mask to_coeffs(n(to_values(c mask))) at m >= 0 into
+    ``out`` and returns it; ``c`` is only read and may not be ``out``.  The
+    grid's node phase and scale, the mask and -ik are folded into two constant
+    arrays, so one irfft and one rfft remain per evaluation, both into work
+    buffers that belong to this f; f is None for the purely dispersive flow.
+    ``evolve`` records copies, so no array in a returned trace aliases a work
+    buffer of f or of the step.
+    """
     if isinstance(system, Problem):
         sym = system.symbol
         nl = system.nonlinearity
@@ -102,9 +108,12 @@ def _rhs_factory(system, grid: PeriodicGrid, use_dealias: bool):
     mask = grid.dealias_mask[:half] if use_dealias else 1.0
     phase = mask * grid.node_phase
     to_vals, to_flux = phase * grid.scale, -ik * phase / grid.scale
+    spec, vals = np.empty(half, complex), np.empty(n)
 
-    def f(c):
-        return to_flux * np.fft.rfft(nl.n(np.fft.irfft(c * to_vals, n)))
+    def f(c, out):
+        np.fft.irfft(np.multiply(c, to_vals, out=spec), n, out=vals)
+        np.fft.rfft(nl.n(vals), out=out)
+        return np.multiply(to_flux, out, out=out)
 
     return lam, f
 
@@ -150,7 +159,12 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
         dists.append(d)
         shifts.append(y)
         sup = float(np.max(np.abs(u.values)))
-        if not np.isfinite(sup) or sup > _BLOWUP_FACTOR * max(sup0, np.finfo(float).tiny):
+        # a field that is no longer finite says the step failed, not the model
+        if not np.isfinite(sup):
+            raise ResolutionLoss(f"sup |u| = {sup} at t = {step * dt:g}: the time "
+                                 "step does not resolve the flux", t=step * dt,
+                                 trace=_pack(u))
+        if sup > _BLOWUP_FACTOR * max(sup0, np.finfo(float).tiny):
             raise Blowup(f"sup |u| = {sup:.3e} at t = {step * dt:g} "
                          f"(initial {sup0:.3e})", t=step * dt, trace=_pack(u))
         if spectral_tail(u) > _TAIL_GATE:
@@ -162,26 +176,49 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
         return EvolutionTrace(np.array(times), np.array(e_dr), np.array(q_dr),
                               np.array(dists), np.array(shifts), final)
 
+    # every step advances c in place through work arrays made once per call
     if cfg.integrator == "ifrk4":
         e_half = np.exp(0.5 * dt * lam)
         e_full = np.exp(dt * lam)
+        e_half2, h2, h6 = 2.0 * e_half, 0.5 * dt, dt / 6.0
+        f1, f2, f3, f4, s, ec = (np.empty_like(c) for _ in range(6))
+        # the operands keep their order in the formula: numpy's complex product
+        # is not bitwise commutative, and in this order the step is bit for bit
+        # the plain out-of-place one
+        mul, add = np.multiply, np.add
 
         def step_once(c):
             if f is None:
-                return e_full * c
-            f1 = f(c)
-            a = e_half * (c + (0.5 * dt) * f1)
-            f2 = f(a)
-            b = e_half * c + (0.5 * dt) * f2
-            f3 = f(b)
-            cc = e_full * c + dt * (e_half * f3)
-            f4 = f(cc)
-            return e_full * c + (dt / 6.0) * (e_full * f1 + 2.0 * e_half * (f2 + f3) + f4)
+                mul(e_full, c, out=c)
+                return
+            f(c, f1)
+            mul(h2, f1, out=s)                # a = e_half (c + dt/2 f1)
+            add(c, s, out=s)
+            mul(e_half, s, out=s)
+            f(s, f2)
+            mul(e_half, c, out=s)             # b = e_half c + dt/2 f2
+            mul(h2, f2, out=f4)
+            add(s, f4, out=s)
+            f(s, f3)
+            mul(e_full, c, out=ec)            # cc = e_full c + dt e_half f3
+            mul(e_half, f3, out=s)
+            mul(dt, s, out=s)
+            add(ec, s, out=s)
+            f(s, f4)
+            mul(e_full, f1, out=f1)  # e_full c + dt/6 (e_full f1 + 2 e_half (f2 + f3) + f4)
+            add(f2, f3, out=s)
+            mul(e_half2, s, out=s)
+            add(f1, s, out=f1)
+            add(f1, f4, out=f1)
+            mul(h6, f1, out=f1)
+            add(ec, f1, out=c)
     else:
+        flux = np.empty_like(c)
+
         def rhs(c):
             out = lam * c
             if f is not None:
-                out = out + f(c)
+                out += f(c, flux)
             return out
 
         def step_once(c):
@@ -189,11 +226,11 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
             k2 = rhs(c + (0.5 * dt) * k1)
             k3 = rhs(c + (0.5 * dt) * k2)
             k4 = rhs(c + dt * k3)
-            return c + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            c += (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
     u = record(0)
     for step in range(1, n_steps + 1):
-        c = step_once(c)
+        step_once(c)
         if step % cfg.stride == 0 or step == n_steps:
             u = record(step)
     return _pack(u)

@@ -88,16 +88,24 @@ def orbit_distance(u: SpectralField, v: SpectralField,
     """
     require_same_grid(u, v)
     g = u.grid
-    k = g.wavenumbers
+    # the fields are real, so each sum over the N modes is a real sum over the
+    # half spectrum m = 0..N/2 in which the modes 1 <= m < N/2 stand for -m too
+    half = g.n // 2 + 1
+    k = g.wavenumbers[:half]
     w = (1.0 + k**2) ** s_norm
-    z = w * u.coeffs * np.conj(v.coeffs)
-    # corr[l] = sum_m z_m exp(-2 pi i m l / N), real since z is Hermitian
-    corr = g.n * np.fft.irfft(np.conj(z[:g.n // 2 + 1]), g.n)
+    uc, vc = u.coeffs[:half], v.coeffs[:half]
+    z = w * uc * np.conj(vc)
+    # corr[l] = sum_m z_m exp(-2 pi i m l / N) over all N modes, real since
+    # z_-m = conj(z_m)
+    corr = g.n * np.fft.irfft(np.conj(z), g.n)
     l0 = int(np.argmax(corr))
     y0 = l0 * g.spacing
+    w[1:-1] *= 2.0
+    z[1:-1] *= 2.0
+    z1, z2 = -1j * k * z, -(k**2) * z
 
     def dist_at(y: float) -> float:
-        d = u.coeffs - v.coeffs * np.exp(1j * k * y)
+        d = uc - vc * np.exp(1j * k * y)
         return float(np.sqrt(np.sum(w * np.abs(d) ** 2)))
 
     # Newton on the correlation derivative: the correlation is a band-limited
@@ -106,8 +114,8 @@ def orbit_distance(u: SpectralField, v: SpectralField,
     delta = 0.0
     for _ in range(60):
         phase = np.exp(-1j * k * (y0 + delta))
-        c1 = float(np.real(np.sum(-1j * k * z * phase)))
-        c2 = float(np.real(np.sum(-(k**2) * z * phase)))
+        c1 = float(np.real(np.sum(z1 * phase)))
+        c2 = float(np.real(np.sum(z2 * phase)))
         if not np.isfinite(c1) or c2 >= 0:
             break
         upd = -c1 / c2

@@ -20,11 +20,11 @@ from .errors import ConfigError
 
 
 def _ipow(x, n: int):
-    """x**n (n >= 1) by squaring: numpy special-cases the exponent 2.0, while
-    other exponents take libm's pow, some 70 times slower on negative bases."""
+    """x**n (n >= 1) by repeated np.square: a float exponent other than 2
+    takes libm's pow, some 70 times slower on negative bases."""
     if n == 1:
         return x
-    half = _ipow(x, n // 2) ** 2.0
+    half = np.square(_ipow(x, n // 2))
     return x * half if n % 2 else half
 
 
@@ -68,11 +68,15 @@ class Nonlinearity:
 
     # leading part ----------------------------------------------------------
 
+    def _times_cp(self, v):
+        # 1.0 * v == v bit for bit, so the quadratic flux skips a full pass
+        return v if self.cp == 1.0 else self.cp * v
+
     def leading(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind is Kind.SIGNED_MODULUS:
-            return self.cp * np.abs(x) ** self.p
-        return self.cp * _ipow(x, int(self.p))
+            return self._times_cp(np.abs(x) ** self.p)
+        return self._times_cp(_ipow(x, int(self.p)))
 
     def leading_prime(self, x):
         x = np.asarray(x, dtype=float)
@@ -84,8 +88,8 @@ class Nonlinearity:
         """N_(p+1): the primitive of the leading part vanishing at 0."""
         x = np.asarray(x, dtype=float)
         if self.kind is Kind.SIGNED_MODULUS:
-            return self.cp * x * np.abs(x) ** self.p / (self.p + 1.0)
-        return self.cp * _ipow(x, int(self.p) + 1) / (self.p + 1.0)
+            return self._times_cp(x) * np.abs(x) ** self.p / (self.p + 1.0)
+        return self._times_cp(_ipow(x, int(self.p) + 1)) / (self.p + 1.0)
 
     # full nonlinearity ------------------------------------------------------
 

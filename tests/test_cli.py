@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from solwave.cli import (build_evolution_config, build_problem,
@@ -227,6 +228,32 @@ def test_evolve_command(sweep_dir, tmp_path):
     assert trace[0] == "t,E_drift,Q_drift,orbit_dist,shift"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["speed_error"] < 1e-4
+
+
+def test_evolve_nan_is_resolution_loss(tmp_path, capsys):
+    # a time step so large that the field turns NaN before the first record
+    # past t = 0: exit 3 (resolution), not 2 (model regime)
+    from solwave.fileio import write_field_csv
+    from solwave.grid import PeriodicGrid, SpectralField
+    g = PeriodicGrid(40.0, 512)
+    write_field_csv(tmp_path / "profile.csv",
+                    SpectralField.from_values(g, 0.8 / np.cosh(1.5 * g.nodes) ** 2))
+    (tmp_path / "meta.json").write_text(json.dumps({
+        "mu": 1.0, "nu": 1.0, "residual": 0.0, "energy": -1.0, "symbol": "whitham",
+        "nonlinearity": "quadratic", "iterations": 0, "supercritical": True}))
+    cfg = write_config(tmp_path, {"evolution": {"dt": 5.0, "t_final": 50.0, "stride": 5}})
+    with np.errstate(over="ignore", invalid="ignore"), pytest.warns(RuntimeWarning):
+        rc = main(["--config", cfg, "evolve", "--profile", str(tmp_path / "profile.csv"),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in the error line")
+
+    line = json.loads(err.strip().splitlines()[-1], parse_constant=reject)
+    assert line["error"] == "RESOLUTION_LOSS" and line["t"] == 25.0
 
 
 def test_stability_command(sweep_dir, tmp_path):

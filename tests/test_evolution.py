@@ -125,6 +125,18 @@ def test_blowup_detected():
     assert err.value.info["trace"] is not None
 
 
+def test_non_finite_field_is_resolution_loss():
+    # the same run recorded every fifth step first sees NaN, not finite growth:
+    # the step failed, which is no statement about the model
+    u0 = smooth_pulse(amp=0.8)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.warns(RuntimeWarning), pytest.raises(ResolutionLoss) as err:
+        evolve(PROB, u0, EvolutionConfig(dt=5.0, t_final=50.0, stride=5))
+    assert "nan" in str(err.value)
+    assert err.value.info["t"] == 25.0
+    assert list(err.value.info["trace"].times) == [0.0, 25.0]
+
+
 def test_dt_advisory_warns(wave):
     with pytest.warns(RuntimeWarning, match="advisory advective bound"):
         evolve(PROB, wave.field, EvolutionConfig(dt=2.0, t_final=2.0, stride=1))
@@ -166,7 +178,9 @@ def test_half_spectrum_flux_matches_grid_transforms(name, dealias):
     _, f = _rhs_factory(Problem(whitham(), nl), g, dealias)
     mask = g.dealias_mask if dealias else 1.0
     ref = -g.ik * mask * g.to_coeffs(nl.n(g.to_values(c * mask)))
-    got = f(c[:g.n // 2 + 1])
+    out = np.empty(g.n // 2 + 1, complex)
+    got = f(c[:g.n // 2 + 1], out)
+    assert got is out
     assert np.max(np.abs(got - ref[:g.n // 2 + 1])) <= 1e-14 * np.max(np.abs(ref))
     assert got[-1] == 0
 
@@ -179,12 +193,22 @@ def test_final_is_exactly_hermitian(wave, integrator):
 
 
 def test_stability_runs_are_bit_identical(wave):
+    # back to back, and with another run in between: no work buffer carries
+    # state from one run into the next
     cfg = EvolutionConfig(dt=0.02, t_final=2.0, stride=25)
     pert = perturbation(wave.field.grid, l2_norm(wave.field), 0.01, seed=11)
-    a, b = (stability_experiment(PROB, wave, pert, cfg).trace for _ in range(2))
-    for name in ("times", "e_drift", "q_drift", "orbit_dist", "shifts"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert np.array_equal(a.final.coeffs, b.final.coeffs)
+
+    def run():
+        return stability_experiment(PROB, wave, pert, cfg).trace
+
+    a, b = run(), run()
+    evolve(Problem(whitham(), nonlinearity_from_name("modulus:2.5,1")), smooth_pulse(),
+           EvolutionConfig(dt=0.01, t_final=1.0, stride=7))
+    c = run()
+    for other in (b, c):
+        for name in ("times", "e_drift", "q_drift", "orbit_dist", "shifts"):
+            assert np.array_equal(getattr(a, name), getattr(other, name))
+        assert np.array_equal(a.final.coeffs, other.final.coeffs)
     assert a.e_drift[0] == 0.0 and a.q_drift[0] == 0.0
 
 
@@ -195,3 +219,33 @@ def test_trace_rows(wave):
     assert set(rows[0]) == {"t", "E_drift", "Q_drift", "orbit_dist", "shift"}
     assert rows[0]["t"] == 0.0
     assert momentum(trace.final) == approx(momentum(wave.field), rel=1e-10)
+
+
+def reference_ifrk4(system, u0, dt, steps, dealias):
+    """The IFRK4 formula out of place, one fresh array per stage."""
+    g = u0.grid
+    lam, f = _rhs_factory(system, g, dealias)
+
+    def flux(c):
+        return f(c, np.empty_like(c))
+
+    e_half, e_full = np.exp(0.5 * dt * lam), np.exp(dt * lam)
+    c = u0.coeffs[:g.n // 2 + 1].copy()
+    for _ in range(steps):
+        f1 = flux(c)
+        f2 = flux(e_half * (c + (0.5 * dt) * f1))
+        f3 = flux(e_half * c + (0.5 * dt) * f2)
+        f4 = flux(e_full * c + dt * (e_half * f3))
+        c = e_full * c + (dt / 6.0) * (e_full * f1 + 2.0 * e_half * (f2 + f3) + f4)
+    return c
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("name", ["quadratic", "poly:1,0.5", "modulus:2.5,1"])
+def test_buffered_step_matches_reference(name, dealias):
+    u0 = smooth_pulse(n=256, amp=0.1, decay=0.5)
+    prob = Problem(whitham(), nonlinearity_from_name(name))
+    cfg = EvolutionConfig(dt=0.005, t_final=10.0, stride=2000, dealias=dealias)
+    got = evolve(prob, u0, cfg).final.coeffs[:u0.grid.n // 2 + 1]
+    ref = reference_ifrk4(prob, u0, cfg.dt, 2000, dealias)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -118,6 +118,20 @@ def test_orbit_distance_bounded_by_plain_norm(seed):
     assert d <= l2_norm(u - v) * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("s_norm", [0.0, 1.0])
+def test_orbit_distance_is_the_full_spectrum_distance(s_norm):
+    # full-band fields, mean and Nyquist mode included, pin the weights of the
+    # half-spectrum sums: m = 0 and N/2 once, every other mode for itself and -m
+    g = PeriodicGrid(30.0, 64)
+    rng = np.random.default_rng(4)
+    u, v = (SpectralField.from_values(g, rng.standard_normal(g.n)) for _ in range(2))
+    assert u.coeffs[0] != 0 and u.coeffs[g.n // 2] != 0
+    d, y = orbit_distance(u, v, s_norm)
+    k = g.wavenumbers
+    full = np.sum((1.0 + k**2) ** s_norm * np.abs(u.coeffs - v.coeffs * np.exp(1j * k * y)) ** 2)
+    assert d == approx(np.sqrt(full), rel=1e-13)
+
+
 def test_orbit_distance_sobolev_weight():
     u = field(10)
     v = SpectralField.from_coeffs(u.grid, u.coeffs * np.exp(0.9j * u.grid.wavenumbers))

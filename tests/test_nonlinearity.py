@@ -136,3 +136,41 @@ def test_names_roundtrip():
         nonlinearity_from_name("nosuch")
     with pytest.raises(ConfigError):
         nonlinearity_from_name("modulus:a,b")
+
+
+def _old_ipow(x, n):
+    # squaring with ** 2.0, as the exact reference for np.square
+    if n == 1:
+        return x
+    half = _old_ipow(x, n // 2) ** 2.0
+    return x * half if n % 2 else half
+
+
+def _power_chain(nl, x):
+    """n, n' and N written out as evaluated with ** 2.0 squaring."""
+    cp, p = nl.cp, nl.p
+    if nl.kind is Kind.SIGNED_MODULUS:
+        n = cp * np.abs(x) ** p
+        n_prime = cp * p * x * np.abs(x) ** (p - 2.0)
+        prim = cp * x * np.abs(x) ** p / (p + 1.0)
+    else:
+        n = cp * _old_ipow(x, int(p))
+        n_prime = cp * p * _old_ipow(x, int(p) - 1)
+        prim = cp * _old_ipow(x, int(p) + 1) / (p + 1.0)
+    if nl.remainder is not None:
+        n = n + nl.remainder.func(x)
+        n_prime = n_prime + nl.remainder.prime(x)
+        prim = prim + nl.remainder.primitive(x)
+    return n, n_prime, prim
+
+
+@pytest.mark.parametrize("nl", [quadratic(), odd_power(3, 2.0),
+                                polynomial({2: 1.0, 3: 0.5}), signed_modulus(2.5, 1.0)])
+def test_evaluations_bit_identical_to_power_chain(nl):
+    x = np.concatenate([np.random.default_rng(9).standard_normal(997) * 2.0,
+                        [0.0, -0.0, 1e-200, -1e-200, 1e200, -1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):  # +-1e200 overflows alike
+        got = nl.n(x), nl.n_prime(x), nl.primitive(x)
+        want = _power_chain(nl, x)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
