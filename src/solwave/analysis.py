@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridMismatch
 from .functionals import Problem, weighted_norm
 from .grid import change_points, l2_norm, sobolev_norm, sup_norm
 from .longwave import exponents, orbit_distance, scale_down
@@ -65,7 +66,7 @@ def convergence_study(prob: Problem, profiles: list[WaveProfile],
         w = scale_down(prof.mu, exps, prof.field,
                        period_hint=ref.field.grid.period)
         if w.grid.period != ref.field.grid.period:
-            raise ValueError(
+            raise GridMismatch(
                 f"scaled period {w.grid.period:g} does not match the reference "
                 f"{ref.field.grid.period:g}; sweep and reference grids must share "
                 "the long-wave frame")

@@ -16,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import fileio
 from .analysis import (convergence_rows, convergence_study, reduced_reference,
                        scaling_diagnostics)
@@ -162,6 +164,9 @@ def _convergence_outputs(prob, profiles, tau, outdir: Path):
     fileio.write_rows_csv(outdir / "convergence.csv",
                           convergence_rows(comparisons, records),
                           fileio.CONVERGENCE_COLUMNS)
+    # the high-band ratio beside the round-off floor it cannot be measured below
+    fileio.write_csv(outdir / "diagnostics.csv", fileio.DIAGNOSTICS_COLUMNS,
+                     [(r.mu, r.high_band_ratio, r.high_band_floor) for r in records])
     return ref
 
 
@@ -256,6 +261,9 @@ def cmd_stability(args, cfg) -> int:
                           field="stability.seed")
     scales = [args.scale] if args.scale is not None else _numbers(cfg, "stability", "scales")
     band = _get(cfg, "stability", "band", int)
+    if band < 0:
+        raise ConfigError(f"stability band must be nonnegative, got {band}",
+                          field="stability.band")
     prof = _load_profile(args.profile)
     out = Path(args.out)
     t0 = time.time()
@@ -278,7 +286,7 @@ def cmd_stability(args, cfg) -> int:
 
 
 def cmd_validate_symbol(args, cfg) -> int:
-    name = args.name or cfg["problem"]["symbol"]
+    name = args.name or _get(cfg, "problem", "symbol", str)
     if not name:
         raise ConfigError("symbol name is missing", field="problem.symbol")
     sym = symbol_from_name(name)
@@ -363,7 +371,10 @@ def main(argv: list[str] | None = None) -> int:
             cfg["evolution"]["t_final"] = args.T
         if getattr(args, "dt", None) is not None:
             cfg["evolution"]["dt"] = args.dt
-        return args.fn(args, cfg)
+        # the gates turn an overflowing or non-finite field into a typed error;
+        # numpy's own warnings would only print internal source lines first
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args, cfg)
     except SolwaveError as exc:
         err = {"error": exc.code, "message": str(exc)}
         err.update({k: None if isinstance(v, float) and not math.isfinite(v) else v

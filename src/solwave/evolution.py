@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import Blowup, ConfigError, ResolutionLoss
 from .functionals import Problem, discretize
-from .grid import PeriodicGrid, SpectralField, band_noise, l2_norm, spectral_tail
+from .grid import (PeriodicGrid, SpectralField, band_noise, irfft, l2_norm, rfft,
+                   spectral_tail)
 from .longwave import orbit_distance
 from .operators import multiplier_values
 from .solver import WaveProfile, renormalize
@@ -90,6 +91,10 @@ def _rhs_factory(system, grid: PeriodicGrid, use_dealias: bool):
     grid's node phase and scale, the mask and -ik are folded into two constant
     arrays, so one irfft and one rfft remain per evaluation, both into work
     buffers that belong to this f; f is None for the purely dispersive flow.
+    The transforms are the grid module's ``irfft``/``rfft``, which call
+    numpy's pocketfft gufuncs ``irfft`` and ``rfft_n_even`` directly: the
+    results are numpy.fft's bit for bit, without its Python wrappers' cost,
+    which is paid at every one of the eight flux transforms of a step.
     ``evolve`` records copies, so no array in a returned trace aliases a work
     buffer of f or of the step.
     """
@@ -111,8 +116,8 @@ def _rhs_factory(system, grid: PeriodicGrid, use_dealias: bool):
     spec, vals = np.empty(half, complex), np.empty(n)
 
     def f(c, out):
-        np.fft.irfft(np.multiply(c, to_vals, out=spec), n, out=vals)
-        np.fft.rfft(nl.n(vals), out=out)
+        irfft(np.multiply(c, to_vals, out=spec), n, out=vals)
+        rfft(nl.n(vals), out=out)
         return np.multiply(to_flux, out, out=out)
 
     return lam, f
@@ -295,6 +300,8 @@ def stability_experiment(prob: Problem, profile: WaveProfile,
     observable.
     """
     base = profile.field
+    if l2_norm(base) == 0:
+        raise ConfigError("the profile is the zero field", field="profile")
     if l2_norm(pert) > 0.1 * l2_norm(base):
         raise ConfigError("perturbation exceeds 10% of the profile in L2",
                           field="perturbation")

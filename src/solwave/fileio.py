@@ -93,6 +93,7 @@ SWEEP_COLUMNS = ["mu", "P", "N", "nu", "energy", "residual", "tail", "iters"]
 CONVERGENCE_COLUMNS = ["mu", "dist_aligned", "speed_dev", "energy_dev", "shift",
                        "tau_ratio1", "tau_ratio2", "supnorm_ratio"]
 TRACE_COLUMNS = ["t", "E_drift", "Q_drift", "orbit_dist", "shift"]
+DIAGNOSTICS_COLUMNS = ["mu", "tau_ratio2", "high_band_floor"]
 
 
 def manifest(command: str, config: dict, extra: dict | None = None) -> dict:

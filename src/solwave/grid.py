@@ -11,6 +11,13 @@ carries them: c_m = (-1)^m rfft(u)_m / scale with scale = N/sqrt(P), where
 the exact phase (-1)^m absorbs the node offset -P/2 so that c_m are
 coefficients about x, not about the array index.  Full coefficient arrays
 are mirrored back to FFT order (``unfold``).
+
+``rfft`` and ``irfft`` below are the package's one transform pair.  They call
+the two pocketfft gufuncs that ``numpy.fft.rfft``/``irfft`` wrap,
+``rfft_n_even`` and ``irfft``, with the normalisation factors the wrappers
+pass (1 forward, 1/n backward), so each result is bit for bit numpy's.  They
+skip the wrappers' argument handling, a quarter to a third of a call at
+N = 1024, which the time step pays at each of its eight transforms.
 """
 
 from __future__ import annotations
@@ -19,8 +26,25 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import GridMismatch, ResolutionLoss
+
+
+def rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``numpy.fft.rfft(x)`` of a real float array of even length n, into ``out``
+    (n//2 + 1 complex) when given."""
+    if out is None:
+        out = np.empty(x.shape[-1] // 2 + 1, complex)
+    return _pocketfft.rfft_n_even(x, 1.0, out=out)
+
+
+def irfft(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``numpy.fft.irfft(c, n)`` of a complex array of n//2 + 1 entries, into
+    ``out`` (n real) when given."""
+    if out is None:
+        out = np.empty(n)
+    return _pocketfft.irfft(c, 1.0 / n, out=out)
 
 
 @dataclass(frozen=True)
@@ -90,10 +114,10 @@ class PeriodicGrid:
         return np.concatenate((half, np.conj(half[self.n // 2 - 1:0:-1])))
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return self.unfold(np.fft.rfft(values) * (self.node_phase / self.scale))
+        return self.unfold(rfft(values) * (self.node_phase / self.scale))
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(coeffs[:self.n // 2 + 1] * (self.scale * self.node_phase), self.n)
+        return irfft(coeffs[:self.n // 2 + 1] * (self.scale * self.node_phase), self.n)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

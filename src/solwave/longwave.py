@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExponentWindow, TailTooLarge
-from .grid import PeriodicGrid, SpectralField, require_same_grid, tail_max
+from .grid import PeriodicGrid, SpectralField, irfft, require_same_grid, tail_max
 
 KDV_AMPLITUDE = 1.5 ** (2.0 / 3.0)
 KDV_DECAY = 1.5 ** (1.0 / 3.0)
@@ -97,7 +97,7 @@ def orbit_distance(u: SpectralField, v: SpectralField,
     z = w * uc * np.conj(vc)
     # corr[l] = sum_m z_m exp(-2 pi i m l / N) over all N modes, real since
     # z_-m = conj(z_m)
-    corr = g.n * np.fft.irfft(np.conj(z), g.n)
+    corr = g.n * irfft(np.conj(z), g.n)
     l0 = int(np.argmax(corr))
     y0 = l0 * g.spacing
     w[1:-1] *= 2.0

@@ -61,11 +61,13 @@ class SolveConfig:
                 ("mu", 0 < self.mu < math.inf, "finite and positive"),
                 ("tol_residual", 0 < self.tol_residual < math.inf, "finite and positive"),
                 ("max_iter", self.max_iter >= 1, "at least 1"),
+                ("step_init", 0 < self.step_init < math.inf, "finite and positive"),
                 ("step_shrink", 0 < self.step_shrink < 1, "in (0, 1)"),
                 ("armijo", 0 < self.armijo < 1, "in (0, 1)"),
                 ("polarity", self.polarity in (-1, 1), "+1 or -1"),
                 ("period", self.period is None or 0 < self.period < math.inf,
                  "finite and positive"),
+                ("period_scale", 0 < self.period_scale < math.inf, "finite and positive"),
                 ("points", self.points is None
                  or (self.points >= 16 and self.points & (self.points - 1) == 0),
                  "a power of two, at least 16")):
@@ -74,6 +76,10 @@ class SolveConfig:
         if self.points is not None and self.points > MAX_POINTS:
             raise ConfigError(f"points = {self.points} exceeds {MAX_POINTS}",
                               field="grid.points", value=self.points)
+
+
+_META_KINDS = {"mu": float, "nu": float, "residual": float, "energy": float,
+               "symbol": str, "nonlinearity": str, "iterations": int, "supercritical": bool}
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,20 @@ class WaveProfile:
 
     @classmethod
     def from_meta(cls, field: SpectralField, meta: dict) -> "WaveProfile":
-        """The profile that ``meta()`` described, around its stored field."""
+        """The profile that ``meta()`` described, around its stored field.
+
+        A missing entry raises KeyError, an entry of the wrong type TypeError,
+        and a number that is not finite, or a momentum that is not positive,
+        ValueError."""
+        for key, kind in _META_KINDS.items():
+            v = meta[key]
+            if kind is float:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise TypeError(f"{key} must be a number, got {v!r}")
+                if not math.isfinite(v) or (key == "mu" and v <= 0):
+                    raise ValueError(f"{key} = {v!r} is out of range")
+            elif not isinstance(v, kind) or (kind is int and isinstance(v, bool)):
+                raise TypeError(f"{key} must be {kind.__name__}, got {v!r}")
         return cls(field=field, mu=meta["mu"], speed=meta["nu"],
                    residual=meta["residual"], energy=meta["energy"],
                    symbol=meta["symbol"], nonlinearity=meta["nonlinearity"],

@@ -1,13 +1,18 @@
 """Command-line contract: files, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solwave.cli import (build_evolution_config, build_problem,
                          build_solve_config, load_config, main)
@@ -81,7 +86,11 @@ def bad_inputs(d):
     rows = d / "profile_100.csv"  # uniform centred nodes, but not 2^k of them
     rows.write_text("x,u\n" + "".join(f"{j - 50.0!r},0.0\n" for j in range(100)))
     good = "x,u\n" + "".join(f"{j - 8.0!r},0.0\n" for j in range(16))
-    for name, meta in [("keys", '{"mu": 0.01}'), ("json", "not json")]:
+    full = {"mu": 0.01, "nu": 1.0, "residual": 0.0, "energy": -0.01, "symbol": "whitham",
+            "nonlinearity": "quadratic", "iterations": 0, "supercritical": True}
+    for name, meta in [("keys", '{"mu": 0.01}'), ("json", "not json"),
+                       ("zero", json.dumps(full)), ("mu_text", json.dumps({**full, "mu": "x"})),
+                       ("mu_negative", json.dumps({**full, "mu": -1.0}))]:
         (d / name).mkdir()
         (d / name / "profile.csv").write_text(good)
         (d / name / "meta.json").write_text(meta)
@@ -131,6 +140,19 @@ def bad_inputs(d):
         "solve", "--mu", "1e-30"])
     cases["seed_negative"] = ("stability.seed", ["stability", "--profile", str(cell),
                                                  "--seed", "-1"])
+    cases["band_negative"] = ("stability.band", ["--config", write_config(
+        d, {"stability": {"band": -3}}, "band_negative.json"), "stability",
+        "--profile", str(cell)])
+    cases["period_scale_zero"] = ("period_scale", ["--config", write_config(
+        d, {"grid": {"period_scale": 0.0}}, "period_scale_zero.json"), "solve"])
+    cases["step_init_nan"] = ("step_init", ["--config", write_config(
+        d, {"solver": {"step_init": float("nan")}}, "step_init_nan.json"), "solve"])
+    cases["symbol_number"] = ("problem.symbol", ["--config", write_config(
+        d, {"problem": {"symbol": 3}}, "symbol_number.json"), "validate-symbol"])
+    for name in ("mu_text", "mu_negative"):
+        cases[f"meta_{name}"] = ("meta", ["evolve", "--profile", str(d / name / "profile.csv")])
+    cases["zero_profile"] = ("profile", ["stability", "--profile",
+                                         str(d / "zero" / "profile.csv"), "--T", "0.1"])
     return cases
 
 
@@ -140,7 +162,9 @@ def bad_inputs(d):
     "stride_fraction", "rational_-1", "rational_1e-300", "rational_nan",
     "rational_inf", "mu_null", "points_text", "dt_text", "tau_above_1",
     "scales_text", "points_range", "mu_list_text", "seed_negative",
-    "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu"])
+    "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu", "band_negative",
+    "period_scale_zero", "step_init_nan", "symbol_number", "meta_mu_text", "meta_mu_negative",
+    "zero_profile"])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
     field, argv = bad_inputs(tmp_path)[case]
     rc = main([*argv, "--out", str(tmp_path / "o")])
@@ -158,16 +182,28 @@ def test_bad_input_fails_closed(tmp_path, capsys, case):
         assert line["value"] is None
 
 
+def test_sweep_outside_the_long_wave_frame_is_grid_mismatch(tmp_path, capsys):
+    # a fixed period cannot hold every mu of a sweep in one long-wave frame
+    cfg = write_config(tmp_path, {"grid": {"period": 80.0, "points": 128}})
+    rc = main(["--config", cfg, "sweep", "--mu-list", "1e-2,5e-2", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "GRID_MISMATCH"
+
+
+def src_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_numpy_is_the_only_runtime_dependency():
     # a fresh interpreter: the top-level packages that importing the CLI adds
     # are solwave, numpy and the standard library
     probe = ("import sys; before = set(sys.modules); import solwave.cli; "
              "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
              "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'solwave'}))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
@@ -201,6 +237,22 @@ def test_sweep_outputs(sweep_dir):
     assert (sweep_dir / "profiles" / "meta_001.json").exists()
 
 
+def test_diagnostics_file_writes_the_high_band_floor(sweep_dir):
+    from solwave.analysis import scaling_diagnostics
+    from solwave.cli import DEFAULT_CONFIG, _load_profile
+    lines = (sweep_dir / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == "mu,tau_ratio2,high_band_floor"
+    conv = (sweep_dir / "convergence.csv").read_text().splitlines()[1:]
+    prob = build_problem(load_config(None))
+    tau = DEFAULT_CONFIG["sweep"]["tau"]
+    for i, (line, conv_line) in enumerate(zip(lines[1:], conv, strict=True)):
+        mu, ratio, floor = map(float, line.split(","))
+        rec = scaling_diagnostics(prob, _load_profile(
+            sweep_dir / "profiles" / f"profile_{i:03d}.csv"), tau)
+        assert (mu, ratio, floor) == (rec.mu, rec.high_band_ratio, rec.high_band_floor)
+        assert ratio == float(conv_line.split(",")[6])  # tau_ratio2
+
+
 def test_sweep_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -230,9 +282,9 @@ def test_evolve_command(sweep_dir, tmp_path):
     assert manifest["speed_error"] < 1e-4
 
 
-def test_evolve_nan_is_resolution_loss(tmp_path, capsys):
-    # a time step so large that the field turns NaN before the first record
-    # past t = 0: exit 3 (resolution), not 2 (model regime)
+def nan_evolve_argv(tmp_path):
+    """An evolve command whose time step is so large that the field turns NaN
+    before the first record past t = 0."""
     from solwave.fileio import write_field_csv
     from solwave.grid import PeriodicGrid, SpectralField
     g = PeriodicGrid(40.0, 512)
@@ -242,9 +294,15 @@ def test_evolve_nan_is_resolution_loss(tmp_path, capsys):
         "mu": 1.0, "nu": 1.0, "residual": 0.0, "energy": -1.0, "symbol": "whitham",
         "nonlinearity": "quadratic", "iterations": 0, "supercritical": True}))
     cfg = write_config(tmp_path, {"evolution": {"dt": 5.0, "t_final": 50.0, "stride": 5}})
+    return ["--config", cfg, "evolve", "--profile", str(tmp_path / "profile.csv"),
+            "--out", str(tmp_path / "o")]
+
+
+def test_evolve_nan_is_resolution_loss(tmp_path, capsys):
+    # exit 3 (resolution), not 2 (model regime)
+    argv = nan_evolve_argv(tmp_path)
     with np.errstate(over="ignore", invalid="ignore"), pytest.warns(RuntimeWarning):
-        rc = main(["--config", cfg, "evolve", "--profile", str(tmp_path / "profile.csv"),
-                   "--out", str(tmp_path / "o")])
+        rc = main(argv)
     assert rc == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -254,6 +312,20 @@ def test_evolve_nan_is_resolution_loss(tmp_path, capsys):
 
     line = json.loads(err.strip().splitlines()[-1], parse_constant=reject)
     assert line["error"] == "RESOLUTION_LOSS" and line["t"] == 25.0
+
+
+def test_failing_run_stderr_has_no_numpy_warnings(tmp_path):
+    # a fresh interpreter, since pytest captures warnings: the NaN run prints
+    # the advisory dt warning and its JSON error line, and no overflow or
+    # invalid-value warning from numpy
+    run = subprocess.run([sys.executable, "-m", "solwave.cli", *nan_evolve_argv(tmp_path)],
+                         env=src_env(), capture_output=True, text=True)
+    assert run.returncode == 3
+    lines = run.stderr.strip().splitlines()
+    assert json.loads(lines[-1])["error"] == "RESOLUTION_LOSS"
+    warned = [line for line in lines if "Warning:" in line]
+    assert len(warned) == 1 and "advisory advective bound" in warned[0]
+    assert "overflow" not in run.stderr and "invalid value" not in run.stderr
 
 
 def test_stability_command(sweep_dir, tmp_path):
@@ -283,3 +355,139 @@ def test_bad_profile_path(tmp_path, capsys):
     rc = main(["evolve", "--profile", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path / "o")])
     assert rc != 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+# configs of small runs: the grid points, the iteration cap and the time
+# horizon are always set, and every evolution takes at most 100 steps
+FUZZ_VALID = {
+    "problem": {"symbol": ["whitham", "gaussian", "rational:2", "rational:0.6"],
+                "nonlinearity": ["quadratic", "poly:1,0.5", "modulus:2.5,1",
+                                 "oddpower:3,1", "modulus:4.9,1"],
+                "ball_radius": [1.0, 0.3]},
+    "grid": {"period": [None, 20.0, 80.0, 400.0], "period_scale": [80.0, 5.0]},
+    "solver": {"mu": [1e-2, 5e-2, 0.3, 1e-3], "tol_residual": [1e-6, 1e-10],
+               "step_init": [1.0, 0.1], "step_shrink": [0.5, 0.9], "armijo": [1e-4, 0.5],
+               "penalized": [False, True], "polarity": [1, -1]},
+    "evolution": {"dt": [0.01, 0.05, 0.5, 5.0], "integrator": ["ifrk4", "rk4"],
+                  "dealias": [True, False], "stride": [1, 7]},
+    "sweep": {"mu_list": [[1e-2], [1e-2, 5e-2]], "tau": [0.9, 0.5]},
+    "stability": {"scales": [[0.01], [0.05, 0.2]], "seed": [0, 7], "band": [0, 4, 32]},
+}
+# values the CLI must reject; at most one replaces a value of a generated config
+FUZZ_INVALID = [(sec, key, v) for sec, key, values in [
+    ("problem", "symbol", ["rational:x", "nosuch", "", 3, None]),
+    ("problem", "nonlinearity", ["poly:", "modulus:x", None, 2]),
+    ("problem", "ball_radius", [0.0, NAN, "1"]),
+    ("grid", "points", [100, 0, 2.0, 1e9, "64"]),
+    ("grid", "period", [0.0, -5.0, NAN, INF]),
+    ("grid", "period_scale", [0.0, NAN]),
+    ("solver", "mu", [0.0, -1.0, NAN, INF, "x", 1e300, 1e-30]),
+    ("solver", "max_iter", [0, 2.5, True]),
+    ("solver", "tol_residual", [0.0, INF]),
+    ("solver", "step_init", [0.0, -1.0, NAN]),
+    ("solver", "step_shrink", [1.0, 0.0]),
+    ("solver", "armijo", [1.0]),
+    ("solver", "penalized", [1]),
+    ("solver", "polarity", [0]),
+    ("solver", "seed_profile", ["file:nope", "sech"]),
+    ("solver", "typo", [1]),
+    ("evolution", "dt", [0.0, -0.1, NAN]),
+    ("evolution", "t_final", [0.0, INF, NAN]),
+    ("evolution", "integrator", ["euler"]),
+    ("evolution", "dealias", [1]),
+    ("evolution", "stride", [0, 2.5]),
+    ("sweep", "mu_list", [[], [0.0], "abc", [NAN], [5e-2, 1e-2]]),
+    ("sweep", "tau", [1.5, NAN]),
+    ("stability", "scales", [[], [NAN], "x", [0.5]]),
+    ("stability", "seed", [-1, 2.5]),
+    ("stability", "band", [-3]),
+    ("nosuch", "key", [1]),
+] for v in values]
+
+fuzz_configs = st.tuples(
+    st.fixed_dictionaries({}, optional={
+        sec: st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in keys.items()})
+        for sec, keys in FUZZ_VALID.items()}),
+    st.sampled_from([16, 32, 64, 128]), st.sampled_from([1, 3, 20, 60]),
+    st.sampled_from([0.2, 1.0, -0.5]), st.none() | st.sampled_from(FUZZ_INVALID))
+
+# a Gaussian profile and its metadata, with at most one bad entry
+fuzz_profiles = st.tuples(
+    st.sampled_from([16, 64, 128]), st.sampled_from([40.0, 80.0]), st.floats(-1.5, 1.5),
+    st.none() | st.sampled_from([("n", 100), ("amp", NAN), ("amp", 1e200)] + [
+        (key, v) for key in ("mu", "nu", "residual", "energy", "symbol", "nonlinearity",
+                             "iterations", "supercritical")
+        for v in ("x", None, NAN, -1.0, True, "drop")]))
+
+fuzz_commands = st.one_of(
+    st.tuples(st.just("solve"), st.lists(st.sampled_from(
+        [["--mu", "1e-2"], ["--mu", "nan"], ["--penalized"]]), max_size=2)),
+    st.tuples(st.just("sweep"), st.lists(st.sampled_from(
+        [["--mu-list", "1e-2,5e-2"], ["--mu-list", "1e-2,x"]]), max_size=1)),
+    st.tuples(st.just("compare-kdv"), st.just([])),
+    st.tuples(st.just("evolve"), st.lists(st.sampled_from(
+        [["--T", "0.5"], ["--dt", "0.05"], ["--T", "-0.2"]]), max_size=2)),
+    st.tuples(st.just("stability"), st.lists(st.sampled_from(
+        [["--scale", "0.02"], ["--seed", "3"], ["--T", "0.2"], ["--dt", "0.1"]]), max_size=3)),
+    st.tuples(st.just("validate-symbol"), st.lists(st.sampled_from(
+        [["--name", "gaussian"], ["--name", "rational:1.5"], ["--k-max", "20"]]), max_size=2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzz_configs, fuzz_profiles, fuzz_commands)
+def test_cli_fails_closed_on_generated_input(config, profile, command):
+    # whatever the config, profile and command: a documented exit code, no
+    # traceback, and a failure ends stderr with one strict-JSON line
+    doc, points, max_iter, t_final, bad = config
+    doc.setdefault("grid", {})["points"] = points
+    doc.setdefault("solver", {})["max_iter"] = max_iter
+    doc.setdefault("evolution", {})["t_final"] = t_final
+    if bad is not None:
+        sec, key, value = bad
+        doc.setdefault(sec, {})[key] = value
+    n, period, amp, bad_profile = profile
+    meta = {"mu": 1e-2, "nu": 1.01, "residual": 0.0, "energy": -1e-2,
+            "symbol": "whitham", "nonlinearity": "quadratic", "iterations": 0,
+            "supercritical": True}
+    if bad_profile is not None:
+        key, value = bad_profile
+        if key == "n":
+            n = value
+        elif key == "amp":
+            amp = value
+        elif value == "drop":
+            del meta[key]
+        else:
+            meta[key] = value
+    name, extra = command
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "profiles").mkdir()
+        x = -0.5 * period + (period / n) * np.arange(n)
+        u = amp * np.exp(-(x / 3) ** 2)
+        (d / "profiles" / "profile_000.csv").write_text(
+            "x,u\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x, u)))
+        (d / "profiles" / "meta_000.json").write_text(json.dumps(meta))
+        argv = ["--config", write_config(d, doc), name, *(a for pair in extra for a in pair)]
+        if name in ("evolve", "stability"):
+            argv += ["--profile", str(d / "profiles" / "profile_000.csv")]
+        if name == "compare-kdv":
+            argv += ["--sweep-dir", str(d)]
+        if name == "validate-symbol":
+            argv += ["--samples", "200"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the advisory dt warning
+            rc = main([*argv, "--out", str(d / "out")])
+    assert rc in (0, 1, 2, 3)
+    text = err.getvalue()
+    assert "Traceback" not in text
+    if rc != 0:
+        def reject(name):
+            raise ValueError(f"non-finite number {name} in the error line")
+
+        line = json.loads(text.strip().splitlines()[-1], parse_constant=reject)
+        assert isinstance(line["error"], str)

@@ -1,12 +1,16 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
+import solwave
 from solwave.errors import GridMismatch, ResolutionLoss, TailTooLarge
 from solwave.grid import (PeriodicGrid, SpectralField, band_noise,
-                          change_points, dealias, inner_l2, l2_norm,
-                          sobolev_norm, spectral_tail, sup_norm, tail_max)
+                          change_points, dealias, inner_l2, irfft, l2_norm,
+                          rfft, sobolev_norm, spectral_tail, sup_norm, tail_max)
 from solwave.longwave import KDV_DECAY, kdv_profile, kdv_soliton
 
 
@@ -52,6 +56,42 @@ def test_roundtrip_and_parseval(gp, seed):
     assert np.array_equal(c[1:], np.conj(c[:0:-1]))
     assert c[0].imag == 0.0 and c[n // 2].imag == 0.0
     assert np.max(np.abs(g.to_values(c) - v)) <= 1e-13 * np.max(np.abs(v))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_transform_pair_is_numpy_fft_bit_for_bit():
+    # rfft/irfft call numpy's private pocketfft gufuncs; if a numpy release
+    # changes them, this fails instead of the package computing something else
+    rng = np.random.Generator(np.random.Philox(7))
+    for e in range(4, 17):
+        n = 2**e
+        x = rng.standard_normal(n)
+        c = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        for frozen in (False, True):
+            x.setflags(write=not frozen)
+            c.setflags(write=not frozen)
+            assert same_bits(rfft(x), np.fft.rfft(x))
+            assert same_bits(irfft(c, n), np.fft.irfft(c, n))
+            out_c, out_x = np.empty(n // 2 + 1, complex), np.empty(n)
+            assert rfft(x, out=out_c) is out_c and same_bits(out_c, np.fft.rfft(x))
+            assert irfft(c, n, out=out_x) is out_x and same_bits(out_x, np.fft.irfft(c, n))
+
+
+def test_only_the_grid_module_touches_the_transform_kernels():
+    # one transform pair for the whole package: no module calls numpy's real
+    # FFTs by name, and only grid.py reaches the kernels behind them
+    modules = sorted(Path(solwave.__file__).parent.glob("*.py"))
+    assert any(p.name == "grid.py" for p in modules)
+    for path in modules:
+        text = path.read_text()
+        assert not re.search(r"np\.fft\.i?rfft", text), path.name
+        if path.name != "grid.py":
+            # fftfreq is a frequency table, not a transform
+            assert not re.search(r"_pocketfft|\bfft\.(?!fftfreq\b)\w|fft import", text), \
+                path.name
 
 
 def test_cosine_coefficients_are_real():
