@@ -14,8 +14,8 @@ from .evolution import (EvolutionConfig, EvolutionTrace, StabilityReport,
                         stability_experiment, travel_test)
 from .functionals import (Penalization, Problem, energy, energy_gradient,
                           inner_l2, momentum, reduced_energy, weighted_norm)
-from .grid import (PeriodicGrid, SpectralField, dealias, l2_norm, sobolev_norm,
-                   sup_norm, tail_max)
+from .grid import (PeriodicGrid, SpectralField, l2_norm, sobolev_norm, sup_norm,
+                   tail_max)
 from .longwave import (ScalingExponents, exponents, kdv_energy, kdv_soliton,
                        kdv_speed, orbit_distance, scale_down)
 from .nonlinearity import (Kind, Nonlinearity, nonlinearity_from_name,

@@ -34,12 +34,10 @@ from .symbols import symbol_from_name, validate_symbol
 
 DEFAULT_CONFIG = {
     "problem": {"symbol": "whitham", "nonlinearity": "quadratic", "ball_radius": 1.0},
-    "grid": {"period": None, "points": None, "period_scale": 80.0},
+    "grid": {"period": None, "points": None},
     "solver": {"mu": 1e-3, "tol_residual": 1e-9, "max_iter": 50_000,
-               "step_init": 1.0, "step_shrink": 0.5, "armijo": 1e-4,
-               "penalized": False, "seed_profile": "kdv", "polarity": 1},
-    "evolution": {"dt": 0.01, "t_final": 20.0, "integrator": "ifrk4",
-                  "dealias": True, "stride": 50},
+               "penalized": False, "polarity": 1},
+    "evolution": {"dt": 0.01, "t_final": 20.0, "integrator": "ifrk4", "stride": 50},
     "sweep": {"mu_list": [1e-4, 3e-4, 1e-3, 3e-3, 1e-2], "tau": 0.9},
     "stability": {"scales": [0.005, 0.01, 0.02], "seed": 20260811, "band": 32},
 }
@@ -118,21 +116,15 @@ def build_solve_config(cfg: dict, prob: Problem) -> SolveConfig:
         period=_get(cfg, "grid", "period", optional=True),
         points=_get(cfg, "grid", "points", int, optional=True),
         tol_residual=_get(cfg, "solver", "tol_residual"),
-        max_iter=_get(cfg, "solver", "max_iter", int),
-        step_init=_get(cfg, "solver", "step_init"),
-        step_shrink=_get(cfg, "solver", "step_shrink"),
-        armijo=_get(cfg, "solver", "armijo"), penalization=pen,
-        seed_profile=_get(cfg, "solver", "seed_profile", str),
-        polarity=_get(cfg, "solver", "polarity", int),
-        period_scale=_get(cfg, "grid", "period_scale"))
+        max_iter=_get(cfg, "solver", "max_iter", int), penalization=pen,
+        polarity=_get(cfg, "solver", "polarity", int))
 
 
 def build_evolution_config(cfg: dict) -> EvolutionConfig:
     return EvolutionConfig(dt=_get(cfg, "evolution", "dt"),
                            t_final=_get(cfg, "evolution", "t_final"),
                            integrator=_get(cfg, "evolution", "integrator", str),
-                           dealias=_get(cfg, "evolution", "dealias", bool),
-                           stride=cfg["evolution"]["stride"])
+                           stride=_get(cfg, "evolution", "stride", int))
 
 
 def _write_profile(outdir: Path, prof: WaveProfile, stem: str = "profile"):
@@ -203,7 +195,7 @@ def cmd_compare_kdv(args, cfg) -> int:
     if not metas:
         raise ConfigError(f"no sweep profiles under {src}", field="sweep-dir")
     prob = build_problem(cfg)
-    profiles = [_load_profile(mp.parent / f"profile{mp.stem.removeprefix('meta')}.csv")
+    profiles = [_load_profile(mp.parent / f"profile{mp.stem.removeprefix('meta')}.csv", prob)
                 for mp in metas]
     out = Path(args.out or args.sweep_dir)
     t0 = time.time()
@@ -219,24 +211,31 @@ def cmd_compare_kdv(args, cfg) -> int:
     return 0
 
 
-def _load_profile(path) -> WaveProfile:
-    """A stored profile.csv together with its meta.json."""
+def _load_profile(path, prob: Problem) -> WaveProfile:
+    """A stored profile.csv together with its meta.json, which must name the
+    symbol and nonlinearity of ``prob``."""
     p = Path(path)
     u = fileio.read_field_csv(p)
     meta_path = p.parent / ("meta" + p.stem.removeprefix("profile") + ".json")
     if not meta_path.exists():
         raise ConfigError(f"missing metadata {meta_path}", field="profile")
     try:
-        return WaveProfile.from_meta(u, json.loads(meta_path.read_text()))
+        prof = WaveProfile.from_meta(u, json.loads(meta_path.read_text()))
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{meta_path}: unusable metadata: {type(exc).__name__}: {exc}",
                           field="meta")
+    for key, stored, wanted in (("symbol", prof.symbol, prob.symbol.name),
+                                ("nonlinearity", prof.nonlinearity, prob.nonlinearity.name)):
+        if stored != wanted:
+            raise ConfigError(f"{meta_path} was computed with {key} {stored!r}, "
+                              f"not {wanted!r}", field=f"problem.{key}")
+    return prof
 
 
 def cmd_evolve(args, cfg) -> int:
     prob = build_problem(cfg)
     ecfg = build_evolution_config(cfg)
-    prof = _load_profile(args.profile)
+    prof = _load_profile(args.profile, prob)
     out = Path(args.out)
     t0 = time.time()
     report = travel_test(prob, prof, ecfg)
@@ -264,7 +263,7 @@ def cmd_stability(args, cfg) -> int:
     if band < 0:
         raise ConfigError(f"stability band must be nonnegative, got {band}",
                           field="stability.band")
-    prof = _load_profile(args.profile)
+    prof = _load_profile(args.profile, prob)
     out = Path(args.out)
     t0 = time.time()
     summaries = []

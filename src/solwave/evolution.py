@@ -32,25 +32,27 @@ class EvolutionConfig:
     dt: float = 0.01
     t_final: float = 10.0
     integrator: str = "ifrk4"     # ifrk4 | rk4
-    dealias: bool = True
     stride: int = 10              # record every stride steps
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError("dt must be finite and positive", field="dt", value=self.dt)
+            raise ConfigError("dt must be finite and positive", field="evolution.dt",
+                              value=self.dt)
         if not (math.isfinite(self.t_final) and self.t_final != 0):
-            raise ConfigError("t_final must be finite and nonzero", field="t_final",
+            raise ConfigError("t_final must be finite and nonzero", field="evolution.t_final",
                               value=self.t_final)
         if self.integrator not in ("ifrk4", "rk4"):
-            raise ConfigError(f"unknown integrator {self.integrator!r}", field="integrator")
+            raise ConfigError(f"unknown integrator {self.integrator!r}",
+                              field="evolution.integrator")
         if (not isinstance(self.stride, (int, np.integer)) or isinstance(self.stride, bool)
                 or self.stride < 1):
-            raise ConfigError("stride must be an integer >= 1", field="stride",
+            raise ConfigError("stride must be an integer >= 1", field="evolution.stride",
                               value=self.stride)
         steps = abs(self.t_final) / self.dt
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
             raise ConfigError(f"t_final = {self.t_final:g} is not a whole number of "
-                              f"steps of dt = {self.dt:g}", field="t_final", value=self.t_final)
+                              f"steps of dt = {self.dt:g}", field="evolution.t_final",
+                              value=self.t_final)
 
 
 @dataclass
@@ -83,7 +85,7 @@ def _advise_on_dt(system, u0: SpectralField, cfg: EvolutionConfig):
                       f"{bound:.3g}", RuntimeWarning, stacklevel=3)
 
 
-def _rhs_factory(system, grid: PeriodicGrid, use_dealias: bool):
+def _rhs_factory(system, grid: PeriodicGrid):
     """Returns (lam, f) on the half spectrum m = 0..N/2 of a real field.
 
     f(c, out) writes -ik mask to_coeffs(n(to_values(c mask))) at m >= 0 into
@@ -110,8 +112,7 @@ def _rhs_factory(system, grid: PeriodicGrid, use_dealias: bool):
     lam = -ik * multiplier_values(sym, grid)[:half]
     if nl is None:
         return lam, None
-    mask = grid.dealias_mask[:half] if use_dealias else 1.0
-    phase = mask * grid.node_phase
+    phase = grid.dealias_mask[:half] * grid.node_phase
     to_vals, to_flux = phase * grid.scale, -ik * phase / grid.scale
     spec, vals = np.empty(half, complex), np.empty(n)
 
@@ -136,7 +137,7 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
                              "exceeds 1e-10; refine the grid")
     grid = u0.grid
     _advise_on_dt(system, u0, cfg)
-    lam, f = _rhs_factory(system, grid, cfg.dealias)
+    lam, f = _rhs_factory(system, grid)
     dt = math.copysign(cfg.dt, cfg.t_final)
     n_steps = round(abs(cfg.t_final) / cfg.dt)  # whole, at least 1: see EvolutionConfig
     if isinstance(system, Problem):

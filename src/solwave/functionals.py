@@ -35,7 +35,7 @@ class Problem:
     def __post_init__(self):
         if not 0 < self.ball_radius < math.inf:  # false on NaN
             raise ConfigError("ball_radius must be finite and positive",
-                              field="ball_radius")
+                              field="problem.ball_radius")
         p, j = self.nonlinearity.p, self.symbol.j_star
         if not 2.0 <= p < 4.0 * j + 1.0:
             raise ExponentWindow(

@@ -201,10 +201,6 @@ def sup_norm(u: SpectralField) -> float:
     return float(np.max(np.abs(u.values)))
 
 
-def dealias(u: SpectralField) -> SpectralField:
-    return SpectralField.from_coeffs(u.grid, u.coeffs * u.grid.dealias_mask)
-
-
 def tail_max(u: SpectralField) -> float:
     """max |u| over the outer tenth of the period (|x| >= 0.45 P).
 

@@ -25,8 +25,12 @@ from .longwave import ScalingExponents, exponents, kdv_profile, kdv_speed
 from .nonlinearity import Nonlinearity
 
 _LEDGE = 1e-15         # roundoff slack for the descent test near the floor of E
+_STEP_INIT = 1.0       # first trial step of the line search
+_STEP_SHRINK = 0.5     # backtracking factor
+_ARMIJO = 1e-4         # sufficient-decrease fraction of the slope
 _STEP_GROW = 2.0       # the next trial step is min(_STEP_GROW t, _STEP_MAX)
 _STEP_MAX = 64.0
+_PERIOD_SCALE = 80.0   # automatic period is _PERIOD_SCALE mu^-beta
 _MIN_PERIOD = 64.0
 _NYQUIST_FACTOR = 2.2  # times the band-split cutoff
 _SEED_BAND = 45.0      # scaled Nyquist demand of the seed spectrum
@@ -48,27 +52,19 @@ class SolveConfig:
     points: int | None = None
     tol_residual: float = 1e-9
     max_iter: int = 50_000
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
     penalization: Penalization | None = None
-    seed_profile: str = "kdv"     # kdv | file:<path>
     polarity: int = 1
-    period_scale: float = 80.0
 
     def __post_init__(self):
         for name, ok, need in (  # every test is false on NaN
-                ("mu", 0 < self.mu < math.inf, "finite and positive"),
-                ("tol_residual", 0 < self.tol_residual < math.inf, "finite and positive"),
-                ("max_iter", self.max_iter >= 1, "at least 1"),
-                ("step_init", 0 < self.step_init < math.inf, "finite and positive"),
-                ("step_shrink", 0 < self.step_shrink < 1, "in (0, 1)"),
-                ("armijo", 0 < self.armijo < 1, "in (0, 1)"),
-                ("polarity", self.polarity in (-1, 1), "+1 or -1"),
-                ("period", self.period is None or 0 < self.period < math.inf,
+                ("solver.mu", 0 < self.mu < math.inf, "finite and positive"),
+                ("solver.tol_residual", 0 < self.tol_residual < math.inf,
                  "finite and positive"),
-                ("period_scale", 0 < self.period_scale < math.inf, "finite and positive"),
-                ("points", self.points is None
+                ("solver.max_iter", self.max_iter >= 1, "at least 1"),
+                ("solver.polarity", self.polarity in (-1, 1), "+1 or -1"),
+                ("grid.period", self.period is None or 0 < self.period < math.inf,
+                 "finite and positive"),
+                ("grid.points", self.points is None
                  or (self.points >= 16 and self.points & (self.points - 1) == 0),
                  "a power of two, at least 16")):
             if not ok:
@@ -135,7 +131,7 @@ def next_pow2(x: float) -> int:
 
 def default_grid(cfg: SolveConfig, k_cut: float, exps: ScalingExponents) -> PeriodicGrid:
     try:
-        period = cfg.period or max(_MIN_PERIOD, cfg.period_scale * cfg.mu ** (-exps.beta))
+        period = cfg.period or max(_MIN_PERIOD, _PERIOD_SCALE * cfg.mu ** (-exps.beta))
         k_need = max(_NYQUIST_FACTOR * k_cut, _SEED_BAND * cfg.mu**exps.beta)
     except OverflowError:
         raise ConfigError(f"mu = {cfg.mu:g}: mu^(+-{exps.beta:g}) overflows",
@@ -195,7 +191,7 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
     c_ref = np.max(eng.mvals) + kdv_speed() * mu ** exponents(eng.j_star, eng.nl.p).gamma
     precond = 1.0 / (c_ref - eng.mvals)
     two_mu = 2.0 * mu
-    step = cfg.step_init
+    step = _STEP_INIT
     history: dict = {"residuals": [], "energies": []}
     e0 = eng.energy(c, infinite_outside=True)
     for it in range(cfg.max_iter):
@@ -212,15 +208,15 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
         # explicit-descent stability bound: steps beyond 2/lam_max amplify the
         # stiffest mode, and near convergence the energy test cannot see that
         lam_max = float(np.max(precond * (nu - eng.mvals)))
-        cap = 1.7 / lam_max if lam_max > 0 else cfg.step_init
+        cap = 1.7 / lam_max if lam_max > 0 else _STEP_INIT
         t = min(step, cap)
         while t > 1e-18:
             trial = c + t * d
             trial *= scale / np.sqrt(np.sum(np.abs(trial) ** 2))
             e1 = eng.energy(trial, infinite_outside=True)
-            if e1 <= e0 + cfg.armijo * t * slope + _LEDGE * abs(e0):
+            if e1 <= e0 + _ARMIJO * t * slope + _LEDGE * abs(e0):
                 break
-            t *= cfg.step_shrink
+            t *= _STEP_SHRINK
         else:
             raise MuTooLarge(
                 f"line search collapsed at residual {res:.3e}; no minimizer "
@@ -258,7 +254,7 @@ def minimize_constrained(prob: Problem, cfg: SolveConfig,
         grid = guess.grid
     else:
         grid = default_grid(cfg, prob.symbol.k_cut, exps)
-        guess = _build_seed(cfg, grid, exps)
+        guess = kdv_scaled_seed(grid, cfg.mu, exps, cfg.polarity)
     eng = discretize(prob, grid, cfg.penalization)
     c, nu, res, its, _ = _descend(eng, cfg.mu, cfg, guess.coeffs)
     if nu <= prob.symbol.m_zero:
@@ -266,21 +262,6 @@ def minimize_constrained(prob: Problem, cfg: SolveConfig,
                          f"(m(0) = {prob.symbol.m_zero:g})", nu=nu)
     return _finish(eng, prob.symbol.name, prob.nonlinearity.name, cfg.mu,
                    prob.symbol.m_zero, c, nu, res, its)
-
-
-def _build_seed(cfg: SolveConfig, grid: PeriodicGrid,
-                exps: ScalingExponents) -> SpectralField:
-    if cfg.seed_profile == "kdv":
-        return kdv_scaled_seed(grid, cfg.mu, exps, cfg.polarity)
-    if cfg.seed_profile.startswith("file:"):
-        from .fileio import read_field_csv
-        u = read_field_csv(cfg.seed_profile.split(":", 1)[1])
-        if u.grid != grid:
-            raise ConfigError(
-                f"seed grid (P={u.grid.period:g}, N={u.grid.n}) does not match "
-                f"solve grid (P={grid.period:g}, N={grid.n})", field="seed_profile")
-        return u
-    raise ConfigError(f"unknown seed {cfg.seed_profile!r}", field="seed_profile")
 
 
 def minimize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
@@ -291,7 +272,7 @@ def minimize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
     polynomial multiplier; stationary points are unchanged.
     """
     cfg = replace(cfg, mu=1.0)
-    period = cfg.period if cfg.period is not None else cfg.period_scale
+    period = cfg.period if cfg.period is not None else _PERIOD_SCALE
     n = cfg.points if cfg.points is not None else next_pow2(
         max(256, period * _SEED_BAND / math.pi))
     grid = PeriodicGrid(period, n)
@@ -360,9 +341,9 @@ def continuation_sweep(prob: Problem, mu_list: list[float],
     wave rescaled through the long-wave frame (an exact relabeling on the
     automatically chosen grids)."""
     if not mu_list:
-        raise ConfigError("mu_list is empty", field="mu_list")
+        raise ConfigError("mu_list is empty", field="sweep.mu_list")
     if any(b <= a for a, b in zip(mu_list, mu_list[1:])):
-        raise ConfigError("mu_list must be strictly ascending", field="mu_list")
+        raise ConfigError("mu_list must be strictly ascending", field="sweep.mu_list")
     exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
     profiles: list[WaveProfile] = []
     prev: WaveProfile | None = None
@@ -370,7 +351,7 @@ def continuation_sweep(prob: Problem, mu_list: list[float],
         cfg = replace(base_cfg, mu=mu)
         grid = default_grid(cfg, prob.symbol.k_cut, exps)
         if prev is None:
-            guess = _build_seed(cfg, grid, exps)
+            guess = kdv_scaled_seed(grid, cfg.mu, exps, cfg.polarity)
         else:
             a = mu / prev.mu
             carried = SpectralField.from_values(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solwave.cli import (build_evolution_config, build_problem,
+from solwave.cli import (DEFAULT_CONFIG, build_evolution_config, build_problem,
                          build_solve_config, load_config, main)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -99,7 +99,7 @@ def bad_inputs(d):
     evolution = {"dt_nan": {"dt": float("nan")}, "t_final_inf": {"t_final": float("inf")},
                  "stride_fraction": {"stride": 2.5}}
     cases = {  # id: (field, argv)
-        "ball_radius": ("ball_radius", ["--config", write_config(
+        "ball_radius": ("problem.ball_radius", ["--config", write_config(
             d, {"problem": {"ball_radius": 0}}), "solve"]),
         "profile": ("profile", ["evolve", "--profile", str(rows)]),
         "k_max": ("k_max", ["validate-symbol", "--k-max", "0"]),
@@ -108,11 +108,11 @@ def bad_inputs(d):
         "meta_keys": ("meta", ["evolve", "--profile", str(d / "keys" / "profile.csv")]),
         "meta_json": ("meta", ["evolve", "--profile", str(d / "json" / "profile.csv")]),
         "profile_cell": ("profile", ["evolve", "--profile", str(cell)]),
-        "steps_fraction": ("t_final", ["evolve", "--profile", str(cell),
+        "steps_fraction": ("evolution.t_final", ["evolve", "--profile", str(cell),
                                        "--T", "1", "--dt", "0.3"]),
     }
     for case, sec in evolution.items():
-        cases[case] = (next(iter(sec)), [
+        cases[case] = (f"evolution.{next(iter(sec))}", [
             "--config", write_config(d, {"evolution": sec}, f"{case}.json"),
             "evolve", "--profile", str(cell)])
     for s in ("-1", "1e-300", "nan", "inf"):
@@ -128,7 +128,7 @@ def bad_inputs(d):
         (section, sec), = doc.items()
         cases[case] = (f"{section}.{next(iter(sec))}",
                        ["--config", write_config(d, doc, f"{case}.json"), *cmd])
-    cases["points_range"] = ("points", ["--config", write_config(
+    cases["points_range"] = ("grid.points", ["--config", write_config(
         d, {"grid": {"points": 1000}}, "points_range.json"), "solve"])
     cases["mu_list_text"] = ("argv", ["sweep", "--mu-list", "abc"])
     cases["grid_huge_symbol"] = ("grid.points", ["--config", write_config(
@@ -143,9 +143,10 @@ def bad_inputs(d):
     cases["band_negative"] = ("stability.band", ["--config", write_config(
         d, {"stability": {"band": -3}}, "band_negative.json"), "stability",
         "--profile", str(cell)])
-    cases["period_scale_zero"] = ("period_scale", ["--config", write_config(
+    # retired keys: unknown at any value
+    cases["period_scale_zero"] = ("grid.period_scale", ["--config", write_config(
         d, {"grid": {"period_scale": 0.0}}, "period_scale_zero.json"), "solve"])
-    cases["step_init_nan"] = ("step_init", ["--config", write_config(
+    cases["step_init_nan"] = ("solver.step_init", ["--config", write_config(
         d, {"solver": {"step_init": float("nan")}}, "step_init_nan.json"), "solve"])
     cases["symbol_number"] = ("problem.symbol", ["--config", write_config(
         d, {"problem": {"symbol": 3}}, "symbol_number.json"), "validate-symbol"])
@@ -153,6 +154,11 @@ def bad_inputs(d):
         cases[f"meta_{name}"] = ("meta", ["evolve", "--profile", str(d / name / "profile.csv")])
     cases["zero_profile"] = ("profile", ["stability", "--profile",
                                          str(d / "zero" / "profile.csv"), "--T", "0.1"])
+    # the stored wave is a whitham/quadratic one
+    for key, name in (("symbol", "gaussian"), ("nonlinearity", "modulus:2.5,1")):
+        cases[f"profile_other_{key}"] = (f"problem.{key}", ["--config", write_config(
+            d, {"problem": {key: name}}, f"other_{key}.json"), "evolve",
+            "--profile", str(d / "zero" / "profile.csv")])
     return cases
 
 
@@ -164,7 +170,7 @@ def bad_inputs(d):
     "scales_text", "points_range", "mu_list_text", "seed_negative",
     "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu", "band_negative",
     "period_scale_zero", "step_init_nan", "symbol_number", "meta_mu_text", "meta_mu_negative",
-    "zero_profile"])
+    "zero_profile", "profile_other_symbol", "profile_other_nonlinearity"])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
     field, argv = bad_inputs(tmp_path)[case]
     rc = main([*argv, "--out", str(tmp_path / "o")])
@@ -180,6 +186,34 @@ def test_bad_input_fails_closed(tmp_path, capsys, case):
     assert line["error"] == "CONFIG" and line["field"] == field
     if case == "dt_nan":
         assert line["value"] is None
+
+
+def test_profile_problem_compares_normalised_names(tmp_path):
+    from solwave.cli import _load_profile
+    from solwave.fileio import write_field_csv
+    from solwave.grid import PeriodicGrid, SpectralField
+    g = PeriodicGrid(40.0, 64)
+    write_field_csv(tmp_path / "profile.csv",
+                    SpectralField.from_values(g, np.exp(-g.nodes ** 2)))
+    (tmp_path / "meta.json").write_text(json.dumps({
+        "mu": 1.0, "nu": 1.0, "residual": 0.0, "energy": -1.0, "symbol": "rational:2",
+        "nonlinearity": "modulus:2.5,1", "iterations": 0, "supercritical": True}))
+    cfg = load_config(write_config(tmp_path, {"problem": {
+        "symbol": "rational:2.0", "nonlinearity": "modulus:2.50,1.0"}}))
+    prof = _load_profile(tmp_path / "profile.csv", build_problem(cfg))
+    assert (prof.symbol, prof.nonlinearity) == ("rational:2", "modulus:2.5,1")
+
+
+def test_whole_float_stride_is_an_integer(tmp_path):
+    cfg = load_config(write_config(tmp_path, {"evolution": {"stride": 50.0}}))
+    stride = build_evolution_config(cfg).stride
+    assert stride == 50 and type(stride) is int
+
+
+def test_readme_lists_the_default_config():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    block = readme.split("Sections and defaults:", 1)[1].split("```json", 1)[1]
+    assert json.loads(block.split("```", 1)[0]) == DEFAULT_CONFIG
 
 
 def test_sweep_outside_the_long_wave_frame_is_grid_mismatch(tmp_path, capsys):
@@ -239,7 +273,7 @@ def test_sweep_outputs(sweep_dir):
 
 def test_diagnostics_file_writes_the_high_band_floor(sweep_dir):
     from solwave.analysis import scaling_diagnostics
-    from solwave.cli import DEFAULT_CONFIG, _load_profile
+    from solwave.cli import _load_profile
     lines = (sweep_dir / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == "mu,tau_ratio2,high_band_floor"
     conv = (sweep_dir / "convergence.csv").read_text().splitlines()[1:]
@@ -248,7 +282,7 @@ def test_diagnostics_file_writes_the_high_band_floor(sweep_dir):
     for i, (line, conv_line) in enumerate(zip(lines[1:], conv, strict=True)):
         mu, ratio, floor = map(float, line.split(","))
         rec = scaling_diagnostics(prob, _load_profile(
-            sweep_dir / "profiles" / f"profile_{i:03d}.csv"), tau)
+            sweep_dir / "profiles" / f"profile_{i:03d}.csv", prob), tau)
         assert (mu, ratio, floor) == (rec.mu, rec.high_band_ratio, rec.high_band_floor)
         assert ratio == float(conv_line.split(",")[6])  # tau_ratio2
 
@@ -366,12 +400,11 @@ FUZZ_VALID = {
                 "nonlinearity": ["quadratic", "poly:1,0.5", "modulus:2.5,1",
                                  "oddpower:3,1", "modulus:4.9,1"],
                 "ball_radius": [1.0, 0.3]},
-    "grid": {"period": [None, 20.0, 80.0, 400.0], "period_scale": [80.0, 5.0]},
+    "grid": {"period": [None, 20.0, 80.0, 400.0]},
     "solver": {"mu": [1e-2, 5e-2, 0.3, 1e-3], "tol_residual": [1e-6, 1e-10],
-               "step_init": [1.0, 0.1], "step_shrink": [0.5, 0.9], "armijo": [1e-4, 0.5],
                "penalized": [False, True], "polarity": [1, -1]},
     "evolution": {"dt": [0.01, 0.05, 0.5, 5.0], "integrator": ["ifrk4", "rk4"],
-                  "dealias": [True, False], "stride": [1, 7]},
+                  "stride": [1, 7]},
     "sweep": {"mu_list": [[1e-2], [1e-2, 5e-2]], "tau": [0.9, 0.5]},
     "stability": {"scales": [[0.01], [0.05, 0.2]], "seed": [0, 7], "band": [0, 4, 32]},
 }
@@ -382,21 +415,21 @@ FUZZ_INVALID = [(sec, key, v) for sec, key, values in [
     ("problem", "ball_radius", [0.0, NAN, "1"]),
     ("grid", "points", [100, 0, 2.0, 1e9, "64"]),
     ("grid", "period", [0.0, -5.0, NAN, INF]),
-    ("grid", "period_scale", [0.0, NAN]),
+    ("grid", "period_scale", [80.0]),  # retired keys: unknown at any value
     ("solver", "mu", [0.0, -1.0, NAN, INF, "x", 1e300, 1e-30]),
     ("solver", "max_iter", [0, 2.5, True]),
     ("solver", "tol_residual", [0.0, INF]),
-    ("solver", "step_init", [0.0, -1.0, NAN]),
-    ("solver", "step_shrink", [1.0, 0.0]),
-    ("solver", "armijo", [1.0]),
+    ("solver", "step_init", [1.0]),
+    ("solver", "step_shrink", [0.5]),
+    ("solver", "armijo", [1e-4]),
     ("solver", "penalized", [1]),
     ("solver", "polarity", [0]),
-    ("solver", "seed_profile", ["file:nope", "sech"]),
+    ("solver", "seed_profile", ["kdv"]),
     ("solver", "typo", [1]),
     ("evolution", "dt", [0.0, -0.1, NAN]),
     ("evolution", "t_final", [0.0, INF, NAN]),
     ("evolution", "integrator", ["euler"]),
-    ("evolution", "dealias", [1]),
+    ("evolution", "dealias", [True]),
     ("evolution", "stride", [0, 2.5]),
     ("sweep", "mu_list", [[], [0.0], "abc", [NAN], [5e-2, 1e-2]]),
     ("sweep", "tau", [1.5, NAN]),
@@ -448,9 +481,12 @@ def test_cli_fails_closed_on_generated_input(config, profile, command):
         sec, key, value = bad
         doc.setdefault(sec, {})[key] = value
     n, period, amp, bad_profile = profile
+    # the stored wave belongs to the configured problem unless a bad entry says
+    # otherwise; the sampled names are already normalised
+    problem = {"symbol": "whitham", "nonlinearity": "quadratic", **doc.get("problem", {})}
     meta = {"mu": 1e-2, "nu": 1.01, "residual": 0.0, "energy": -1e-2,
-            "symbol": "whitham", "nonlinearity": "quadratic", "iterations": 0,
-            "supercritical": True}
+            "symbol": problem["symbol"], "nonlinearity": problem["nonlinearity"],
+            "iterations": 0, "supercritical": True}
     if bad_profile is not None:
         key, value = bad_profile
         if key == "n":

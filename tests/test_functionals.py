@@ -13,7 +13,7 @@ from solwave.functionals import (Penalization, Problem, discretize, energy,
                                  energy_gradient, inner_l2, momentum,
                                  reduced_energy, reduced_gradient,
                                  weighted_norm)
-from solwave.grid import PeriodicGrid, SpectralField, band_noise, dealias, sobolev_norm
+from solwave.grid import PeriodicGrid, SpectralField, band_noise, sobolev_norm
 from solwave.longwave import kdv_soliton
 from solwave.nonlinearity import quadratic, signed_modulus
 from solwave.operators import multiplier_values
@@ -132,8 +132,9 @@ def test_reduced_energy_matches_direct_integrand():
     g = PeriodicGrid(60.0, 512)
     w = field(5, g, scale=0.8)
     wp = SpectralField.from_coeffs(g, g.ik * w.coeffs)
+    w_dealiased = g.to_values(g.dealias_mask * w.coeffs)
     direct = (inner_l2(wp, wp) / 12.0
-              - (g.period / g.n) * float(np.sum(dealias(w).values ** 3)) / 3.0)
+              - (g.period / g.n) * float(np.sum(w_dealiased ** 3)) / 3.0)
     assert reduced_energy(1, -1.0 / 3.0, quadratic(), w) == approx(direct, rel=1e-10)
 
 
