@@ -35,9 +35,8 @@ from .symbols import symbol_from_name, validate_symbol
 DEFAULT_CONFIG = {
     "problem": {"symbol": "whitham", "nonlinearity": "quadratic", "ball_radius": 1.0},
     "grid": {"period": None, "points": None},
-    "solver": {"mu": 1e-3, "tol_residual": 1e-9, "max_iter": 50_000,
-               "penalized": False, "polarity": 1},
-    "evolution": {"dt": 0.01, "t_final": 20.0, "integrator": "ifrk4", "stride": 50},
+    "solver": {"mu": 1e-3, "tol_residual": 1e-9, "max_iter": 50_000, "penalized": False},
+    "evolution": {"dt": 0.01, "t_final": 20.0, "stride": 50},
     "sweep": {"mu_list": [1e-4, 3e-4, 1e-3, 3e-3, 1e-2], "tau": 0.9},
     "stability": {"scales": [0.005, 0.01, 0.02], "seed": 20260811, "band": 32},
 }
@@ -99,13 +98,24 @@ def _numbers(cfg: dict, section: str, key: str) -> list[float]:
     return [_checked(v, float, field) for v in value]
 
 
+def _parsed(parse, name: str, field: str):
+    """parse(name), whose config error names ``field``, the config field
+    the name came from."""
+    try:
+        return parse(name)
+    except ConfigError as exc:
+        exc.info["field"] = field
+        raise
+
+
 def build_problem(cfg: dict) -> Problem:
     for key in ("symbol", "nonlinearity"):
         if not _get(cfg, "problem", key, str):
             raise ConfigError(f"problem.{key} is missing", field=f"problem.{key}")
     sec = cfg["problem"]
-    return Problem(symbol_from_name(sec["symbol"]),
-                   nonlinearity_from_name(sec["nonlinearity"]),
+    return Problem(_parsed(symbol_from_name, sec["symbol"], "problem.symbol"),
+                   _parsed(nonlinearity_from_name, sec["nonlinearity"],
+                           "problem.nonlinearity"),
                    ball_radius=_get(cfg, "problem", "ball_radius"))
 
 
@@ -116,14 +126,12 @@ def build_solve_config(cfg: dict, prob: Problem) -> SolveConfig:
         period=_get(cfg, "grid", "period", optional=True),
         points=_get(cfg, "grid", "points", int, optional=True),
         tol_residual=_get(cfg, "solver", "tol_residual"),
-        max_iter=_get(cfg, "solver", "max_iter", int), penalization=pen,
-        polarity=_get(cfg, "solver", "polarity", int))
+        max_iter=_get(cfg, "solver", "max_iter", int), penalization=pen)
 
 
 def build_evolution_config(cfg: dict) -> EvolutionConfig:
     return EvolutionConfig(dt=_get(cfg, "evolution", "dt"),
                            t_final=_get(cfg, "evolution", "t_final"),
-                           integrator=_get(cfg, "evolution", "integrator", str),
                            stride=_get(cfg, "evolution", "stride", int))
 
 
@@ -288,7 +296,7 @@ def cmd_validate_symbol(args, cfg) -> int:
     name = args.name or _get(cfg, "problem", "symbol", str)
     if not name:
         raise ConfigError("symbol name is missing", field="problem.symbol")
-    sym = symbol_from_name(name)
+    sym = _parsed(symbol_from_name, name, "symbol" if args.name else "problem.symbol")
     report = validate_symbol(sym, k_max=args.k_max, n_samples=args.samples)
     for line in report.lines():
         print(line)

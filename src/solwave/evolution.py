@@ -3,7 +3,7 @@
 The multiplier part is integrated exactly through the factor
 exp(-i k m(k) t) (IFRK4); only the dealiased nonlinear flux sees the
 Runge-Kutta error.  The energy and momentum drifts recorded along the run
-are the integrator's honesty meter: both are conserved by the equation.
+are the time stepping's honesty meter: both are conserved by the equation.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ _TAIL_GATE = 1e-6     # spectral tail beyond which the run is under-resolved
 class EvolutionConfig:
     dt: float = 0.01
     t_final: float = 10.0
-    integrator: str = "ifrk4"     # ifrk4 | rk4
     stride: int = 10              # record every stride steps
 
     def __post_init__(self):
@@ -41,9 +40,6 @@ class EvolutionConfig:
         if not (math.isfinite(self.t_final) and self.t_final != 0):
             raise ConfigError("t_final must be finite and nonzero", field="evolution.t_final",
                               value=self.t_final)
-        if self.integrator not in ("ifrk4", "rk4"):
-            raise ConfigError(f"unknown integrator {self.integrator!r}",
-                              field="evolution.integrator")
         if (not isinstance(self.stride, (int, np.integer)) or isinstance(self.stride, bool)
                 or self.stride < 1):
             raise ConfigError("stride must be an integer >= 1", field="evolution.stride",
@@ -183,56 +179,40 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
                               np.array(dists), np.array(shifts), final)
 
     # every step advances c in place through work arrays made once per call
-    if cfg.integrator == "ifrk4":
-        e_half = np.exp(0.5 * dt * lam)
-        e_full = np.exp(dt * lam)
-        e_half2, h2, h6 = 2.0 * e_half, 0.5 * dt, dt / 6.0
-        f1, f2, f3, f4, s, ec = (np.empty_like(c) for _ in range(6))
-        # the operands keep their order in the formula: numpy's complex product
-        # is not bitwise commutative, and in this order the step is bit for bit
-        # the plain out-of-place one
-        mul, add = np.multiply, np.add
+    e_half = np.exp(0.5 * dt * lam)
+    e_full = np.exp(dt * lam)
+    e_half2, h2, h6 = 2.0 * e_half, 0.5 * dt, dt / 6.0
+    f1, f2, f3, f4, s, ec = (np.empty_like(c) for _ in range(6))
+    # the operands keep their order in the formula: numpy's complex product
+    # is not bitwise commutative, and in this order the step is bit for bit
+    # the plain out-of-place one
+    mul, add = np.multiply, np.add
 
-        def step_once(c):
-            if f is None:
-                mul(e_full, c, out=c)
-                return
-            f(c, f1)
-            mul(h2, f1, out=s)                # a = e_half (c + dt/2 f1)
-            add(c, s, out=s)
-            mul(e_half, s, out=s)
-            f(s, f2)
-            mul(e_half, c, out=s)             # b = e_half c + dt/2 f2
-            mul(h2, f2, out=f4)
-            add(s, f4, out=s)
-            f(s, f3)
-            mul(e_full, c, out=ec)            # cc = e_full c + dt e_half f3
-            mul(e_half, f3, out=s)
-            mul(dt, s, out=s)
-            add(ec, s, out=s)
-            f(s, f4)
-            mul(e_full, f1, out=f1)  # e_full c + dt/6 (e_full f1 + 2 e_half (f2 + f3) + f4)
-            add(f2, f3, out=s)
-            mul(e_half2, s, out=s)
-            add(f1, s, out=f1)
-            add(f1, f4, out=f1)
-            mul(h6, f1, out=f1)
-            add(ec, f1, out=c)
-    else:
-        flux = np.empty_like(c)
-
-        def rhs(c):
-            out = lam * c
-            if f is not None:
-                out += f(c, flux)
-            return out
-
-        def step_once(c):
-            k1 = rhs(c)
-            k2 = rhs(c + (0.5 * dt) * k1)
-            k3 = rhs(c + (0.5 * dt) * k2)
-            k4 = rhs(c + dt * k3)
-            c += (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    def step_once(c):
+        if f is None:
+            mul(e_full, c, out=c)
+            return
+        f(c, f1)
+        mul(h2, f1, out=s)                # a = e_half (c + dt/2 f1)
+        add(c, s, out=s)
+        mul(e_half, s, out=s)
+        f(s, f2)
+        mul(e_half, c, out=s)             # b = e_half c + dt/2 f2
+        mul(h2, f2, out=f4)
+        add(s, f4, out=s)
+        f(s, f3)
+        mul(e_full, c, out=ec)            # cc = e_full c + dt e_half f3
+        mul(e_half, f3, out=s)
+        mul(dt, s, out=s)
+        add(ec, s, out=s)
+        f(s, f4)
+        mul(e_full, f1, out=f1)  # e_full c + dt/6 (e_full f1 + 2 e_half (f2 + f3) + f4)
+        add(f2, f3, out=s)
+        mul(e_half2, s, out=s)
+        add(f1, s, out=f1)
+        add(f1, f4, out=f1)
+        mul(h6, f1, out=f1)
+        add(ec, f1, out=c)
 
     u = record(0)
     for step in range(1, n_steps + 1):

@@ -54,9 +54,9 @@ def scale_down(mu: float, exps: ScalingExponents, u: SpectralField,
     return SpectralField.from_values(grid, mu ** (-exps.alpha) * u.values)
 
 
-def kdv_profile(x: np.ndarray, polarity: int = 1) -> np.ndarray:
+def kdv_profile(x: np.ndarray) -> np.ndarray:
     """(3/2)^(2/3) sech^2((3/2)^(1/3) x): the unit-momentum KdV ground state."""
-    return polarity * KDV_AMPLITUDE / np.cosh(KDV_DECAY * x) ** 2
+    return KDV_AMPLITUDE / np.cosh(KDV_DECAY * x) ** 2
 
 
 def kdv_soliton(grid: PeriodicGrid, tail_tol: float = 1e-12) -> SpectralField:

@@ -53,7 +53,6 @@ class SolveConfig:
     tol_residual: float = 1e-9
     max_iter: int = 50_000
     penalization: Penalization | None = None
-    polarity: int = 1
 
     def __post_init__(self):
         for name, ok, need in (  # every test is false on NaN
@@ -61,7 +60,6 @@ class SolveConfig:
                 ("solver.tol_residual", 0 < self.tol_residual < math.inf,
                  "finite and positive"),
                 ("solver.max_iter", self.max_iter >= 1, "at least 1"),
-                ("solver.polarity", self.polarity in (-1, 1), "+1 or -1"),
                 ("grid.period", self.period is None or 0 < self.period < math.inf,
                  "finite and positive"),
                 ("grid.points", self.points is None
@@ -144,11 +142,10 @@ def default_grid(cfg: SolveConfig, k_cut: float, exps: ScalingExponents) -> Peri
     return PeriodicGrid(period, next_pow2(need))
 
 
-def kdv_scaled_seed(grid: PeriodicGrid, mu: float, exps: ScalingExponents,
-                    polarity: int = 1) -> SpectralField:
+def kdv_scaled_seed(grid: PeriodicGrid, mu: float, exps: ScalingExponents) -> SpectralField:
     """mu^alpha w_kdv(mu^beta x): the long-wave seed on the solve grid."""
     y = mu**exps.beta * grid.nodes
-    return SpectralField.from_values(grid, mu**exps.alpha * kdv_profile(y, polarity))
+    return SpectralField.from_values(grid, mu**exps.alpha * kdv_profile(y))
 
 
 def renormalize(u: SpectralField, mu: float) -> SpectralField:
@@ -245,17 +242,18 @@ def minimize_constrained(prob: Problem, cfg: SolveConfig,
                          guess: SpectralField | None = None) -> WaveProfile:
     """Minimize the energy over Q = mu; returns the wave with its speed.
 
+    Without a guess the seed is the long-wave one with the sign of the
+    leading coefficient c_p: n(u) -> -n(-u) flips that sign and maps each
+    wave u to -u.
     Raises MU_TOO_LARGE when the line search collapses or the converged
     multiplier is not supercritical: both say the small-momentum regime,
     where the constrained minimizer exists, has been left.
     """
     exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
-    if guess is not None:
-        grid = guess.grid
-    else:
+    if guess is None:
         grid = default_grid(cfg, prob.symbol.k_cut, exps)
-        guess = kdv_scaled_seed(grid, cfg.mu, exps, cfg.polarity)
-    eng = discretize(prob, grid, cfg.penalization)
+        guess = kdv_scaled_seed(grid, cfg.mu, exps) * math.copysign(1.0, prob.nonlinearity.cp)
+    eng = discretize(prob, guess.grid, cfg.penalization)
     c, nu, res, its, _ = _descend(eng, cfg.mu, cfg, guess.coeffs)
     if nu <= prob.symbol.m_zero:
         raise MuTooLarge(f"converged multiplier nu = {nu:g} is subcritical "
@@ -276,9 +274,9 @@ def minimize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
     n = cfg.points if cfg.points is not None else next_pow2(
         max(256, period * _SEED_BAND / math.pi))
     grid = PeriodicGrid(period, n)
-    polarity = cfg.polarity if nl.cp > 0 else -1
     # generic unit-width bump: the descent must find the ground state itself
-    guess = SpectralField.from_values(grid, polarity * np.exp(-0.5 * grid.nodes**2))
+    guess = SpectralField.from_values(grid, math.copysign(1.0, nl.cp)
+                                      * np.exp(-0.5 * grid.nodes**2))
     eng = discretize_reduced(j_star, d2j_star, nl, grid)
     c, nu, res, its, _ = _descend(eng, 1.0, cfg, guess.coeffs)
     if nu <= 0:
@@ -300,7 +298,7 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
         raise SubcriticalSpeed(f"nu = {nu:g} does not exceed m(0) = {prob.symbol.m_zero:g}")
     if prob.nonlinearity.remainder is not None:
         raise ConfigError("fixed-point oracle needs a homogeneous nonlinearity",
-                          field="nonlinearity")
+                          field="problem.nonlinearity")
     if max_iter < 1:
         raise ConfigError("max_iter must be at least 1", field="max_iter")
     tol = cfg.tol_residual if tol is None else tol
@@ -310,7 +308,7 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
         mu_guess = max(((nu - prob.symbol.m_zero) / kdv_speed()) ** (1.0 / exps.gamma), 1e-12)
         cfg = replace(cfg, mu=mu_guess)
         grid = default_grid(cfg, prob.symbol.k_cut, exps)
-        guess = kdv_scaled_seed(grid, mu_guess, exps, cfg.polarity)
+        guess = kdv_scaled_seed(grid, mu_guess, exps) * math.copysign(1.0, prob.nonlinearity.cp)
     eng = discretize(prob, guess.grid)
     gamma = prob.nonlinearity.p / (prob.nonlinearity.p - 1.0)
     denom_m = nu - eng.mvals
@@ -337,29 +335,26 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
 
 def continuation_sweep(prob: Problem, mu_list: list[float],
                        base_cfg: SolveConfig) -> list[WaveProfile]:
-    """Solve an ascending mu family, warm-starting each solve from the previous
-    wave rescaled through the long-wave frame (an exact relabeling on the
-    automatically chosen grids)."""
+    """Solve an ascending mu family, warm-starting each solve after the
+    first from the previous wave rescaled through the long-wave frame (an
+    exact relabeling on the automatically chosen grids)."""
     if not mu_list:
         raise ConfigError("mu_list is empty", field="sweep.mu_list")
     if any(b <= a for a, b in zip(mu_list, mu_list[1:])):
         raise ConfigError("mu_list must be strictly ascending", field="sweep.mu_list")
     exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
     profiles: list[WaveProfile] = []
-    prev: WaveProfile | None = None
     for mu in mu_list:
         cfg = replace(base_cfg, mu=mu)
-        grid = default_grid(cfg, prob.symbol.k_cut, exps)
-        if prev is None:
-            guess = kdv_scaled_seed(grid, cfg.mu, exps, cfg.polarity)
-        else:
-            a = mu / prev.mu
+        guess = None
+        if profiles:
+            prev = profiles[-1]
+            grid = default_grid(cfg, prob.symbol.k_cut, exps)
             carried = SpectralField.from_values(
                 PeriodicGrid(grid.period, prev.field.grid.n),
-                a**exps.alpha * prev.field.values)
+                (mu / prev.mu)**exps.alpha * prev.field.values)
             guess = change_points(carried, grid.n, drop_tol=1e-6)
         profiles.append(minimize_constrained(prob, cfg, guess))
-        prev = profiles[-1]
     return profiles
 
 

@@ -1,0 +1,36 @@
+"""The benchmark's tracer names package functions by string.
+
+``bench/tracer.py`` wraps each of its ``TARGETS`` in every solwave module that
+holds it; a name that no longer exists fails the benchmark before it measures
+anything.  The tracer is loaded by path, as the benchmark runs it.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def resolve(module: str, path: str):
+    """The traced object, or None; a method must be defined on its class
+    itself, which the tracer patches."""
+    owner = importlib.import_module(f"solwave.{module}")
+    *outer, attr = path.split(".")
+    for name in outer:
+        owner = getattr(owner, name, None)
+    return vars(owner).get(attr) if owner is not None else None
+
+
+def test_every_traced_target_resolves():
+    targets = load_tracer().TARGETS
+    missing = [f"{m}.{p}" for m, p in targets if not callable(resolve(m, p))]
+    assert not missing, f"bench/tracer.py names what solwave lacks: {missing}"
+

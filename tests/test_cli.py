@@ -148,8 +148,19 @@ def bad_inputs(d):
         d, {"grid": {"period_scale": 0.0}}, "period_scale_zero.json"), "solve"])
     cases["step_init_nan"] = ("solver.step_init", ["--config", write_config(
         d, {"solver": {"step_init": float("nan")}}, "step_init_nan.json"), "solve"])
+    cases["polarity_default"] = ("solver.polarity", ["--config", write_config(
+        d, {"solver": {"polarity": 1}}, "polarity_default.json"), "solve"])
+    cases["integrator_default"] = ("evolution.integrator", ["--config", write_config(
+        d, {"evolution": {"integrator": "ifrk4"}}, "integrator_default.json"),
+        "evolve", "--profile", str(cell)])
     cases["symbol_number"] = ("problem.symbol", ["--config", write_config(
         d, {"problem": {"symbol": 3}}, "symbol_number.json"), "validate-symbol"])
+    # a name the parser rejects: the error names the config field it came from
+    for key, name, cmd in (("symbol", "nosuch", "validate-symbol"),
+                           ("symbol", "nosuch", "solve"),
+                           ("nonlinearity", "poly:", "solve")):
+        cases[f"{key}_unparsed_{cmd}"] = (f"problem.{key}", ["--config", write_config(
+            d, {"problem": {key: name}}, f"{key}_unparsed_{cmd}.json"), cmd])
     for name in ("mu_text", "mu_negative"):
         cases[f"meta_{name}"] = ("meta", ["evolve", "--profile", str(d / name / "profile.csv")])
     cases["zero_profile"] = ("profile", ["stability", "--profile",
@@ -169,7 +180,9 @@ def bad_inputs(d):
     "rational_inf", "mu_null", "points_text", "dt_text", "tau_above_1",
     "scales_text", "points_range", "mu_list_text", "seed_negative",
     "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu", "band_negative",
-    "period_scale_zero", "step_init_nan", "symbol_number", "meta_mu_text", "meta_mu_negative",
+    "period_scale_zero", "step_init_nan", "polarity_default", "integrator_default",
+    "symbol_number", "symbol_unparsed_validate-symbol", "symbol_unparsed_solve",
+    "nonlinearity_unparsed_solve", "meta_mu_text", "meta_mu_negative",
     "zero_profile", "profile_other_symbol", "profile_other_nonlinearity"])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
     field, argv = bad_inputs(tmp_path)[case]
@@ -398,13 +411,13 @@ NAN, INF = float("nan"), float("inf")
 FUZZ_VALID = {
     "problem": {"symbol": ["whitham", "gaussian", "rational:2", "rational:0.6"],
                 "nonlinearity": ["quadratic", "poly:1,0.5", "modulus:2.5,1",
-                                 "oddpower:3,1", "modulus:4.9,1"],
+                                 "oddpower:3,1", "modulus:4.9,1", "poly:-1",
+                                 "modulus:2.5,-1"],
                 "ball_radius": [1.0, 0.3]},
     "grid": {"period": [None, 20.0, 80.0, 400.0]},
     "solver": {"mu": [1e-2, 5e-2, 0.3, 1e-3], "tol_residual": [1e-6, 1e-10],
-               "penalized": [False, True], "polarity": [1, -1]},
-    "evolution": {"dt": [0.01, 0.05, 0.5, 5.0], "integrator": ["ifrk4", "rk4"],
-                  "stride": [1, 7]},
+               "penalized": [False, True]},
+    "evolution": {"dt": [0.01, 0.05, 0.5, 5.0], "stride": [1, 7]},
     "sweep": {"mu_list": [[1e-2], [1e-2, 5e-2]], "tau": [0.9, 0.5]},
     "stability": {"scales": [[0.01], [0.05, 0.2]], "seed": [0, 7], "band": [0, 4, 32]},
 }
@@ -423,12 +436,12 @@ FUZZ_INVALID = [(sec, key, v) for sec, key, values in [
     ("solver", "step_shrink", [0.5]),
     ("solver", "armijo", [1e-4]),
     ("solver", "penalized", [1]),
-    ("solver", "polarity", [0]),
+    ("solver", "polarity", [1]),
     ("solver", "seed_profile", ["kdv"]),
     ("solver", "typo", [1]),
     ("evolution", "dt", [0.0, -0.1, NAN]),
     ("evolution", "t_final", [0.0, INF, NAN]),
-    ("evolution", "integrator", ["euler"]),
+    ("evolution", "integrator", ["ifrk4"]),
     ("evolution", "dealias", [True]),
     ("evolution", "stride", [0, 2.5]),
     ("sweep", "mu_list", [[], [0.0], "abc", [NAN], [5e-2, 1e-2]]),

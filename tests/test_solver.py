@@ -14,10 +14,11 @@ from solwave.errors import (ConfigError, MaxIterations, SubcriticalSpeed)
 from solwave.functionals import Penalization, Problem, discretize, momentum
 from solwave.grid import tail_max
 from solwave.longwave import exponents, kdv_speed, orbit_distance
-from solwave.nonlinearity import odd_power, polynomial, quadratic, signed_modulus
+from solwave.nonlinearity import (nonlinearity_from_name, odd_power, polynomial,
+                                  quadratic, signed_modulus)
 from solwave.solver import (MAX_POINTS, SolveConfig, continuation_sweep,
                             default_grid, kdv_scaled_seed, minimize_constrained,
-                            petviashvili, renormalize, sweep_rows)
+                            minimize_reduced, petviashvili, renormalize, sweep_rows)
 from solwave.symbols import symbol_from_name, whitham
 
 PROB = Problem(whitham(), quadratic())
@@ -92,6 +93,24 @@ def test_preconditioned_cold_solve(symbol, nl, mu, pen):
     assert wave.residual <= 1e-10 and wave.supercritical
     assert momentum(wave.field) == approx(mu, rel=1e-12)
     assert wave.iterations < 100
+
+
+@pytest.mark.parametrize("pos, neg", [("quadratic", "poly:-1"),
+                                      ("modulus:2.5,1", "modulus:2.5,-1"),
+                                      ("poly:1,0.5", "poly:-1,0.5")])
+def test_wave_sign_follows_the_nonlinearity(pos, neg):
+    # n(u) -> -n(-u) maps each wave u to -u: every seed takes the sign of c_p,
+    # so the negated problem runs on exactly negated iterates
+    cfg = SolveConfig(mu=1e-3, period=800.0, points=1024, tol_residual=1e-11)
+    nls = [nonlinearity_from_name(name) for name in (pos, neg)]
+    solves = [lambda nl: minimize_constrained(Problem(whitham(), nl), cfg),
+              lambda nl: minimize_reduced(1, -1.0 / 3.0, nl, SolveConfig(tol_residual=1e-10))]
+    if nls[0].remainder is None:
+        solves.append(lambda nl: petviashvili(Problem(whitham(), nl), 1.0088, cfg))
+    for solve in solves:
+        a, b = (solve(nl) for nl in nls)
+        assert np.array_equal(b.field.values, -a.field.values)
+        assert (b.speed, b.mu, b.iterations) == (a.speed, a.mu, a.iterations)
 
 
 def test_iterations_do_not_grow_as_mu_shrinks():
@@ -174,14 +193,12 @@ def test_solve_config_validation():
         SolveConfig(mu=-1.0)
     with pytest.raises(ConfigError):
         SolveConfig(tol_residual=0.0)
-    with pytest.raises(ConfigError):
-        SolveConfig(polarity=0)
     # NaN and infinities fail closed, and each error names its config field
     for field, value in [
             ("solver.mu", math.nan), ("solver.mu", math.inf), ("solver.mu", 0.0),
             ("solver.tol_residual", math.nan), ("solver.tol_residual", math.inf),
             ("solver.max_iter", 0), ("solver.max_iter", -3),
-            ("solver.polarity", 2), ("grid.period", math.nan), ("grid.period", -5.0),
+            ("grid.period", math.nan), ("grid.period", -5.0),
             ("grid.points", 1000)]:
         with pytest.raises(ConfigError) as err:
             SolveConfig(**{field.split(".")[1]: value})
@@ -196,6 +213,12 @@ def test_solve_config_validation():
 def test_petviashvili_rejects_zero_max_iter():
     with pytest.raises(ConfigError):
         petviashvili(PROB, 1.01, SolveConfig(mu=1e-3), max_iter=0)
+
+
+def test_petviashvili_rejects_a_remainder():
+    with pytest.raises(ConfigError) as err:
+        petviashvili(Problem(whitham(), polynomial({2: 1.0, 3: 0.5})), 1.01, SolveConfig())
+    assert err.value.info["field"] == "problem.nonlinearity"
 
 
 def test_seed_file_roundtrip(tmp_path, wave):
