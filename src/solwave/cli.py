@@ -2,9 +2,11 @@
 
 One JSON config document with sections {problem, grid, solver, evolution,
 sweep, stability}; unknown keys are errors so typos cannot silently corrupt a
-study.  Flags override config values.  Every command writes a manifest
-sufficient to re-run it.  Exit codes: 0 ok, 1 config, 2 model regime
-(no wave there), 3 iteration/resolution failure.
+study.  A flag that stands for a config value overrides exactly that key
+(its argparse ``dest`` is the dotted key) and the commands read only the
+config, so the config echoed in a manifest re-runs the command that wrote
+it.  Exit codes: 0 ok, 1 config, 2 model regime (no wave there),
+3 iteration/resolution failure.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .analysis import (convergence_rows, convergence_study, reduced_reference,
 from .errors import ConfigError, SolwaveError
 from .evolution import (EvolutionConfig, StabilityReport, perturbation,
                         stability_experiment, travel_test)
-from .functionals import Penalization, Problem
+from .functionals import Problem
 from .grid import PeriodicGrid, l2_norm
 from .longwave import exponents, scale_down
 from .nonlinearity import nonlinearity_from_name
@@ -33,9 +35,9 @@ from .solver import (SolveConfig, WaveProfile, continuation_sweep,
 from .symbols import symbol_from_name, validate_symbol
 
 DEFAULT_CONFIG = {
-    "problem": {"symbol": "whitham", "nonlinearity": "quadratic", "ball_radius": 1.0},
+    "problem": {"symbol": "whitham", "nonlinearity": "quadratic"},
     "grid": {"period": None, "points": None},
-    "solver": {"mu": 1e-3, "tol_residual": 1e-9, "max_iter": 50_000, "penalized": False},
+    "solver": {"mu": 1e-3, "tol_residual": 1e-9, "max_iter": 50_000},
     "evolution": {"dt": 0.01, "t_final": 20.0, "stride": 50},
     "sweep": {"mu_list": [1e-4, 3e-4, 1e-3, 3e-3, 1e-2], "tau": 0.9},
     "stability": {"scales": [0.005, 0.01, 0.02], "seed": 20260811, "band": 32},
@@ -98,35 +100,25 @@ def _numbers(cfg: dict, section: str, key: str) -> list[float]:
     return [_checked(v, float, field) for v in value]
 
 
-def _parsed(parse, name: str, field: str):
-    """parse(name), whose config error names ``field``, the config field
-    the name came from."""
-    try:
-        return parse(name)
-    except ConfigError as exc:
-        exc.info["field"] = field
-        raise
+def _name(cfg: dict, key: str) -> str:
+    name = _get(cfg, "problem", key, str)
+    if not name:
+        raise ConfigError(f"problem.{key} is missing", field=f"problem.{key}")
+    return name
 
 
 def build_problem(cfg: dict) -> Problem:
-    for key in ("symbol", "nonlinearity"):
-        if not _get(cfg, "problem", key, str):
-            raise ConfigError(f"problem.{key} is missing", field=f"problem.{key}")
-    sec = cfg["problem"]
-    return Problem(_parsed(symbol_from_name, sec["symbol"], "problem.symbol"),
-                   _parsed(nonlinearity_from_name, sec["nonlinearity"],
-                           "problem.nonlinearity"),
-                   ball_radius=_get(cfg, "problem", "ball_radius"))
+    return Problem(symbol_from_name(_name(cfg, "symbol")),
+                   nonlinearity_from_name(_name(cfg, "nonlinearity")))
 
 
-def build_solve_config(cfg: dict, prob: Problem) -> SolveConfig:
-    pen = Penalization(prob.ball_radius) if _get(cfg, "solver", "penalized", bool) else None
+def build_solve_config(cfg: dict) -> SolveConfig:
     return SolveConfig(
         mu=_get(cfg, "solver", "mu"),
         period=_get(cfg, "grid", "period", optional=True),
         points=_get(cfg, "grid", "points", int, optional=True),
         tol_residual=_get(cfg, "solver", "tol_residual"),
-        max_iter=_get(cfg, "solver", "max_iter", int), penalization=pen)
+        max_iter=_get(cfg, "solver", "max_iter", int))
 
 
 def build_evolution_config(cfg: dict) -> EvolutionConfig:
@@ -142,7 +134,7 @@ def _write_profile(outdir: Path, prof: WaveProfile, stem: str = "profile"):
 
 def cmd_solve(args, cfg) -> int:
     prob = build_problem(cfg)
-    scfg = build_solve_config(cfg, prob)
+    scfg = build_solve_config(cfg)
     out = Path(args.out)
     t0 = time.time()
     prof = minimize_constrained(prob, scfg)
@@ -179,14 +171,12 @@ def _sweep_tau(cfg: dict) -> float:
 
 
 def cmd_sweep(args, cfg) -> int:
-    if args.mu_list:
-        cfg["sweep"]["mu_list"] = args.mu_list
     out = Path(args.out)
     t0 = time.time()
     prob = build_problem(cfg)
     tau = _sweep_tau(cfg)
     profiles = continuation_sweep(prob, _numbers(cfg, "sweep", "mu_list"),
-                                  build_solve_config(cfg, prob))
+                                  build_solve_config(cfg))
     for i, prof in enumerate(profiles):
         _write_profile(out / "profiles", prof, stem=f"profile_{i:03d}")
     fileio.write_rows_csv(out / "sweep.csv", sweep_rows(profiles), fileio.SWEEP_COLUMNS)
@@ -262,11 +252,14 @@ def cmd_evolve(args, cfg) -> int:
 def cmd_stability(args, cfg) -> int:
     prob = build_problem(cfg)
     ecfg = build_evolution_config(cfg)
-    seed = _get(cfg, "stability", "seed", int) if args.seed is None else args.seed
+    seed = _get(cfg, "stability", "seed", int)
     if seed < 0:
         raise ConfigError(f"stability seed must be nonnegative, got {seed}",
                           field="stability.seed")
-    scales = [args.scale] if args.scale is not None else _numbers(cfg, "stability", "scales")
+    scales = _numbers(cfg, "stability", "scales")
+    if not scales or not all(0 < s < math.inf for s in scales):  # false on NaN
+        raise ConfigError(f"stability.scales must be a nonempty list of finite positive "
+                          f"numbers, got {scales!r}", field="stability.scales")
     band = _get(cfg, "stability", "band", int)
     if band < 0:
         raise ConfigError(f"stability band must be nonnegative, got {band}",
@@ -288,15 +281,13 @@ def cmd_stability(args, cfg) -> int:
               f"max={rep.max_dist:.3e} ratio={rep.ratio:.2f}")
     fileio.write_json(out / "summary.json", {"runs": summaries})
     fileio.write_json(out / "manifest.json", fileio.manifest(
-        "stability", cfg, {"elapsed_s": round(time.time() - t0, 3), "seed": seed}))
+        "stability", cfg, {"elapsed_s": round(time.time() - t0, 3)}))
     return 0
 
 
 def cmd_validate_symbol(args, cfg) -> int:
-    name = args.name or _get(cfg, "problem", "symbol", str)
-    if not name:
-        raise ConfigError("symbol name is missing", field="problem.symbol")
-    sym = _parsed(symbol_from_name, name, "symbol" if args.name else "problem.symbol")
+    name = _name(cfg, "symbol")
+    sym = symbol_from_name(name)
     report = validate_symbol(sym, k_max=args.k_max, n_samples=args.samples)
     for line in report.lines():
         print(line)
@@ -329,13 +320,12 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute one constrained minimizer")
-    p.add_argument("--mu", type=float)
+    p.add_argument("--mu", dest="solver.mu", type=float)
     p.add_argument("--out", default="out-solve")
-    p.add_argument("--penalized", action="store_true")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("sweep", help="continuation over a mu list + convergence study")
-    p.add_argument("--mu-list", type=_float_list)
+    p.add_argument("--mu-list", dest="sweep.mu_list", type=_float_list)
     p.add_argument("--out", default="out-sweep")
     p.set_defaults(fn=cmd_sweep)
 
@@ -346,22 +336,22 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("evolve", help="travel test of a stored profile")
     p.add_argument("--profile", required=True)
-    p.add_argument("--T", type=float)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--T", dest="evolution.t_final", type=float)
+    p.add_argument("--dt", dest="evolution.dt", type=float)
     p.add_argument("--out", default="out-evolve")
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("stability", help="perturb a stored profile and evolve")
     p.add_argument("--profile", required=True)
-    p.add_argument("--scale", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--T", type=float)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--scale", dest="stability.scales", type=float, nargs=1)
+    p.add_argument("--seed", dest="stability.seed", type=int)
+    p.add_argument("--T", dest="evolution.t_final", type=float)
+    p.add_argument("--dt", dest="evolution.dt", type=float)
     p.add_argument("--out", default="out-stability")
     p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("validate-symbol", help="run the multiplier checks")
-    p.add_argument("--name")
+    p.add_argument("--name", dest="problem.symbol")
     p.add_argument("--k-max", type=float, default=100.0)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--out")
@@ -370,14 +360,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
-        if getattr(args, "mu", None) is not None:
-            cfg["solver"]["mu"] = args.mu
-        if getattr(args, "penalized", False):
-            cfg["solver"]["penalized"] = True
-        if getattr(args, "T", None) is not None:
-            cfg["evolution"]["t_final"] = args.T
-        if getattr(args, "dt", None) is not None:
-            cfg["evolution"]["dt"] = args.dt
+        for dest, value in vars(args).items():
+            section, dot, key = dest.partition(".")
+            if dot and value is not None:  # a flag given for a config key
+                cfg[section][key] = value
         # the gates turn an overflowing or non-finite field into a typed error;
         # numpy's own warnings would only print internal source lines first
         with np.errstate(over="ignore", invalid="ignore"):

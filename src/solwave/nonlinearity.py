@@ -170,5 +170,6 @@ def nonlinearity_from_name(name: str) -> Nonlinearity:
             cs = [float(v) for v in name.split(":", 1)[1].split(",")]
             return polynomial({d + 2: c for d, c in enumerate(cs)})
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad nonlinearity spec {name!r}: {exc}", field="nonlinearity")
-    raise ConfigError(f"unknown nonlinearity {name!r}", field="nonlinearity")
+        raise ConfigError(f"bad nonlinearity spec {name!r}: {exc}",
+                          field="problem.nonlinearity")
+    raise ConfigError(f"unknown nonlinearity {name!r}", field="problem.nonlinearity")

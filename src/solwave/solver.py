@@ -270,10 +270,7 @@ def minimize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
     polynomial multiplier; stationary points are unchanged.
     """
     cfg = replace(cfg, mu=1.0)
-    period = cfg.period if cfg.period is not None else _PERIOD_SCALE
-    n = cfg.points if cfg.points is not None else next_pow2(
-        max(256, period * _SEED_BAND / math.pi))
-    grid = PeriodicGrid(period, n)
+    grid = default_grid(cfg, 0.0, exponents(j_star, nl.p))
     # generic unit-width bump: the descent must find the ground state itself
     guess = SpectralField.from_values(grid, math.copysign(1.0, nl.cp)
                                       * np.exp(-0.5 * grid.nodes**2))

@@ -100,11 +100,13 @@ def gaussian() -> DispersionSymbol:
 def rational(s: float) -> DispersionSymbol:
     """(1 + k^2)^(-s) for finite s > 0 whose cut-off sqrt(2^(1/s) - 1) is finite."""
     if not 0 < 2.0 * s < math.inf:  # false on NaN; -2s is both the order and m''(0)
-        raise ConfigError(f"rational symbol needs finite s > 0, got {s!r}", field="symbol")
+        raise ConfigError(f"rational symbol needs finite s > 0, got {s!r}",
+                          field="problem.symbol")
     try:
         k_cut = math.sqrt(2.0 ** (1.0 / s) - 1.0)
     except OverflowError:
-        raise ConfigError(f"rational:{s!r} has no finite cut-off wavenumber", field="symbol")
+        raise ConfigError(f"rational:{s!r} has no finite cut-off wavenumber",
+                          field="problem.symbol")
 
     def m(k):
         k = np.asarray(k, dtype=float)
@@ -122,9 +124,10 @@ def symbol_from_name(name: str) -> DispersionSymbol:
         try:
             s = float(name.split(":", 1)[1])
         except ValueError:
-            raise ConfigError(f"bad rational symbol spec {name!r}", field="symbol")
+            raise ConfigError(f"bad rational symbol spec {name!r}",
+                              field="problem.symbol")
         return rational(s)
-    raise ConfigError(f"unknown symbol {name!r}", field="symbol")
+    raise ConfigError(f"unknown symbol {name!r}", field="problem.symbol")
 
 
 def taylor_remainder(sym: DispersionSymbol, k) -> float | np.ndarray:
@@ -182,8 +185,9 @@ def validate_symbol(sym: DispersionSymbol, k_max: float = 100.0,
     """Evaluate the multiplier invariants on a uniform sample of [-k_max, k_max]."""
     if not 0 < k_max < math.inf:  # false on NaN
         raise ConfigError("k_max must be finite and positive", field="k_max")
-    if n_samples < 16:
-        raise ConfigError("need at least 16 samples", field="samples")
+    if not 16 <= n_samples <= 2**20:
+        raise ConfigError(f"samples must be from 16 to 2^20, got {n_samples}",
+                          field="samples")
     ks = np.linspace(-k_max, k_max, n_samples)
     vals = np.asarray(sym.eval(ks), dtype=float)
     checks = []

@@ -99,11 +99,11 @@ def bad_inputs(d):
     evolution = {"dt_nan": {"dt": float("nan")}, "t_final_inf": {"t_final": float("inf")},
                  "stride_fraction": {"stride": 2.5}}
     cases = {  # id: (field, argv)
-        "ball_radius": ("problem.ball_radius", ["--config", write_config(
-            d, {"problem": {"ball_radius": 0}}), "solve"]),
         "profile": ("profile", ["evolve", "--profile", str(rows)]),
         "k_max": ("k_max", ["validate-symbol", "--k-max", "0"]),
         "samples": ("samples", ["validate-symbol", "--samples", "8"]),
+        # rejected before the sample array is allocated
+        "samples_huge": ("samples", ["validate-symbol", "--samples", "10000000000000"]),
         "k_max_text": ("argv", ["validate-symbol", "--k-max", "abc"]),
         "meta_keys": ("meta", ["evolve", "--profile", str(d / "keys" / "profile.csv")]),
         "meta_json": ("meta", ["evolve", "--profile", str(d / "json" / "profile.csv")]),
@@ -116,7 +116,8 @@ def bad_inputs(d):
             "--config", write_config(d, {"evolution": sec}, f"{case}.json"),
             "evolve", "--profile", str(cell)])
     for s in ("-1", "1e-300", "nan", "inf"):
-        cases[f"rational_{s}"] = ("symbol", ["validate-symbol", "--name", f"rational:{s}"])
+        cases[f"rational_{s}"] = ("problem.symbol",
+                                  ["validate-symbol", "--name", f"rational:{s}"])
     typed = {  # id: (config document, command); the field is section.key
         "mu_null": ({"solver": {"mu": None}}, ["solve"]),
         "points_text": ({"grid": {"points": "abc"}}, ["solve"]),
@@ -143,7 +144,19 @@ def bad_inputs(d):
     cases["band_negative"] = ("stability.band", ["--config", write_config(
         d, {"stability": {"band": -3}}, "band_negative.json"), "stability",
         "--profile", str(cell)])
+    # rejected before the profile, which is unreadable here, is read
+    for s in ("0", "nan"):
+        cases[f"scale_{s}"] = ("stability.scales", ["stability", "--profile", str(cell),
+                                                    "--scale", s])
+    cases["scales_empty"] = ("stability.scales", ["--config", write_config(
+        d, {"stability": {"scales": []}}, "scales_empty.json"), "stability",
+        "--profile", str(cell)])
     # retired keys: unknown at any value
+    cases["ball_radius"] = ("problem.ball_radius", ["--config", write_config(
+        d, {"problem": {"ball_radius": 1.0}}), "solve"])
+    cases["penalized"] = ("solver.penalized", ["--config", write_config(
+        d, {"solver": {"penalized": False}}, "penalized.json"), "solve"])
+    cases["penalized_flag"] = ("argv", ["solve", "--penalized"])
     cases["period_scale_zero"] = ("grid.period_scale", ["--config", write_config(
         d, {"grid": {"period_scale": 0.0}}, "period_scale_zero.json"), "solve"])
     cases["step_init_nan"] = ("solver.step_init", ["--config", write_config(
@@ -174,16 +187,17 @@ def bad_inputs(d):
 
 
 @pytest.mark.parametrize("case", [
-    "ball_radius", "profile", "k_max", "samples", "k_max_text", "meta_keys",
-    "meta_json", "profile_cell", "steps_fraction", "dt_nan", "t_final_inf",
-    "stride_fraction", "rational_-1", "rational_1e-300", "rational_nan",
-    "rational_inf", "mu_null", "points_text", "dt_text", "tau_above_1",
-    "scales_text", "points_range", "mu_list_text", "seed_negative",
-    "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu", "band_negative",
-    "period_scale_zero", "step_init_nan", "polarity_default", "integrator_default",
-    "symbol_number", "symbol_unparsed_validate-symbol", "symbol_unparsed_solve",
-    "nonlinearity_unparsed_solve", "meta_mu_text", "meta_mu_negative",
-    "zero_profile", "profile_other_symbol", "profile_other_nonlinearity"])
+    "ball_radius", "penalized", "penalized_flag", "profile", "k_max", "samples",
+    "samples_huge", "k_max_text", "meta_keys", "meta_json", "profile_cell",
+    "steps_fraction", "dt_nan", "t_final_inf", "stride_fraction", "rational_-1",
+    "rational_1e-300", "rational_nan", "rational_inf", "mu_null", "points_text",
+    "dt_text", "tau_above_1", "scales_text", "points_range", "mu_list_text",
+    "seed_negative", "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu",
+    "band_negative", "scale_0", "scale_nan", "scales_empty", "period_scale_zero",
+    "step_init_nan", "polarity_default", "integrator_default", "symbol_number",
+    "symbol_unparsed_validate-symbol", "symbol_unparsed_solve",
+    "nonlinearity_unparsed_solve", "meta_mu_text", "meta_mu_negative", "zero_profile",
+    "profile_other_symbol", "profile_other_nonlinearity"])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
     field, argv = bad_inputs(tmp_path)[case]
     rc = main([*argv, "--out", str(tmp_path / "o")])
@@ -261,7 +275,8 @@ def test_shipped_configs_load():
     assert paths
     for path in paths:
         cfg = load_config(str(path))
-        build_solve_config(cfg, build_problem(cfg))
+        build_problem(cfg)
+        build_solve_config(cfg)
         build_evolution_config(cfg)
 
 
@@ -386,16 +401,33 @@ def test_stability_command(sweep_dir, tmp_path):
     assert summary["runs"][0]["ratio"] >= 0
 
 
-def test_penalized_flag_matches_unpenalized(tmp_path):
-    from solwave.fileio import read_field_csv
-    from solwave.longwave import orbit_distance
-    plain, pen = tmp_path / "plain", tmp_path / "pen"
-    assert main(["solve", "--mu", "1e-2", "--out", str(plain)]) == 0
-    assert main(["solve", "--mu", "1e-2", "--penalized", "--out", str(pen)]) == 0
-    u = read_field_csv(plain / "profile.csv")
-    v = read_field_csv(pen / "profile.csv")
-    d, _ = orbit_distance(u, v)
-    assert d <= 1e-7
+@pytest.mark.parametrize("command, flags, echoed, outputs", [
+    ("solve", ["--mu", "1e-2"], {"solver": {"mu": 1e-2}}, ["profile.csv", "meta.json"]),
+    ("sweep", ["--mu-list", "4e-3,1e-2"], {"sweep": {"mu_list": [4e-3, 1e-2]}},
+     ["sweep.csv", "convergence.csv", "profiles/profile_001.csv"]),
+    ("evolve", ["--T", "1", "--dt", "0.02"], {"evolution": {"t_final": 1.0, "dt": 0.02}},
+     ["trace.csv", "final.csv"]),
+    ("stability", ["--scale", "0.01", "--seed", "42", "--T", "1"],
+     {"stability": {"scales": [0.01], "seed": 42}, "evolution": {"t_final": 1.0}},
+     ["trace_000.csv", "summary.json"]),
+], ids=["solve", "sweep", "evolve", "stability"])
+def test_manifest_echoes_every_flag_and_reruns(sweep_dir, tmp_path, command, flags,
+                                               echoed, outputs):
+    # each flag sets its config key; the manifest's config, run with no
+    # flags, writes the same files byte for byte
+    profile = []
+    if command in ("evolve", "stability"):
+        profile = ["--profile", str(sweep_dir / "profiles" / "profile_001.csv")]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([command, *flags, *profile, "--out", str(first)]) == 0
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    for section, keys in echoed.items():
+        for key, value in keys.items():
+            assert config[section][key] == value, f"{section}.{key}"
+    assert main(["--config", write_config(tmp_path, config), command, *profile,
+                 "--out", str(again)]) == 0
+    for name in outputs:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_bad_profile_path(tmp_path, capsys):
@@ -412,11 +444,9 @@ FUZZ_VALID = {
     "problem": {"symbol": ["whitham", "gaussian", "rational:2", "rational:0.6"],
                 "nonlinearity": ["quadratic", "poly:1,0.5", "modulus:2.5,1",
                                  "oddpower:3,1", "modulus:4.9,1", "poly:-1",
-                                 "modulus:2.5,-1"],
-                "ball_radius": [1.0, 0.3]},
+                                 "modulus:2.5,-1"]},
     "grid": {"period": [None, 20.0, 80.0, 400.0]},
-    "solver": {"mu": [1e-2, 5e-2, 0.3, 1e-3], "tol_residual": [1e-6, 1e-10],
-               "penalized": [False, True]},
+    "solver": {"mu": [1e-2, 5e-2, 0.3, 1e-3], "tol_residual": [1e-6, 1e-10]},
     "evolution": {"dt": [0.01, 0.05, 0.5, 5.0], "stride": [1, 7]},
     "sweep": {"mu_list": [[1e-2], [1e-2, 5e-2]], "tau": [0.9, 0.5]},
     "stability": {"scales": [[0.01], [0.05, 0.2]], "seed": [0, 7], "band": [0, 4, 32]},
@@ -425,17 +455,17 @@ FUZZ_VALID = {
 FUZZ_INVALID = [(sec, key, v) for sec, key, values in [
     ("problem", "symbol", ["rational:x", "nosuch", "", 3, None]),
     ("problem", "nonlinearity", ["poly:", "modulus:x", None, 2]),
-    ("problem", "ball_radius", [0.0, NAN, "1"]),
+    ("problem", "ball_radius", [1.0]),  # retired keys: unknown at any value
     ("grid", "points", [100, 0, 2.0, 1e9, "64"]),
     ("grid", "period", [0.0, -5.0, NAN, INF]),
-    ("grid", "period_scale", [80.0]),  # retired keys: unknown at any value
+    ("grid", "period_scale", [80.0]),
     ("solver", "mu", [0.0, -1.0, NAN, INF, "x", 1e300, 1e-30]),
     ("solver", "max_iter", [0, 2.5, True]),
     ("solver", "tol_residual", [0.0, INF]),
     ("solver", "step_init", [1.0]),
     ("solver", "step_shrink", [0.5]),
     ("solver", "armijo", [1e-4]),
-    ("solver", "penalized", [1]),
+    ("solver", "penalized", [False]),
     ("solver", "polarity", [1]),
     ("solver", "seed_profile", ["kdv"]),
     ("solver", "typo", [1]),
@@ -446,7 +476,7 @@ FUZZ_INVALID = [(sec, key, v) for sec, key, values in [
     ("evolution", "stride", [0, 2.5]),
     ("sweep", "mu_list", [[], [0.0], "abc", [NAN], [5e-2, 1e-2]]),
     ("sweep", "tau", [1.5, NAN]),
-    ("stability", "scales", [[], [NAN], "x", [0.5]]),
+    ("stability", "scales", [[], [NAN], "x", [0.5], [0.0], [-0.01]]),
     ("stability", "seed", [-1, 2.5]),
     ("stability", "band", [-3]),
     ("nosuch", "key", [1]),

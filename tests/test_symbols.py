@@ -131,7 +131,7 @@ def test_symbol_from_name():
                 "rational:nan", "rational:inf", "rational:1e308"):
         with pytest.raises(ConfigError) as err:
             symbol_from_name(bad)
-        assert err.value.info["field"] == "symbol"
+        assert err.value.info["field"] == "problem.symbol"
 
 
 @settings(max_examples=50, deadline=None)
