@@ -111,12 +111,9 @@ def scaling_diagnostics(prob: Problem, prof: WaveProfile,
 
 def convergence_rows(comparisons: list[LongWaveComparison],
                      records: list[ScalingRecord]) -> list[dict]:
-    rows = []
-    for c, r in zip(comparisons, records):
-        rows.append({
-            "mu": c.mu, "dist_aligned": c.aligned_distance,
-            "speed_dev": c.speed_deviation, "energy_dev": c.energy_deviation,
-            "shift": c.shift, "tau_ratio1": r.low_band_ratio,
-            "tau_ratio2": r.high_band_ratio, "supnorm_ratio": r.sup_ratio,
-        })
-    return rows
+    """The rows of convergence.csv; their keys are its header."""
+    return [{"mu": c.mu, "dist_aligned": c.aligned_distance,
+             "speed_dev": c.speed_deviation, "energy_dev": c.energy_deviation,
+             "shift": c.shift, "tau_ratio1": r.low_band_ratio,
+             "tau_ratio2": r.high_band_ratio, "supnorm_ratio": r.sup_ratio}
+            for c, r in zip(comparisons, records)]

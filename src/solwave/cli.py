@@ -30,8 +30,7 @@ from .functionals import Problem
 from .grid import PeriodicGrid, l2_norm
 from .longwave import exponents, scale_down
 from .nonlinearity import nonlinearity_from_name
-from .solver import (SolveConfig, WaveProfile, continuation_sweep,
-                     minimize_constrained, sweep_rows)
+from .solver import SolveConfig, continuation_sweep, minimize_constrained, sweep_rows
 from .symbols import symbol_from_name, validate_symbol
 
 DEFAULT_CONFIG = {
@@ -127,20 +126,14 @@ def build_evolution_config(cfg: dict) -> EvolutionConfig:
                            stride=_get(cfg, "evolution", "stride", int))
 
 
-def _write_profile(outdir: Path, prof: WaveProfile, stem: str = "profile"):
-    fileio.write_field_csv(outdir / f"{stem}.csv", prof.field)
-    fileio.write_json(outdir / f"meta{stem.removeprefix('profile')}.json", prof.meta())
-
-
 def cmd_solve(args, cfg) -> int:
     prob = build_problem(cfg)
     scfg = build_solve_config(cfg)
     out = Path(args.out)
     t0 = time.time()
     prof = minimize_constrained(prob, scfg)
-    _write_profile(out, prof)
-    fileio.write_json(out / "manifest.json",
-                      fileio.manifest("solve", cfg, {"elapsed_s": round(time.time() - t0, 3)}))
+    fileio.write_profile(out / "profile.csv", prof)
+    fileio.write_manifest(out / "manifest.json", "solve", cfg, t0)
     print(f"solved mu={prof.mu:g}: nu={prof.speed:.12g} residual={prof.residual:.3e} "
           f"iterations={prof.iterations} supercritical={prof.supercritical}")
     return 0
@@ -153,11 +146,9 @@ def _convergence_outputs(prob, profiles, tau, outdir: Path):
     ref = reduced_reference(prob, PeriodicGrid(scaled_period, n_ref))
     comparisons = convergence_study(prob, profiles, ref)
     records = [scaling_diagnostics(prob, p, tau) for p in profiles]
-    fileio.write_rows_csv(outdir / "convergence.csv",
-                          convergence_rows(comparisons, records),
-                          fileio.CONVERGENCE_COLUMNS)
+    fileio.write_rows_csv(outdir / "convergence.csv", convergence_rows(comparisons, records))
     # the high-band ratio beside the round-off floor it cannot be measured below
-    fileio.write_csv(outdir / "diagnostics.csv", fileio.DIAGNOSTICS_COLUMNS,
+    fileio.write_csv(outdir / "diagnostics.csv", ["mu", "tau_ratio2", "high_band_floor"],
                      [(r.mu, r.high_band_ratio, r.high_band_floor) for r in records])
     return ref
 
@@ -178,23 +169,21 @@ def cmd_sweep(args, cfg) -> int:
     profiles = continuation_sweep(prob, _numbers(cfg, "sweep", "mu_list"),
                                   build_solve_config(cfg))
     for i, prof in enumerate(profiles):
-        _write_profile(out / "profiles", prof, stem=f"profile_{i:03d}")
-    fileio.write_rows_csv(out / "sweep.csv", sweep_rows(profiles), fileio.SWEEP_COLUMNS)
+        fileio.write_profile(out / "profiles" / f"profile_{i:03d}.csv", prof)
+    fileio.write_rows_csv(out / "sweep.csv", sweep_rows(profiles))
     _convergence_outputs(prob, profiles, tau, out)
-    fileio.write_json(out / "manifest.json",
-                      fileio.manifest("sweep", cfg, {"elapsed_s": round(time.time() - t0, 3)}))
+    fileio.write_manifest(out / "manifest.json", "sweep", cfg, t0)
     print(f"sweep of {len(profiles)} waves written to {out}")
     return 0
 
 
 def cmd_compare_kdv(args, cfg) -> int:
     src = Path(args.sweep_dir)
-    metas = sorted(src.glob("profiles/meta_*.json"))
-    if not metas:
+    paths = sorted(src.glob("profiles/profile_*.csv"))
+    if not paths:
         raise ConfigError(f"no sweep profiles under {src}", field="sweep-dir")
     prob = build_problem(cfg)
-    profiles = [_load_profile(mp.parent / f"profile{mp.stem.removeprefix('meta')}.csv", prob)
-                for mp in metas]
+    profiles = [fileio.read_profile(p, prob) for p in paths]
     out = Path(args.out or args.sweep_dir)
     t0 = time.time()
     exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
@@ -202,48 +191,24 @@ def cmd_compare_kdv(args, cfg) -> int:
     for i, prof in enumerate(profiles):
         w = scale_down(prof.mu, exps, prof.field, period_hint=ref.field.grid.period)
         fileio.write_field_csv(out / "scaled" / f"scaled_{i:03d}.csv", w)
-    fileio.write_json(out / "manifest_compare.json",
-                      fileio.manifest("compare-kdv", cfg,
-                                      {"elapsed_s": round(time.time() - t0, 3)}))
+    fileio.write_manifest(out / "manifest_compare.json", "compare-kdv", cfg, t0)
     print(f"convergence study over {len(profiles)} waves written to {out}")
     return 0
-
-
-def _load_profile(path, prob: Problem) -> WaveProfile:
-    """A stored profile.csv together with its meta.json, which must name the
-    symbol and nonlinearity of ``prob``."""
-    p = Path(path)
-    u = fileio.read_field_csv(p)
-    meta_path = p.parent / ("meta" + p.stem.removeprefix("profile") + ".json")
-    if not meta_path.exists():
-        raise ConfigError(f"missing metadata {meta_path}", field="profile")
-    try:
-        prof = WaveProfile.from_meta(u, json.loads(meta_path.read_text()))
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ConfigError(f"{meta_path}: unusable metadata: {type(exc).__name__}: {exc}",
-                          field="meta")
-    for key, stored, wanted in (("symbol", prof.symbol, prob.symbol.name),
-                                ("nonlinearity", prof.nonlinearity, prob.nonlinearity.name)):
-        if stored != wanted:
-            raise ConfigError(f"{meta_path} was computed with {key} {stored!r}, "
-                              f"not {wanted!r}", field=f"problem.{key}")
-    return prof
 
 
 def cmd_evolve(args, cfg) -> int:
     prob = build_problem(cfg)
     ecfg = build_evolution_config(cfg)
-    prof = _load_profile(args.profile, prob)
+    prof = fileio.read_profile(args.profile, prob)
     out = Path(args.out)
     t0 = time.time()
     report = travel_test(prob, prof, ecfg)
-    fileio.write_rows_csv(out / "trace.csv", report.trace.rows(), fileio.TRACE_COLUMNS)
+    fileio.write_rows_csv(out / "trace.csv", report.trace.rows())
     fileio.write_field_csv(out / "final.csv", report.trace.final)
-    fileio.write_json(out / "manifest.json", fileio.manifest(
-        "evolve", cfg, {"elapsed_s": round(time.time() - t0, 3),
-                        "shape_error": report.shape_error,
-                        "measured_speed": report.measured_speed,
-                        "speed_error": report.speed_error}))
+    fileio.write_manifest(out / "manifest.json", "evolve", cfg, t0,
+                          shape_error=report.shape_error,
+                          measured_speed=report.measured_speed,
+                          speed_error=report.speed_error)
     print(f"travelled T={ecfg.t_final:g}: shape_error={report.shape_error:.3e} "
           f"speed_error={report.speed_error:.3e}")
     return 0
@@ -264,7 +229,7 @@ def cmd_stability(args, cfg) -> int:
     if band < 0:
         raise ConfigError(f"stability band must be nonnegative, got {band}",
                           field="stability.band")
-    prof = _load_profile(args.profile, prob)
+    prof = fileio.read_profile(args.profile, prob)
     out = Path(args.out)
     t0 = time.time()
     summaries = []
@@ -272,16 +237,14 @@ def cmd_stability(args, cfg) -> int:
         pert = perturbation(prof.field.grid, l2_norm(prof.field), scale,
                             seed + i, band=band)
         rep: StabilityReport = stability_experiment(prob, prof, pert, ecfg)
-        fileio.write_rows_csv(out / f"trace_{i:03d}.csv", rep.trace.rows(),
-                              fileio.TRACE_COLUMNS)
+        fileio.write_rows_csv(out / f"trace_{i:03d}.csv", rep.trace.rows())
         summaries.append({"scale": scale, "seed": seed + i,
                           "initial_dist": rep.initial_dist,
                           "max_dist": rep.max_dist, "ratio": rep.ratio})
         print(f"scale={scale:g}: initial={rep.initial_dist:.3e} "
               f"max={rep.max_dist:.3e} ratio={rep.ratio:.2f}")
     fileio.write_json(out / "summary.json", {"runs": summaries})
-    fileio.write_json(out / "manifest.json", fileio.manifest(
-        "stability", cfg, {"elapsed_s": round(time.time() - t0, 3)}))
+    fileio.write_manifest(out / "manifest.json", "stability", cfg, t0)
     return 0
 
 

@@ -61,6 +61,7 @@ class EvolutionTrace:
     final: SpectralField
 
     def rows(self) -> list[dict]:
+        """The rows of trace.csv; their keys are its header."""
         return [{"t": float(t), "E_drift": float(e), "Q_drift": float(q),
                  "orbit_dist": float(d), "shift": float(y)}
                 for t, e, q, d, y in zip(self.times, self.e_drift, self.q_drift,

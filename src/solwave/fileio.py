@@ -1,20 +1,33 @@
-"""CSV/JSON serialization with deterministic formatting.
+"""Every file a study writes and reads back.
 
 All floats are written as %.17g so identical runs give byte-identical files;
-writes go through a temp file and an atomic rename.
+writes go through a temp file and an atomic rename.  A stored wave is a pair:
+``profile<suffix>.csv`` holds its samples and ``meta<suffix>.json`` beside it
+its certificate numbers, and ``read_profile`` is the one way from that pair
+back to a ``WaveProfile``.  A table's header is the keys of its first row.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError
+from .functionals import Problem
 from .grid import PeriodicGrid, SpectralField
+from .solver import WaveProfile
+
+_CONVENTION = "unitary-sqrtP"  # the grid's coefficient convention
+_META_KINDS = {"mu": float, "nu": float, "residual": float, "energy": float,
+               "P": float, "N": int, "iterations": int, "supercritical": bool,
+               "symbol": str, "nonlinearity": str, "convention": str}
 
 
 def atomic_write(path, text: str):
@@ -41,6 +54,20 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def write_json(path, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_rows_csv(path, rows: list[dict]) -> None:
+    """A table whose header is the first row's keys, which every row shares."""
+    header = list(rows[0])
+    write_csv(path, header, [[row[c] for c in header] for row in rows])
+
+
+def write_manifest(path, command: str, config: dict, t0: float, **extra) -> None:
+    """The command, its effective config, the versions, the seconds since
+    ``t0`` and any ``extra`` results."""
+    write_json(path, {"command": command, "config": config,
+                      "versions": {"solwave": __version__, "numpy": np.__version__},
+                      "elapsed_s": round(time.time() - t0, 3), **extra})
 
 
 def write_field_csv(path, u: SpectralField) -> None:
@@ -85,25 +112,70 @@ def read_field_csv(path) -> SpectralField:
     return SpectralField.from_values(grid, vs)
 
 
-def write_rows_csv(path, rows: list[dict], columns: list[str]) -> None:
-    write_csv(path, columns, [[row[c] for c in columns] for row in rows])
+def _meta_path(profile: Path) -> Path:
+    """meta<suffix>.json beside profile<suffix>.csv."""
+    return profile.with_name("meta" + profile.stem.removeprefix("profile") + ".json")
 
 
-SWEEP_COLUMNS = ["mu", "P", "N", "nu", "energy", "residual", "tail", "iters"]
-CONVERGENCE_COLUMNS = ["mu", "dist_aligned", "speed_dev", "energy_dev", "shift",
-                       "tau_ratio1", "tau_ratio2", "supnorm_ratio"]
-TRACE_COLUMNS = ["t", "E_drift", "Q_drift", "orbit_dist", "shift"]
-DIAGNOSTICS_COLUMNS = ["mu", "tau_ratio2", "high_band_floor"]
+def write_profile(path, prof: WaveProfile) -> None:
+    """The samples at ``path`` and the certificate numbers beside them."""
+    path = Path(path)
+    g = prof.field.grid
+    write_field_csv(path, prof.field)
+    write_json(_meta_path(path), {
+        "mu": prof.mu, "nu": prof.speed, "residual": prof.residual,
+        "energy": prof.energy, "P": g.period, "N": g.n,
+        "iterations": prof.iterations, "supercritical": prof.supercritical,
+        "symbol": prof.symbol, "nonlinearity": prof.nonlinearity,
+        "convention": _CONVENTION,
+    })
 
 
-def manifest(command: str, config: dict, extra: dict | None = None) -> dict:
-    import numpy
-    from . import __version__
-    out = {
-        "command": command,
-        "config": config,
-        "versions": {"solwave": __version__, "numpy": numpy.__version__},
-    }
-    if extra:
-        out.update(extra)
-    return out
+def _check_meta(meta, grid: PeriodicGrid) -> None:
+    """ValueError naming the first entry of ``meta`` that is missing, of the
+    wrong kind, out of range, or not that of the stored samples."""
+    if not isinstance(meta, dict):
+        raise ValueError("not a JSON object")
+    for key, kind in _META_KINDS.items():
+        if key not in meta:
+            raise ValueError(f"no {key!r}")
+        v = meta[key]
+        if kind is float:
+            ok = (isinstance(v, (int, float)) and not isinstance(v, bool)
+                  and math.isfinite(v))
+        else:
+            ok = isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
+        if not ok:
+            raise ValueError(f"{key} = {v!r} is not a usable {kind.__name__}")
+    if meta["mu"] <= 0:
+        raise ValueError(f"mu = {meta['mu']!r} is not positive")
+    for key, wanted in (("P", grid.period), ("N", grid.n), ("convention", _CONVENTION)):
+        if meta[key] != wanted:
+            raise ValueError(f"{key} is {meta[key]!r}, not the profile's {wanted!r}")
+
+
+def read_profile(path, prob: Problem) -> WaveProfile:
+    """The wave stored at ``path`` by ``write_profile``.
+
+    Its meta must hold every entry that ``write_profile`` writes, with the
+    grid of the samples, the package's convention, and the symbol and
+    nonlinearity of ``prob``; anything else is a ConfigError."""
+    u = read_field_csv(path)
+    meta_path = _meta_path(Path(path))
+    if not meta_path.exists():
+        raise ConfigError(f"missing metadata {meta_path}", field="profile")
+    try:
+        meta = json.loads(meta_path.read_text())
+        _check_meta(meta, u.grid)
+    except ValueError as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"{meta_path}: unusable metadata: {exc}", field="meta")
+    for key, wanted in (("symbol", prob.symbol.name),
+                        ("nonlinearity", prob.nonlinearity.name)):
+        if meta[key] != wanted:
+            raise ConfigError(f"{meta_path} was computed with {key} {meta[key]!r}, "
+                              f"not {wanted!r}", field=f"problem.{key}")
+    return WaveProfile(field=u, mu=meta["mu"], speed=meta["nu"],
+                       residual=meta["residual"], energy=meta["energy"],
+                       symbol=meta["symbol"], nonlinearity=meta["nonlinearity"],
+                       iterations=meta["iterations"],
+                       supercritical=meta["supercritical"])

@@ -149,10 +149,6 @@ class SpectralField:
             raise ValueError(f"expected {grid.n} coefficients, got {c.shape}")
         return cls(grid, _frozen(grid.to_values(c)), _frozen(c.copy()))
 
-    @classmethod
-    def zero(cls, grid: PeriodicGrid) -> "SpectralField":
-        return cls.from_values(grid, np.zeros(grid.n))
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         require_same_grid(self, other)
         return SpectralField(self.grid, _frozen(self.values + other.values),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (BallExit, ConfigError, MaxIterations, MuTooLarge,
-                     NoConvergence, SubcriticalSpeed)
+                     NoConvergence, ResolutionLoss, SubcriticalSpeed)
 from .functionals import (DiscreteFunctional, Penalization, Problem,
                           discretize, discretize_reduced)
 from .grid import PeriodicGrid, SpectralField, change_points, l2_norm, tail_max
@@ -35,6 +35,7 @@ _MIN_PERIOD = 64.0
 _NYQUIST_FACTOR = 2.2  # times the band-split cutoff
 _SEED_BAND = 45.0      # scaled Nyquist demand of the seed spectrum
 MAX_POINTS = 2**20     # largest grid a solve may ask for
+_EDGE_GATE = 1e-6      # weight at the top of the 2/3 band beyond which a wave is unresolved
 
 
 @dataclass
@@ -72,10 +73,6 @@ class SolveConfig:
                               field="grid.points", value=self.points)
 
 
-_META_KINDS = {"mu": float, "nu": float, "residual": float, "energy": float,
-               "symbol": str, "nonlinearity": str, "iterations": int, "supercritical": bool}
-
-
 @dataclass(frozen=True)
 class WaveProfile:
     """A computed travelling wave and its certificate numbers."""
@@ -89,38 +86,6 @@ class WaveProfile:
     nonlinearity: str
     iterations: int
     supercritical: bool
-
-    def meta(self) -> dict:
-        g = self.field.grid
-        return {
-            "mu": self.mu, "nu": self.speed, "residual": self.residual,
-            "energy": self.energy, "P": g.period, "N": g.n,
-            "iterations": self.iterations, "supercritical": self.supercritical,
-            "symbol": self.symbol, "nonlinearity": self.nonlinearity,
-            "convention": "unitary-sqrtP",
-        }
-
-    @classmethod
-    def from_meta(cls, field: SpectralField, meta: dict) -> "WaveProfile":
-        """The profile that ``meta()`` described, around its stored field.
-
-        A missing entry raises KeyError, an entry of the wrong type TypeError,
-        and a number that is not finite, or a momentum that is not positive,
-        ValueError."""
-        for key, kind in _META_KINDS.items():
-            v = meta[key]
-            if kind is float:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise TypeError(f"{key} must be a number, got {v!r}")
-                if not math.isfinite(v) or (key == "mu" and v <= 0):
-                    raise ValueError(f"{key} = {v!r} is out of range")
-            elif not isinstance(v, kind) or (kind is int and isinstance(v, bool)):
-                raise TypeError(f"{key} must be {kind.__name__}, got {v!r}")
-        return cls(field=field, mu=meta["mu"], speed=meta["nu"],
-                   residual=meta["residual"], energy=meta["energy"],
-                   symbol=meta["symbol"], nonlinearity=meta["nonlinearity"],
-                   iterations=meta["iterations"],
-                   supercritical=meta["supercritical"])
 
 
 def next_pow2(x: float) -> int:
@@ -230,6 +195,12 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
 
 def _finish(eng: DiscreteFunctional, prob_symbol: str, nl_name: str, mu: float,
             m_sup: float, c: np.ndarray, nu: float, res: float, its: int) -> WaveProfile:
+    # the 2/3 rule keeps |m| <= N/3: weight at the top of that band is unresolved
+    n, m, a = eng.grid.n, np.abs(eng.grid.modes), np.abs(c)
+    edge, peak = float(np.max(a[(m > 0.3 * n) & (m <= n // 3)])), float(np.max(a))
+    if edge > _EDGE_GATE * peak:
+        raise ResolutionLoss(f"mu = {mu:g}: {edge / peak:.2e} of the peak coefficient at "
+                             f"the top of the kept band on N = {n}", mu=mu, ratio=edge / peak)
     u = center(SpectralField.from_coeffs(eng.grid, c))
     supercritical = nu > m_sup
     return WaveProfile(field=u, mu=mu, speed=nu, residual=res,
@@ -356,11 +327,7 @@ def continuation_sweep(prob: Problem, mu_list: list[float],
 
 
 def sweep_rows(profiles: list[WaveProfile]) -> list[dict]:
-    rows = []
-    for p in profiles:
-        rows.append({
-            "mu": p.mu, "P": p.field.grid.period, "N": p.field.grid.n,
-            "nu": p.speed, "energy": p.energy, "residual": p.residual,
-            "tail": tail_max(p.field), "iters": p.iterations,
-        })
-    return rows
+    """The rows of sweep.csv; their keys are its header."""
+    return [{"mu": p.mu, "P": p.field.grid.period, "N": p.field.grid.n, "nu": p.speed,
+             "energy": p.energy, "residual": p.residual, "tail": tail_max(p.field),
+             "iters": p.iterations} for p in profiles]

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -87,10 +88,15 @@ def bad_inputs(d):
     rows.write_text("x,u\n" + "".join(f"{j - 50.0!r},0.0\n" for j in range(100)))
     good = "x,u\n" + "".join(f"{j - 8.0!r},0.0\n" for j in range(16))
     full = {"mu": 0.01, "nu": 1.0, "residual": 0.0, "energy": -0.01, "symbol": "whitham",
-            "nonlinearity": "quadratic", "iterations": 0, "supercritical": True}
+            "nonlinearity": "quadratic", "iterations": 0, "supercritical": True,
+            "P": 16.0, "N": 16, "convention": "unitary-sqrtP"}
+    # the last three disagree with the samples or the package's convention
     for name, meta in [("keys", '{"mu": 0.01}'), ("json", "not json"),
                        ("zero", json.dumps(full)), ("mu_text", json.dumps({**full, "mu": "x"})),
-                       ("mu_negative", json.dumps({**full, "mu": -1.0}))]:
+                       ("mu_negative", json.dumps({**full, "mu": -1.0})),
+                       ("P", json.dumps({**full, "P": 1.0})),
+                       ("N", json.dumps({**full, "N": 32})),
+                       ("convention", json.dumps({**full, "convention": "something-else"}))]:
         (d / name).mkdir()
         (d / name / "profile.csv").write_text(good)
         (d / name / "meta.json").write_text(meta)
@@ -174,7 +180,7 @@ def bad_inputs(d):
                            ("nonlinearity", "poly:", "solve")):
         cases[f"{key}_unparsed_{cmd}"] = (f"problem.{key}", ["--config", write_config(
             d, {"problem": {key: name}}, f"{key}_unparsed_{cmd}.json"), cmd])
-    for name in ("mu_text", "mu_negative"):
+    for name in ("mu_text", "mu_negative", "P", "N", "convention"):
         cases[f"meta_{name}"] = ("meta", ["evolve", "--profile", str(d / name / "profile.csv")])
     cases["zero_profile"] = ("profile", ["stability", "--profile",
                                          str(d / "zero" / "profile.csv"), "--T", "0.1"])
@@ -196,8 +202,8 @@ def bad_inputs(d):
     "band_negative", "scale_0", "scale_nan", "scales_empty", "period_scale_zero",
     "step_init_nan", "polarity_default", "integrator_default", "symbol_number",
     "symbol_unparsed_validate-symbol", "symbol_unparsed_solve",
-    "nonlinearity_unparsed_solve", "meta_mu_text", "meta_mu_negative", "zero_profile",
-    "profile_other_symbol", "profile_other_nonlinearity"])
+    "nonlinearity_unparsed_solve", "meta_mu_text", "meta_mu_negative", "meta_P", "meta_N",
+    "meta_convention", "zero_profile", "profile_other_symbol", "profile_other_nonlinearity"])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
     field, argv = bad_inputs(tmp_path)[case]
     rc = main([*argv, "--out", str(tmp_path / "o")])
@@ -216,19 +222,45 @@ def test_bad_input_fails_closed(tmp_path, capsys, case):
 
 
 def test_profile_problem_compares_normalised_names(tmp_path):
-    from solwave.cli import _load_profile
-    from solwave.fileio import write_field_csv
+    from solwave.fileio import read_profile, write_field_csv
     from solwave.grid import PeriodicGrid, SpectralField
     g = PeriodicGrid(40.0, 64)
     write_field_csv(tmp_path / "profile.csv",
                     SpectralField.from_values(g, np.exp(-g.nodes ** 2)))
     (tmp_path / "meta.json").write_text(json.dumps({
         "mu": 1.0, "nu": 1.0, "residual": 0.0, "energy": -1.0, "symbol": "rational:2",
-        "nonlinearity": "modulus:2.5,1", "iterations": 0, "supercritical": True}))
+        "nonlinearity": "modulus:2.5,1", "iterations": 0, "supercritical": True,
+        "P": 40.0, "N": 64, "convention": "unitary-sqrtP"}))
     cfg = load_config(write_config(tmp_path, {"problem": {
         "symbol": "rational:2.0", "nonlinearity": "modulus:2.50,1.0"}}))
-    prof = _load_profile(tmp_path / "profile.csv", build_problem(cfg))
+    prof = read_profile(tmp_path / "profile.csv", build_problem(cfg))
     assert (prof.symbol, prof.nonlinearity) == ("rational:2", "modulus:2.5,1")
+
+
+def test_profile_round_trips_through_its_files(tmp_path):
+    from dataclasses import fields
+    from solwave.fileio import read_profile, write_profile
+    from solwave.solver import SolveConfig, minimize_constrained
+    prob = build_problem(load_config(None))
+    prof = minimize_constrained(prob, SolveConfig(mu=1e-2))
+    write_profile(tmp_path / "profile_007.csv", prof)
+    assert (tmp_path / "meta_007.json").exists()
+    back = read_profile(tmp_path / "profile_007.csv", prob)
+    assert back.field.grid == prof.field.grid
+    assert back.field.values.tobytes() == prof.field.values.tobytes()
+    for f in fields(prof):
+        if f.name != "field":
+            assert getattr(back, f.name) == getattr(prof, f.name), f.name
+
+
+def test_unresolved_solve_is_resolution_loss(tmp_path, capsys):
+    # past the small-momentum regime the descent converges to a field with
+    # weight at the top of the kept band, which no grid resolves
+    rc = main(["solve", "--mu", "0.1", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "RESOLUTION_LOSS"
+    assert not (tmp_path / "o" / "profile.csv").exists()
 
 
 def test_whole_float_stride_is_an_integer(tmp_path):
@@ -245,7 +277,7 @@ def test_readme_lists_the_default_config():
 
 def test_sweep_outside_the_long_wave_frame_is_grid_mismatch(tmp_path, capsys):
     # a fixed period cannot hold every mu of a sweep in one long-wave frame
-    cfg = write_config(tmp_path, {"grid": {"period": 80.0, "points": 128}})
+    cfg = write_config(tmp_path, {"grid": {"period": 80.0, "points": 1024}})
     rc = main(["--config", cfg, "sweep", "--mu-list", "1e-2,5e-2", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "GRID_MISMATCH"
@@ -301,7 +333,7 @@ def test_sweep_outputs(sweep_dir):
 
 def test_diagnostics_file_writes_the_high_band_floor(sweep_dir):
     from solwave.analysis import scaling_diagnostics
-    from solwave.cli import _load_profile
+    from solwave.fileio import read_profile
     lines = (sweep_dir / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == "mu,tau_ratio2,high_band_floor"
     conv = (sweep_dir / "convergence.csv").read_text().splitlines()[1:]
@@ -309,7 +341,7 @@ def test_diagnostics_file_writes_the_high_band_floor(sweep_dir):
     tau = DEFAULT_CONFIG["sweep"]["tau"]
     for i, (line, conv_line) in enumerate(zip(lines[1:], conv, strict=True)):
         mu, ratio, floor = map(float, line.split(","))
-        rec = scaling_diagnostics(prob, _load_profile(
+        rec = scaling_diagnostics(prob, read_profile(
             sweep_dir / "profiles" / f"profile_{i:03d}.csv", prob), tau)
         assert (mu, ratio, floor) == (rec.mu, rec.high_band_ratio, rec.high_band_floor)
         assert ratio == float(conv_line.split(",")[6])  # tau_ratio2
@@ -333,6 +365,15 @@ def test_compare_kdv_on_sweep(sweep_dir, tmp_path):
     assert (out / "scaled" / "scaled_000.csv").exists()
 
 
+def test_compare_kdv_needs_every_meta(sweep_dir, tmp_path, capsys):
+    src = tmp_path / "sweep"
+    shutil.copytree(sweep_dir, src)
+    (src / "profiles" / "meta_001.json").unlink()
+    rc = main(["compare-kdv", "--sweep-dir", str(src), "--out", str(tmp_path / "cmp")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "CONFIG"
+
+
 def test_evolve_command(sweep_dir, tmp_path):
     out = tmp_path / "ev"
     rc = main(["evolve", "--profile", str(sweep_dir / "profiles" / "profile_001.csv"),
@@ -354,7 +395,8 @@ def nan_evolve_argv(tmp_path):
                     SpectralField.from_values(g, 0.8 / np.cosh(1.5 * g.nodes) ** 2))
     (tmp_path / "meta.json").write_text(json.dumps({
         "mu": 1.0, "nu": 1.0, "residual": 0.0, "energy": -1.0, "symbol": "whitham",
-        "nonlinearity": "quadratic", "iterations": 0, "supercritical": True}))
+        "nonlinearity": "quadratic", "iterations": 0, "supercritical": True,
+        "P": 40.0, "N": 512, "convention": "unitary-sqrtP"}))
     cfg = write_config(tmp_path, {"evolution": {"dt": 5.0, "t_final": 50.0, "stride": 5}})
     return ["--config", cfg, "evolve", "--profile", str(tmp_path / "profile.csv"),
             "--out", str(tmp_path / "o")]
@@ -494,7 +536,7 @@ fuzz_profiles = st.tuples(
     st.sampled_from([16, 64, 128]), st.sampled_from([40.0, 80.0]), st.floats(-1.5, 1.5),
     st.none() | st.sampled_from([("n", 100), ("amp", NAN), ("amp", 1e200)] + [
         (key, v) for key in ("mu", "nu", "residual", "energy", "symbol", "nonlinearity",
-                             "iterations", "supercritical")
+                             "iterations", "supercritical", "P", "N", "convention")
         for v in ("x", None, NAN, -1.0, True, "drop")]))
 
 fuzz_commands = st.one_of(
@@ -529,7 +571,8 @@ def test_cli_fails_closed_on_generated_input(config, profile, command):
     problem = {"symbol": "whitham", "nonlinearity": "quadratic", **doc.get("problem", {})}
     meta = {"mu": 1e-2, "nu": 1.01, "residual": 0.0, "energy": -1e-2,
             "symbol": problem["symbol"], "nonlinearity": problem["nonlinearity"],
-            "iterations": 0, "supercritical": True}
+            "iterations": 0, "supercritical": True, "P": period, "N": n,
+            "convention": "unitary-sqrtP"}
     if bad_profile is not None:
         key, value = bad_profile
         if key == "n":

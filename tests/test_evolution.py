@@ -81,7 +81,7 @@ def test_travel_test(wave):
 def test_zero_perturbation_reduces_to_travel(wave):
     # without a perturbation the distance stays at the travel shape error
     cfg = EvolutionConfig(dt=0.02, t_final=5.0, stride=50)
-    pert = SpectralField.zero(wave.field.grid)
+    pert = SpectralField.from_values(wave.field.grid, np.zeros(wave.field.grid.n))
     rep = stability_experiment(PROB, wave, pert, cfg)
     assert rep.max_dist <= 1e-9
 

@@ -32,7 +32,7 @@ def field(seed, grid=None, scale=1.0):
 
 def test_momentum_closed_forms():
     g = PeriodicGrid(18.0, 64)
-    assert momentum(SpectralField.zero(g)) == 0.0
+    assert momentum(SpectralField.from_values(g, np.zeros(g.n))) == 0.0
     a = 0.7
     u = SpectralField.from_values(g, a * np.cos(2 * np.pi * g.nodes / g.period))
     assert momentum(u) == approx(a**2 * g.period / 4, rel=1e-13)
@@ -44,7 +44,7 @@ def test_momentum_of_kdv_soliton():
 
 
 def test_energy_zero_field():
-    assert energy(PROB, SpectralField.zero(PeriodicGrid(10.0, 32))) == 0.0
+    assert energy(PROB, SpectralField.from_values(PeriodicGrid(10.0, 32), np.zeros(32))) == 0.0
 
 
 def test_energy_of_cosine():
@@ -120,7 +120,7 @@ def test_penalized_gradient_finite_differences():
 
 def test_reduced_energy_closed_form():
     assert reduced_energy(1, -1.0 / 3.0, quadratic(),
-                          SpectralField.zero(PeriodicGrid(10.0, 32))) == 0.0
+                          SpectralField.from_values(PeriodicGrid(10.0, 32), np.zeros(32))) == 0.0
     w = kdv_soliton(PeriodicGrid(80.0, 1024))
     assert reduced_energy(1, -1.0 / 3.0, quadratic(), w) == approx(
         KDV_REDUCED_ENERGY, abs=1e-12)

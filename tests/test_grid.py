@@ -116,8 +116,8 @@ def test_inner_l2_closed_forms():
 
 
 def test_inner_l2_requires_same_grid():
-    u = SpectralField.zero(PeriodicGrid(10.0, 32))
-    v = SpectralField.zero(PeriodicGrid(10.0, 64))
+    u = SpectralField.from_values(PeriodicGrid(10.0, 32), np.zeros(32))
+    v = SpectralField.from_values(PeriodicGrid(10.0, 64), np.zeros(64))
     with pytest.raises(GridMismatch):
         inner_l2(u, v)
 
