@@ -24,7 +24,7 @@ from . import fileio
 from .analysis import (convergence_rows, convergence_study, reduced_reference,
                        scaling_diagnostics)
 from .errors import ConfigError, SolwaveError
-from .evolution import (EvolutionConfig, StabilityReport, perturbation,
+from .evolution import (MAX_PERTURBATION, EvolutionConfig, StabilityReport, perturbation,
                         stability_experiment, travel_test)
 from .functionals import Problem
 from .grid import PeriodicGrid, l2_norm
@@ -38,8 +38,8 @@ DEFAULT_CONFIG = {
     "grid": {"period": None, "points": None},
     "solver": {"mu": 1e-3, "tol_residual": 1e-9, "max_iter": 50_000},
     "evolution": {"dt": 0.01, "t_final": 20.0, "stride": 50},
-    "sweep": {"mu_list": [1e-4, 3e-4, 1e-3, 3e-3, 1e-2], "tau": 0.9},
-    "stability": {"scales": [0.005, 0.01, 0.02], "seed": 20260811, "band": 32},
+    "sweep": {"mu_list": [1e-4, 3e-4, 1e-3, 3e-3, 1e-2]},
+    "stability": {"scales": [0.005, 0.01, 0.02], "seed": 20260811},
 }
 
 
@@ -139,13 +139,13 @@ def cmd_solve(args, cfg) -> int:
     return 0
 
 
-def _convergence_outputs(prob, profiles, tau, outdir: Path):
+def _convergence_outputs(prob, profiles, outdir: Path):
     exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
     n_ref = max(p.field.grid.n for p in profiles)
     scaled_period = profiles[0].field.grid.period * profiles[0].mu**exps.beta
     ref = reduced_reference(prob, PeriodicGrid(scaled_period, n_ref))
     comparisons = convergence_study(prob, profiles, ref)
-    records = [scaling_diagnostics(prob, p, tau) for p in profiles]
+    records = [scaling_diagnostics(prob, p) for p in profiles]
     fileio.write_rows_csv(outdir / "convergence.csv", convergence_rows(comparisons, records))
     # the high-band ratio beside the round-off floor it cannot be measured below
     fileio.write_csv(outdir / "diagnostics.csv", ["mu", "tau_ratio2", "high_band_floor"],
@@ -153,25 +153,16 @@ def _convergence_outputs(prob, profiles, tau, outdir: Path):
     return ref
 
 
-def _sweep_tau(cfg: dict) -> float:
-    """The weighted-norm exponent, checked before any solve runs."""
-    tau = _get(cfg, "sweep", "tau")
-    if not tau < 1:  # true on NaN
-        raise ConfigError(f"sweep.tau must be below 1, got {tau!r}", field="sweep.tau")
-    return tau
-
-
 def cmd_sweep(args, cfg) -> int:
     out = Path(args.out)
     t0 = time.time()
     prob = build_problem(cfg)
-    tau = _sweep_tau(cfg)
     profiles = continuation_sweep(prob, _numbers(cfg, "sweep", "mu_list"),
                                   build_solve_config(cfg))
     for i, prof in enumerate(profiles):
         fileio.write_profile(out / "profiles" / f"profile_{i:03d}.csv", prof)
     fileio.write_rows_csv(out / "sweep.csv", sweep_rows(profiles))
-    _convergence_outputs(prob, profiles, tau, out)
+    _convergence_outputs(prob, profiles, out)
     fileio.write_manifest(out / "manifest.json", "sweep", cfg, t0)
     print(f"sweep of {len(profiles)} waves written to {out}")
     return 0
@@ -187,7 +178,7 @@ def cmd_compare_kdv(args, cfg) -> int:
     out = Path(args.out or args.sweep_dir)
     t0 = time.time()
     exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
-    ref = _convergence_outputs(prob, profiles, _sweep_tau(cfg), out)
+    ref = _convergence_outputs(prob, profiles, out)
     for i, prof in enumerate(profiles):
         w = scale_down(prof.mu, exps, prof.field, period_hint=ref.field.grid.period)
         fileio.write_field_csv(out / "scaled" / f"scaled_{i:03d}.csv", w)
@@ -222,20 +213,18 @@ def cmd_stability(args, cfg) -> int:
         raise ConfigError(f"stability seed must be nonnegative, got {seed}",
                           field="stability.seed")
     scales = _numbers(cfg, "stability", "scales")
-    if not scales or not all(0 < s < math.inf for s in scales):  # false on NaN
-        raise ConfigError(f"stability.scales must be a nonempty list of finite positive "
-                          f"numbers, got {scales!r}", field="stability.scales")
-    band = _get(cfg, "stability", "band", int)
-    if band < 0:
-        raise ConfigError(f"stability band must be nonnegative, got {band}",
-                          field="stability.band")
+    # checked before any member runs; the library's own bound compares norms
+    # and fires through round-off at scale = MAX_PERTURBATION itself
+    if not scales or not all(0 < s < MAX_PERTURBATION for s in scales):  # false on NaN
+        raise ConfigError(f"stability.scales must be a nonempty list of positive numbers "
+                          f"below {MAX_PERTURBATION:g}, got {scales!r}",
+                          field="stability.scales")
     prof = fileio.read_profile(args.profile, prob)
     out = Path(args.out)
     t0 = time.time()
     summaries = []
     for i, scale in enumerate(scales):
-        pert = perturbation(prof.field.grid, l2_norm(prof.field), scale,
-                            seed + i, band=band)
+        pert = perturbation(prof.field.grid, l2_norm(prof.field), scale, seed + i)
         rep: StabilityReport = stability_experiment(prob, prof, pert, ecfg)
         fileio.write_rows_csv(out / f"trace_{i:03d}.csv", rep.trace.rows())
         summaries.append({"scale": scale, "seed": seed + i,

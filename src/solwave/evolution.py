@@ -16,15 +16,15 @@ import numpy as np
 
 from .errors import Blowup, ConfigError, ResolutionLoss
 from .functionals import Problem, discretize
-from .grid import (PeriodicGrid, SpectralField, band_noise, irfft, l2_norm, rfft,
-                   spectral_tail)
+from .grid import (RESOLVED, PeriodicGrid, SpectralField, band_noise, high_mode_ratio,
+                   irfft, l2_norm, rfft)
 from .longwave import orbit_distance
 from .operators import multiplier_values
 from .solver import WaveProfile, renormalize
 from .symbols import DispersionSymbol
 
 _BLOWUP_FACTOR = 1e3  # growth of sup |u| over its initial value that is blow-up
-_TAIL_GATE = 1e-6     # spectral tail beyond which the run is under-resolved
+MAX_PERTURBATION = 0.1  # largest perturbation of a stability run, relative in L2
 
 
 @dataclass
@@ -127,11 +127,10 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
 
     ``system`` is a Problem, or a bare DispersionSymbol for the purely
     dispersive flow.  When ``reference`` is given, the orbit L2 distance to it
-    (minimum over translates) is recorded at every sample.
+    (minimum over translates) is recorded at every sample.  Every sample, the
+    one at t = 0 included, must be finite, within the blow-up factor of the
+    initial sup |u|, and resolved by the grid's rule (``high_mode_ratio``).
     """
-    if spectral_tail(u0) > 1e-10:
-        raise ResolutionLoss(f"initial field spectral tail {spectral_tail(u0):.2e} "
-                             "exceeds 1e-10; refine the grid")
     grid = u0.grid
     _advise_on_dt(system, u0, cfg)
     lam, f = _rhs_factory(system, grid)
@@ -170,9 +169,11 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
         if sup > _BLOWUP_FACTOR * max(sup0, np.finfo(float).tiny):
             raise Blowup(f"sup |u| = {sup:.3e} at t = {step * dt:g} "
                          f"(initial {sup0:.3e})", t=step * dt, trace=_pack(u))
-        if spectral_tail(u) > _TAIL_GATE:
-            raise ResolutionLoss(f"spectral tail {spectral_tail(u):.2e} at "
-                                 f"t = {step * dt:g}", t=step * dt, trace=_pack(u))
+        ratio = high_mode_ratio(u)
+        if ratio > RESOLVED:
+            raise ResolutionLoss(f"{ratio:.2e} of the peak coefficient above |m| = 0.3N "
+                                 f"at t = {step * dt:g}; refine the grid", t=step * dt,
+                                 ratio=ratio, trace=_pack(u))
         return u
 
     def _pack(final):
@@ -284,8 +285,8 @@ def stability_experiment(prob: Problem, profile: WaveProfile,
     base = profile.field
     if l2_norm(base) == 0:
         raise ConfigError("the profile is the zero field", field="profile")
-    if l2_norm(pert) > 0.1 * l2_norm(base):
-        raise ConfigError("perturbation exceeds 10% of the profile in L2",
+    if l2_norm(pert) > MAX_PERTURBATION * l2_norm(base):
+        raise ConfigError(f"perturbation exceeds {MAX_PERTURBATION:g} of the profile in L2",
                           field="perturbation")
     u0 = renormalize(base + pert, profile.mu)
     trace = evolve(prob, u0, cfg, reference=base)

@@ -206,13 +206,19 @@ def tail_max(u: SpectralField) -> float:
     return float(np.max(np.abs(u.values[mask])))
 
 
-def spectral_tail(u: SpectralField) -> float:
-    """Relative magnitude of the top decile of modes; resolution monitor."""
-    m = np.abs(u.grid.modes)
-    band = m >= int(0.45 * u.grid.n)
-    top = float(np.max(np.abs(u.coeffs[band])))
-    full = float(np.max(np.abs(u.coeffs)))
-    return top / full if full > 0 else 0.0
+RESOLVED = 1e-6  # largest high_mode_ratio of a field its grid resolves
+
+
+def high_mode_ratio(u: SpectralField) -> float:
+    """max |c_m| over |m| > 0.3 N relative to max |c_m|; 0.0 for the zero field.
+
+    The band holds the top of the 2/3 rule's kept band |m| <= N/3 and the
+    modes above it: the one resolution rule, which every solved wave and
+    every sample of a run must meet with a ratio of at most ``RESOLVED``.
+    """
+    a = np.abs(u.coeffs)
+    peak, high = float(np.max(a)), float(np.max(a[np.abs(u.grid.modes) > 0.3 * u.grid.n]))
+    return high / peak if peak > 0 else 0.0
 
 
 def change_points(u: SpectralField, n: int, drop_tol: float = 1e-8) -> SpectralField:

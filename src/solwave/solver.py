@@ -20,7 +20,8 @@ from .errors import (BallExit, ConfigError, MaxIterations, MuTooLarge,
                      NoConvergence, ResolutionLoss, SubcriticalSpeed)
 from .functionals import (DiscreteFunctional, Penalization, Problem,
                           discretize, discretize_reduced)
-from .grid import PeriodicGrid, SpectralField, change_points, l2_norm, tail_max
+from .grid import (RESOLVED, PeriodicGrid, SpectralField, change_points, high_mode_ratio,
+                   l2_norm, tail_max)
 from .longwave import ScalingExponents, exponents, kdv_profile, kdv_speed
 from .nonlinearity import Nonlinearity
 
@@ -35,7 +36,6 @@ _MIN_PERIOD = 64.0
 _NYQUIST_FACTOR = 2.2  # times the band-split cutoff
 _SEED_BAND = 45.0      # scaled Nyquist demand of the seed spectrum
 MAX_POINTS = 2**20     # largest grid a solve may ask for
-_EDGE_GATE = 1e-6      # weight at the top of the 2/3 band beyond which a wave is unresolved
 
 
 @dataclass
@@ -195,13 +195,12 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
 
 def _finish(eng: DiscreteFunctional, prob_symbol: str, nl_name: str, mu: float,
             m_sup: float, c: np.ndarray, nu: float, res: float, its: int) -> WaveProfile:
-    # the 2/3 rule keeps |m| <= N/3: weight at the top of that band is unresolved
-    n, m, a = eng.grid.n, np.abs(eng.grid.modes), np.abs(c)
-    edge, peak = float(np.max(a[(m > 0.3 * n) & (m <= n // 3)])), float(np.max(a))
-    if edge > _EDGE_GATE * peak:
-        raise ResolutionLoss(f"mu = {mu:g}: {edge / peak:.2e} of the peak coefficient at "
-                             f"the top of the kept band on N = {n}", mu=mu, ratio=edge / peak)
-    u = center(SpectralField.from_coeffs(eng.grid, c))
+    u = SpectralField.from_coeffs(eng.grid, c)
+    ratio = high_mode_ratio(u)
+    if ratio > RESOLVED:
+        raise ResolutionLoss(f"mu = {mu:g}: {ratio:.2e} of the peak coefficient above "
+                             f"|m| = 0.3N on N = {eng.grid.n}", mu=mu, ratio=ratio)
+    u = center(u)
     supercritical = nu > m_sup
     return WaveProfile(field=u, mu=mu, speed=nu, residual=res,
                        energy=eng.energy(u.coeffs), symbol=prob_symbol,

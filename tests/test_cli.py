@@ -128,7 +128,6 @@ def bad_inputs(d):
         "mu_null": ({"solver": {"mu": None}}, ["solve"]),
         "points_text": ({"grid": {"points": "abc"}}, ["solve"]),
         "dt_text": ({"evolution": {"dt": "abc"}}, ["evolve", "--profile", str(cell)]),
-        "tau_above_1": ({"sweep": {"tau": 1.5}}, ["sweep"]),
         "scales_text": ({"stability": {"scales": "abc"}}, ["stability", "--profile", str(cell)]),
     }
     for case, (doc, cmd) in typed.items():
@@ -147,22 +146,26 @@ def bad_inputs(d):
         "solve", "--mu", "1e-30"])
     cases["seed_negative"] = ("stability.seed", ["stability", "--profile", str(cell),
                                                  "--seed", "-1"])
-    cases["band_negative"] = ("stability.band", ["--config", write_config(
-        d, {"stability": {"band": -3}}, "band_negative.json"), "stability",
-        "--profile", str(cell)])
-    # rejected before the profile, which is unreadable here, is read
-    for s in ("0", "nan"):
+    # rejected before the profile, which is unreadable here, is read: so no
+    # member runs, and a scale of 10 % or more is refused before the first
+    for s in ("0", "nan", "0.1"):
         cases[f"scale_{s}"] = ("stability.scales", ["stability", "--profile", str(cell),
                                                     "--scale", s])
-    cases["scales_empty"] = ("stability.scales", ["--config", write_config(
-        d, {"stability": {"scales": []}}, "scales_empty.json"), "stability",
-        "--profile", str(cell)])
+    for case, scales in (("scales_empty", []), ("scales_oversized", [0.05, 0.2])):
+        cases[case] = ("stability.scales", ["--config", write_config(
+            d, {"stability": {"scales": scales}}, f"{case}.json"), "stability",
+            "--profile", str(cell)])
     # retired keys: unknown at any value
     cases["ball_radius"] = ("problem.ball_radius", ["--config", write_config(
         d, {"problem": {"ball_radius": 1.0}}), "solve"])
     cases["penalized"] = ("solver.penalized", ["--config", write_config(
         d, {"solver": {"penalized": False}}, "penalized.json"), "solve"])
     cases["penalized_flag"] = ("argv", ["solve", "--penalized"])
+    cases["tau_above_1"] = ("sweep.tau", ["--config", write_config(
+        d, {"sweep": {"tau": 1.5}}, "tau_above_1.json"), "sweep"])
+    cases["band_negative"] = ("stability.band", ["--config", write_config(
+        d, {"stability": {"band": -3}}, "band_negative.json"), "stability",
+        "--profile", str(cell)])
     cases["period_scale_zero"] = ("grid.period_scale", ["--config", write_config(
         d, {"grid": {"period_scale": 0.0}}, "period_scale_zero.json"), "solve"])
     cases["step_init_nan"] = ("solver.step_init", ["--config", write_config(
@@ -199,7 +202,8 @@ def bad_inputs(d):
     "rational_1e-300", "rational_nan", "rational_inf", "mu_null", "points_text",
     "dt_text", "tau_above_1", "scales_text", "points_range", "mu_list_text",
     "seed_negative", "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu",
-    "band_negative", "scale_0", "scale_nan", "scales_empty", "period_scale_zero",
+    "band_negative", "scale_0", "scale_nan", "scale_0.1", "scales_empty",
+    "scales_oversized", "period_scale_zero",
     "step_init_nan", "polarity_default", "integrator_default", "symbol_number",
     "symbol_unparsed_validate-symbol", "symbol_unparsed_solve",
     "nonlinearity_unparsed_solve", "meta_mu_text", "meta_mu_negative", "meta_P", "meta_N",
@@ -261,6 +265,15 @@ def test_unresolved_solve_is_resolution_loss(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "RESOLUTION_LOSS"
     assert not (tmp_path / "o" / "profile.csv").exists()
+
+
+def test_solved_wave_evolves(tmp_path):
+    # solve and evolve check the same resolution rule: a wave the solve
+    # certifies is one the evolution starts from
+    cfg = write_config(tmp_path, {"problem": {"symbol": "rational:2"}, "grid": {"points": 128}})
+    assert main(["--config", cfg, "solve", "--mu", "1e-3", "--out", str(tmp_path / "s")]) == 0
+    assert main(["--config", cfg, "evolve", "--profile", str(tmp_path / "s" / "profile.csv"),
+                 "--T", "1", "--out", str(tmp_path / "e")]) == 0
 
 
 def test_whole_float_stride_is_an_integer(tmp_path):
@@ -338,11 +351,10 @@ def test_diagnostics_file_writes_the_high_band_floor(sweep_dir):
     assert lines[0] == "mu,tau_ratio2,high_band_floor"
     conv = (sweep_dir / "convergence.csv").read_text().splitlines()[1:]
     prob = build_problem(load_config(None))
-    tau = DEFAULT_CONFIG["sweep"]["tau"]
     for i, (line, conv_line) in enumerate(zip(lines[1:], conv, strict=True)):
         mu, ratio, floor = map(float, line.split(","))
         rec = scaling_diagnostics(prob, read_profile(
-            sweep_dir / "profiles" / f"profile_{i:03d}.csv", prob), tau)
+            sweep_dir / "profiles" / f"profile_{i:03d}.csv", prob))
         assert (mu, ratio, floor) == (rec.mu, rec.high_band_ratio, rec.high_band_floor)
         assert ratio == float(conv_line.split(",")[6])  # tau_ratio2
 
@@ -490,8 +502,8 @@ FUZZ_VALID = {
     "grid": {"period": [None, 20.0, 80.0, 400.0]},
     "solver": {"mu": [1e-2, 5e-2, 0.3, 1e-3], "tol_residual": [1e-6, 1e-10]},
     "evolution": {"dt": [0.01, 0.05, 0.5, 5.0], "stride": [1, 7]},
-    "sweep": {"mu_list": [[1e-2], [1e-2, 5e-2]], "tau": [0.9, 0.5]},
-    "stability": {"scales": [[0.01], [0.05, 0.2]], "seed": [0, 7], "band": [0, 4, 32]},
+    "sweep": {"mu_list": [[1e-2], [1e-2, 5e-2]]},
+    "stability": {"scales": [[0.01], [0.02, 0.05]], "seed": [0, 7]},
 }
 # values the CLI must reject; at most one replaces a value of a generated config
 FUZZ_INVALID = [(sec, key, v) for sec, key, values in [
@@ -517,10 +529,10 @@ FUZZ_INVALID = [(sec, key, v) for sec, key, values in [
     ("evolution", "dealias", [True]),
     ("evolution", "stride", [0, 2.5]),
     ("sweep", "mu_list", [[], [0.0], "abc", [NAN], [5e-2, 1e-2]]),
-    ("sweep", "tau", [1.5, NAN]),
-    ("stability", "scales", [[], [NAN], "x", [0.5], [0.0], [-0.01]]),
+    ("sweep", "tau", [0.9]),
+    ("stability", "scales", [[], [NAN], "x", [0.5], [0.0], [-0.01], [0.05, 0.2], [0.1]]),
     ("stability", "seed", [-1, 2.5]),
-    ("stability", "band", [-3]),
+    ("stability", "band", [32]),
     ("nosuch", "key", [1]),
 ] for v in values]
 

@@ -8,7 +8,7 @@ from solwave.errors import Blowup, ConfigError, ResolutionLoss
 from solwave.evolution import (EvolutionConfig, _rhs_factory, evolve, perturbation,
                                stability_experiment, travel_test)
 from solwave.functionals import Problem, momentum
-from solwave.grid import PeriodicGrid, SpectralField, l2_norm, spectral_tail
+from solwave.grid import RESOLVED, PeriodicGrid, SpectralField, high_mode_ratio, l2_norm
 from solwave.longwave import kdv_profile
 from solwave.nonlinearity import nonlinearity_from_name, quadratic
 from solwave.solver import SolveConfig, minimize_constrained
@@ -52,11 +52,11 @@ def test_conservation_on_solitary_wave(wave):
     assert np.max(np.abs(trace.e_drift)) <= 1e-8
 
 
-@pytest.mark.filterwarnings("ignore:dt = 0.025 exceeds")
+@pytest.mark.filterwarnings("ignore:dt = 0\\.(1|05) exceeds")
 def test_drift_order_under_dt_halving():
-    u0 = smooth_pulse()
+    u0 = smooth_pulse(amp=0.2, decay=0.5)
     drifts = []
-    for dt in (0.025, 0.0125):
+    for dt in (0.1, 0.05):
         trace = evolve(PROB, u0, EvolutionConfig(dt=dt, t_final=5.0,
                                                  stride=int(1 / dt)))
         drifts.append(np.max(np.abs(trace.e_drift)))
@@ -65,7 +65,7 @@ def test_drift_order_under_dt_halving():
 
 
 def test_rk4_matches_ifrk4_on_smooth_data():
-    u0 = smooth_pulse(amp=0.2)
+    u0 = smooth_pulse(amp=0.2, decay=0.7)
     a = evolve(PROB, u0, EvolutionConfig(dt=0.01, t_final=1.0))
     b = SpectralField.from_coeffs(u0.grid, u0.grid.unfold(reference_rk4(PROB, u0, 0.01, 100)))
     assert l2_norm(a.final - b) <= 1e-7 * l2_norm(a.final)
@@ -111,10 +111,22 @@ def test_distances_invariant_under_initial_translation(wave):
 
 def test_under_resolved_start_rejected():
     g = PeriodicGrid(40.0, 64)
-    u0 = SpectralField.from_values(g, kdv_profile(g.nodes))  # tail ~ 1e-5
-    assert spectral_tail(u0) > 1e-10
+    u0 = SpectralField.from_values(g, kdv_profile(g.nodes))
+    assert high_mode_ratio(u0) > RESOLVED  # 0.117
     with pytest.raises(ResolutionLoss):
         evolve(PROB, u0, EvolutionConfig(dt=0.01, t_final=1.0))
+
+
+def test_run_that_leaves_the_grid_is_resolution_loss():
+    # the amp-0.5 pulse steepens out of the grid that resolves it at t = 0:
+    # its ratio passes the bound by t = 0.2 and would reach 1.6e-2 at T = 1
+    u0 = smooth_pulse(amp=0.5)
+    assert high_mode_ratio(u0) <= RESOLVED
+    with pytest.raises(ResolutionLoss) as err:
+        evolve(PROB, u0, EvolutionConfig(dt=0.0125, t_final=1.0, stride=8))
+    info = err.value.info
+    assert 0 < info["t"] <= 1.0 and info["ratio"] > RESOLVED
+    assert info["trace"].times[-1] == info["t"]
 
 
 def test_blowup_detected():
@@ -197,8 +209,8 @@ def test_stability_runs_are_bit_identical(wave):
         return stability_experiment(PROB, wave, pert, cfg).trace
 
     a, b = run(), run()
-    evolve(Problem(whitham(), nonlinearity_from_name("modulus:2.5,1")), smooth_pulse(),
-           EvolutionConfig(dt=0.01, t_final=1.0, stride=7))
+    evolve(Problem(whitham(), nonlinearity_from_name("modulus:2.5,1")),
+           smooth_pulse(amp=0.2, decay=0.7), EvolutionConfig(dt=0.01, t_final=1.0, stride=7))
     c = run()
     for other in (b, c):
         for name in ("times", "e_drift", "q_drift", "orbit_dist", "shifts"):

@@ -8,9 +8,9 @@ from pytest import approx
 
 import solwave
 from solwave.errors import GridMismatch, ResolutionLoss, TailTooLarge
-from solwave.grid import (PeriodicGrid, SpectralField, band_noise,
-                          change_points, inner_l2, irfft, l2_norm,
-                          rfft, sobolev_norm, spectral_tail, sup_norm, tail_max)
+from solwave.grid import (RESOLVED, PeriodicGrid, SpectralField, band_noise,
+                          change_points, high_mode_ratio, inner_l2, irfft, l2_norm,
+                          rfft, sobolev_norm, sup_norm, tail_max)
 from solwave.longwave import KDV_DECAY, kdv_profile, kdv_soliton
 
 
@@ -188,12 +188,16 @@ def test_tail_max_gate():
         kdv_soliton(PeriodicGrid(8.0, 64))
 
 
-def test_spectral_tail_monitor():
+def test_high_mode_ratio_is_the_resolution_rule():
     g = PeriodicGrid(40.0, 512)
     smooth = SpectralField.from_values(g, kdv_profile(g.nodes))
-    assert spectral_tail(smooth) < 1e-10
-    spike = SpectralField.from_values(g, np.cos(2 * np.pi * 250 * g.nodes / g.period))
-    assert spectral_tail(spike) > 0.5
+    assert high_mode_ratio(smooth) <= RESOLVED
+    # 0.3N < 160 <= N/3 tops the 2/3 rule's kept band, and 250 lies above it
+    for m in (160, 250):
+        spike = smooth + SpectralField.from_values(
+            g, 1e-4 * np.cos(2 * np.pi * m * g.nodes / g.period))
+        assert high_mode_ratio(spike) > RESOLVED, m
+    assert high_mode_ratio(smooth * 0.0) == 0.0
 
 
 def test_field_arithmetic_and_immutability():
