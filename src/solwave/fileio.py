@@ -5,6 +5,11 @@ writes go through a temp file and an atomic rename.  A stored wave is a pair:
 ``profile<suffix>.csv`` holds its samples and ``meta<suffix>.json`` beside it
 its certificate numbers, and ``read_profile`` is the one way from that pair
 back to a ``WaveProfile``.  A table's header is the keys of its first row.
+
+A stored profile is parsed in one call to numpy's C reader, which rounds
+correctly and so gives the doubles ``float()`` gives; a row it cannot read,
+a node that is not where the grid puts it, and a non-finite sample are each a
+ConfigError naming ``profile``.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 import os
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,23 +82,17 @@ def write_field_csv(path, u: SpectralField) -> None:
 
 
 def read_field_csv(path) -> SpectralField:
-    xs, vs = [], []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header.split(",")[:2] != ["x", "u"]:
-            raise ConfigError(f"{path}: expected header 'x,u'", field="profile")
-        try:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                a, b = line.split(",")[:2]
-                xs.append(float(a))
-                vs.append(float(b))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: unreadable row: {exc}", field="profile")
-    xs = np.asarray(xs)
-    vs = np.asarray(vs)
+    """The samples that ``write_field_csv`` stored at ``path``."""
+    try:
+        with open(path) as f, warnings.catch_warnings():
+            # a header-only file is refused below, as too few samples
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            if f.readline().strip().split(",")[:2] != ["x", "u"]:
+                raise ConfigError(f"{path}: expected header 'x,u'", field="profile")
+            xs, vs = np.loadtxt(f, delimiter=",", comments=None, usecols=(0, 1),
+                                ndmin=2).T
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigError(f"{path}: unreadable row: {exc}", field="profile")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
         raise ConfigError(f"{path}: non-finite sample", field="profile")
     n = len(xs)
@@ -101,14 +101,15 @@ def read_field_csv(path) -> SpectralField:
     # the first node sits at -P/2 exactly, so the period round-trips in full
     # precision through the %.17g formatting
     period = -2.0 * xs[0]
-    h = xs[1] - xs[0]
-    if abs(period - h * n) > 1e-9 * period:
-        raise ConfigError(f"{path}: nodes are not a uniform centered grid",
-                          field="profile")
     try:
         grid = PeriodicGrid(period, n)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}", field="profile")
+    off = np.flatnonzero(np.abs(xs - grid.nodes) > 1e-9 * grid.spacing)
+    if off.size:
+        j = off[0]
+        raise ConfigError(f"{path}: node {j} is x = {float(xs[j])!r}, not "
+                          f"{float(grid.nodes[j])!r}", field="profile")
     return SpectralField.from_values(grid, vs)
 
 

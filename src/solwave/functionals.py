@@ -85,7 +85,9 @@ class DiscreteFunctional:
         self.nl = nl
         self.j_star = j_star
         self.pen = penalization
-        self.mask = grid.dealias_mask
+        # real factors of complex products, cast once as numpy would per call
+        self.mask = grid.dealias_mask.astype(complex)
+        self.neg_mvals = (-self.mvals).astype(complex)
         self.h1_weight = 1.0 + grid.wavenumbers**2
         self.quad_weight = grid.period / grid.n
 
@@ -95,9 +97,12 @@ class DiscreteFunctional:
     def h1_sq(self, c: np.ndarray) -> float:
         return float(np.sum(self.h1_weight * np.abs(c) ** 2))
 
-    def energy(self, c: np.ndarray, infinite_outside: bool = False) -> float:
+    # ``v``, when given, is values_dealiased(c), which the caller already holds
+    def energy(self, c: np.ndarray, infinite_outside: bool = False,
+               v: np.ndarray | None = None) -> float:
         quad = -0.5 * float(np.sum(self.mvals * np.abs(c) ** 2))
-        v = self.values_dealiased(c)
+        if v is None:
+            v = self.values_dealiased(c)
         e = quad - self.quad_weight * float(np.sum(self.nl.primitive(v)))
         if self.pen is not None:
             t = self.h1_sq(c)
@@ -106,9 +111,10 @@ class DiscreteFunctional:
             e += self.pen.rho(t)
         return e
 
-    def gradient(self, c: np.ndarray) -> np.ndarray:
-        v = self.values_dealiased(c)
-        g = -self.mvals * c - self.mask * self.grid.to_coeffs(self.nl.n(v))
+    def gradient(self, c: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+        if v is None:
+            v = self.values_dealiased(c)
+        g = self.neg_mvals * c - self.mask * self.grid.to_coeffs(self.nl.n(v))
         if self.pen is not None:
             g = g + (2.0 * self.pen.rho_prime(self.h1_sq(c))) * self.h1_weight * c
         return g

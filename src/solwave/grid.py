@@ -113,11 +113,22 @@ class PeriodicGrid:
         """FFT-order coefficients of the real field whose half spectrum is ``half``."""
         return np.concatenate((half, np.conj(half[self.n // 2 - 1:0:-1])))
 
+    # The real factors of the two transforms, cast to complex once: numpy
+    # would cast them on every product, and the products are bit for bit
+    # those with the real factor.
+    @cached_property
+    def _coeffs_factor(self) -> np.ndarray:
+        return _frozen((self.node_phase / self.scale).astype(complex))
+
+    @cached_property
+    def _values_factor(self) -> np.ndarray:
+        return _frozen((self.scale * self.node_phase).astype(complex))
+
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return self.unfold(rfft(values) * (self.node_phase / self.scale))
+        return self.unfold(rfft(values) * self._coeffs_factor)
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return irfft(coeffs[:self.n // 2 + 1] * (self.scale * self.node_phase), self.n)
+        return irfft(coeffs[:self.n // 2 + 1] * self._values_factor, self.n)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -100,6 +100,11 @@ def bad_inputs(d):
         (d / name).mkdir()
         (d / name / "profile.csv").write_text(good)
         (d / name / "meta.json").write_text(meta)
+    nodes = [j - 8.0 for j in range(16)]  # rows 5 and 12 swapped, row 7 far off
+    nodes[5], nodes[12], nodes[7] = nodes[12], nodes[5], 12345.0
+    (d / "nodes").mkdir()
+    (d / "nodes" / "profile.csv").write_text("x,u\n" + "".join(f"{x!r},0.0\n" for x in nodes))
+    (d / "nodes" / "meta.json").write_text(json.dumps(full))
     cell = d / "profile_cell.csv"
     cell.write_text("x,u\n-8,abc\n")
     evolution = {"dt_nan": {"dt": float("nan")}, "t_final_inf": {"t_final": float("inf")},
@@ -114,6 +119,7 @@ def bad_inputs(d):
         "meta_keys": ("meta", ["evolve", "--profile", str(d / "keys" / "profile.csv")]),
         "meta_json": ("meta", ["evolve", "--profile", str(d / "json" / "profile.csv")]),
         "profile_cell": ("profile", ["evolve", "--profile", str(cell)]),
+        "profile_nodes": ("profile", ["evolve", "--profile", str(d / "nodes" / "profile.csv")]),
         "steps_fraction": ("evolution.t_final", ["evolve", "--profile", str(cell),
                                        "--T", "1", "--dt", "0.3"]),
     }
@@ -198,9 +204,9 @@ def bad_inputs(d):
 @pytest.mark.parametrize("case", [
     "ball_radius", "penalized", "penalized_flag", "profile", "k_max", "samples",
     "samples_huge", "k_max_text", "meta_keys", "meta_json", "profile_cell",
-    "steps_fraction", "dt_nan", "t_final_inf", "stride_fraction", "rational_-1",
-    "rational_1e-300", "rational_nan", "rational_inf", "mu_null", "points_text",
-    "dt_text", "tau_above_1", "scales_text", "points_range", "mu_list_text",
+    "profile_nodes", "steps_fraction", "dt_nan", "t_final_inf", "stride_fraction",
+    "rational_-1", "rational_1e-300", "rational_nan", "rational_inf", "mu_null",
+    "points_text", "dt_text", "tau_above_1", "scales_text", "points_range", "mu_list_text",
     "seed_negative", "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu",
     "band_negative", "scale_0", "scale_nan", "scale_0.1", "scales_empty",
     "scales_oversized", "period_scale_zero",

@@ -75,6 +75,31 @@ def test_descent_is_monotone():
     assert np.all(np.diff(es) <= 1e-14 * np.abs(es[:-1]))
 
 
+def test_descent_transforms_per_iteration(monkeypatch):
+    # one rfft per iteration, in the gradient, and one irfft per energy
+    # evaluation: the accepted trial's samples feed the next gradient
+    import solwave.grid
+    from solwave.functionals import DiscreteFunctional
+    calls = {"rfft": 0, "irfft": 0, "energy": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solwave.grid, "rfft", counted("rfft", solwave.grid.rfft))
+    monkeypatch.setattr(solwave.grid, "irfft", counted("irfft", solwave.grid.irfft))
+    monkeypatch.setattr(DiscreteFunctional, "energy",
+                        counted("energy", DiscreteFunctional.energy))
+    its = minimize_constrained(PROB, SolveConfig(mu=1e-3)).iterations
+    assert its > 3
+    # outside the descent: the seed's and the centred wave's samples are
+    # transformed, and the finished coefficients are sampled once
+    assert calls["rfft"] == (its + 1) + 2
+    assert calls["irfft"] == calls["energy"] + 1
+
+
 @pytest.mark.parametrize("symbol, nl, mu, pen", [
     ("gaussian", quadratic(), 1e-3, None),
     ("rational:1", quadratic(), 1e-3, None),
