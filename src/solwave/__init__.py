@@ -6,22 +6,22 @@ their KdV-type long-wave limits, and time-dependent stability experiments.
 
 __version__ = "0.1.0"
 
-from .analysis import (LongWaveComparison, ScalingRecord, convergence_study,
-                       reduced_reference, scaling_diagnostics)
+from .analysis import (LongWaveComparison, ScalingRecord, band_split,
+                       convergence_study, reduced_reference, scaling_diagnostics,
+                       weighted_norm)
 from .errors import SolwaveError
 from .evolution import (EvolutionConfig, EvolutionTrace, StabilityReport,
                         TravelReport, evolve, perturbation,
                         stability_experiment, travel_test)
 from .functionals import (Penalization, Problem, energy, energy_gradient,
-                          inner_l2, momentum, reduced_energy, weighted_norm)
+                          inner_l2, momentum, reduced_energy)
 from .grid import (PeriodicGrid, SpectralField, l2_norm, sobolev_norm, sup_norm,
                    tail_max)
 from .longwave import (ScalingExponents, exponents, kdv_energy, kdv_soliton,
                        kdv_speed, orbit_distance, scale_down)
 from .nonlinearity import (Kind, Nonlinearity, nonlinearity_from_name,
                            odd_power, polynomial, quadratic, signed_modulus)
-from .operators import band_split
 from .solver import (SolveConfig, WaveProfile, continuation_sweep,
                      minimize_constrained, minimize_reduced, petviashvili)
-from .symbols import (DispersionSymbol, gaussian, rational, symbol_from_name,
-                      taylor_remainder, validate_symbol, whitham)
+from .symbols import (DispersionSymbol, gaussian, multiplier_values, rational,
+                      symbol_from_name, taylor_remainder, validate_symbol, whitham)

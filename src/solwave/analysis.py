@@ -1,8 +1,10 @@
 """Long-wave convergence laws and scaling diagnostics over a solve sweep.
 
+The long-wave frame of a sweep is its first wave's period times mu^beta, on
+the most points of any wave; the reduced ground state is computed there.
 For each wave at momentum mu the scaled profile mu^-alpha u(mu^-beta .) is
-aligned against the reduced ground state, and the deviations of speed and
-energy from their leading-order laws
+aligned against that reference, and the deviations of speed and energy from
+their leading-order laws
 
     nu  = m(0) + nu_r mu^gamma + o(mu^gamma)
     I   = -m(0) mu + I_r mu^(1+gamma) + o(mu^(1+gamma))
@@ -18,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .functionals import Problem, weighted_norm
-from .grid import change_points, l2_norm, sobolev_norm, sup_norm
+from .functionals import Problem
+from .grid import SpectralField, change_points, l2_norm, sobolev_norm, sup_norm
 from .longwave import exponents, orbit_distance, scale_down
-from .operators import band_split
 from .solver import SolveConfig, WaveProfile, minimize_reduced
+from .symbols import DispersionSymbol
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,7 @@ class LongWaveComparison:
     speed_deviation: float     # (nu - m(0))/mu^gamma - nu_reference
     energy_deviation: float    # (I_mu + m(0) mu)/mu^(1+gamma) - I_reference
     shift: float
+    scaled: SpectralField      # mu^-alpha u(mu^-beta x) in the reference's frame
 
 
 @dataclass(frozen=True)
@@ -45,12 +48,16 @@ class ScalingRecord:
                                # eps^2 ||u||_0^2 sum_{|k|>k_cut} (1+k^2) / N, same scaling
 
 
-def reduced_reference(prob: Problem, comparison_grid) -> WaveProfile:
-    """Ground state of the reduced problem on the comparison grid."""
-    sym, g = prob.symbol, comparison_grid
+def reduced_reference(prob: Problem, profiles: list[WaveProfile]) -> WaveProfile:
+    """Ground state of the reduced problem in the long-wave frame of a sweep:
+    the first wave's period times mu^beta, on the most points of any wave."""
+    sym = prob.symbol
+    exps = exponents(sym.j_star, prob.nonlinearity.p)
+    period = profiles[0].field.grid.period * profiles[0].mu**exps.beta
+    points = max(p.field.grid.n for p in profiles)
     return minimize_reduced(sym.j_star, sym.d2j_star, prob.nonlinearity,
                             SolveConfig(mu=1.0, tol_residual=1e-10,
-                                        period=g.period, points=g.n))
+                                        period=period, points=points))
 
 
 def convergence_study(prob: Problem, profiles: list[WaveProfile],
@@ -77,8 +84,29 @@ def convergence_study(prob: Problem, profiles: list[WaveProfile],
         speed_dev = (prof.speed - sym.m_zero) / prof.mu**gamma - ref.speed
         energy_dev = ((prof.energy + sym.m_zero * prof.mu) / prof.mu ** (1.0 + gamma)
                       - ref.energy)
-        out.append(LongWaveComparison(prof.mu, d, speed_dev, energy_dev, y))
+        out.append(LongWaveComparison(prof.mu, d, speed_dev, energy_dev, y, w))
     return out
+
+
+def band_split(sym: DispersionSymbol, u: SpectralField) -> tuple[SpectralField, SpectralField]:
+    """Sharp split at k_cut: (low band, high band), summing to u exactly."""
+    low = np.abs(u.grid.wavenumbers) <= sym.k_cut
+    u1 = SpectralField.from_coeffs(u.grid, np.where(low, u.coeffs, 0.0))
+    u2 = SpectralField.from_coeffs(u.grid, np.where(low, 0.0, u.coeffs))
+    return u1, u2
+
+
+def weighted_norm(u: SpectralField, tau: float, mu: float, j_star: int,
+                  beta: float) -> float:
+    """|||u|||_{tau,mu} = sqrt( int u^2 + mu^(-4 j_star tau beta) int (u^(2 j_star))^2 )."""
+    if tau >= 1:
+        raise ValueError("tau must be below 1")
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    k = u.grid.wavenumbers
+    c2 = np.abs(u.coeffs) ** 2
+    deriv = float(np.sum(k ** (4 * j_star) * c2))
+    return float(np.sqrt(np.sum(c2) + mu ** (-4.0 * j_star * tau * beta) * deriv))
 
 
 def scaling_diagnostics(prob: Problem, prof: WaveProfile,

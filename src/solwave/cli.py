@@ -27,8 +27,7 @@ from .errors import ConfigError, SolwaveError
 from .evolution import (MAX_PERTURBATION, EvolutionConfig, StabilityReport, perturbation,
                         stability_experiment, travel_test)
 from .functionals import Problem
-from .grid import PeriodicGrid, l2_norm
-from .longwave import exponents, scale_down
+from .grid import l2_norm
 from .nonlinearity import nonlinearity_from_name
 from .solver import SolveConfig, continuation_sweep, minimize_constrained, sweep_rows
 from .symbols import symbol_from_name, validate_symbol
@@ -140,17 +139,13 @@ def cmd_solve(args, cfg) -> int:
 
 
 def _convergence_outputs(prob, profiles, outdir: Path):
-    exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
-    n_ref = max(p.field.grid.n for p in profiles)
-    scaled_period = profiles[0].field.grid.period * profiles[0].mu**exps.beta
-    ref = reduced_reference(prob, PeriodicGrid(scaled_period, n_ref))
-    comparisons = convergence_study(prob, profiles, ref)
+    comparisons = convergence_study(prob, profiles, reduced_reference(prob, profiles))
     records = [scaling_diagnostics(prob, p) for p in profiles]
     fileio.write_rows_csv(outdir / "convergence.csv", convergence_rows(comparisons, records))
     # the high-band ratio beside the round-off floor it cannot be measured below
     fileio.write_csv(outdir / "diagnostics.csv", ["mu", "tau_ratio2", "high_band_floor"],
                      [(r.mu, r.high_band_ratio, r.high_band_floor) for r in records])
-    return ref
+    return comparisons
 
 
 def cmd_sweep(args, cfg) -> int:
@@ -177,11 +172,8 @@ def cmd_compare_kdv(args, cfg) -> int:
     profiles = [fileio.read_profile(p, prob) for p in paths]
     out = Path(args.out or args.sweep_dir)
     t0 = time.time()
-    exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
-    ref = _convergence_outputs(prob, profiles, out)
-    for i, prof in enumerate(profiles):
-        w = scale_down(prof.mu, exps, prof.field, period_hint=ref.field.grid.period)
-        fileio.write_field_csv(out / "scaled" / f"scaled_{i:03d}.csv", w)
+    for i, c in enumerate(_convergence_outputs(prob, profiles, out)):
+        fileio.write_field_csv(out / "scaled" / f"scaled_{i:03d}.csv", c.scaled)
     fileio.write_manifest(out / "manifest_compare.json", "compare-kdv", cfg, t0)
     print(f"convergence study over {len(profiles)} waves written to {out}")
     return 0

@@ -19,9 +19,8 @@ from .functionals import Problem, discretize
 from .grid import (RESOLVED, PeriodicGrid, SpectralField, band_noise, high_mode_ratio,
                    irfft, l2_norm, rfft)
 from .longwave import orbit_distance
-from .operators import multiplier_values
 from .solver import WaveProfile, renormalize
-from .symbols import DispersionSymbol
+from .symbols import DispersionSymbol, multiplier_values
 
 _BLOWUP_FACTOR = 1e3  # growth of sup |u| over its initial value that is blow-up
 MAX_PERTURBATION = 0.1  # largest perturbation of a stability run, relative in L2

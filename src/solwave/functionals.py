@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ExponentWindow, OutOfDomain
+from .errors import ConfigError, OutOfDomain
 from .grid import PeriodicGrid, SpectralField, inner_l2  # inner_l2 is re-exported
+from .longwave import exponents
 from .nonlinearity import Nonlinearity
-from .operators import multiplier_values
-from .symbols import DispersionSymbol
+from .symbols import DispersionSymbol, multiplier_values
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,8 @@ class Problem:
         if not 0 < self.ball_radius < math.inf:  # false on NaN
             raise ConfigError("ball_radius must be finite and positive",
                               field="problem.ball_radius")
-        p, j = self.nonlinearity.p, self.symbol.j_star
-        if not 2.0 <= p < 4.0 * j + 1.0:
-            raise ExponentWindow(
-                f"p = {p:g} outside [2, {4 * j + 1}) for j_star = {j}")
+        # raises ExponentWindow outside 2 <= p < 4 j_star + 1
+        exponents(self.symbol.j_star, self.nonlinearity.p)
 
 
 @dataclass(frozen=True)
@@ -97,16 +95,16 @@ class DiscreteFunctional:
     def h1_sq(self, c: np.ndarray) -> float:
         return float(np.sum(self.h1_weight * np.abs(c) ** 2))
 
-    # ``v``, when given, is values_dealiased(c), which the caller already holds
-    def energy(self, c: np.ndarray, infinite_outside: bool = False,
-               v: np.ndarray | None = None) -> float:
+    # ``v``, when given, is values_dealiased(c), which the caller already holds;
+    # a penalized energy is +inf outside the barrier domain (2R)^2
+    def energy(self, c: np.ndarray, v: np.ndarray | None = None) -> float:
         quad = -0.5 * float(np.sum(self.mvals * np.abs(c) ** 2))
         if v is None:
             v = self.values_dealiased(c)
         e = quad - self.quad_weight * float(np.sum(self.nl.primitive(v)))
         if self.pen is not None:
             t = self.h1_sq(c)
-            if infinite_outside and t >= (2.0 * self.pen.radius) ** 2:
+            if t >= (2.0 * self.pen.radius) ** 2:
                 return math.inf
             e += self.pen.rho(t)
         return e
@@ -173,17 +171,4 @@ def reduced_gradient(j_star: int, d2j_star: float, nl: Nonlinearity,
                      w: SpectralField) -> SpectralField:
     eng = discretize_reduced(j_star, d2j_star, nl, w.grid)
     return SpectralField.from_coeffs(w.grid, eng.gradient(w.coeffs))
-
-
-def weighted_norm(u: SpectralField, tau: float, mu: float, j_star: int,
-                  beta: float) -> float:
-    """sqrt( int u^2 + mu^(-4 j_star tau beta) int (u^(2 j_star))^2 )."""
-    if tau >= 1:
-        raise ValueError("tau must be below 1")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    k = u.grid.wavenumbers
-    c2 = np.abs(u.coeffs) ** 2
-    deriv = float(np.sum(k ** (4 * j_star) * c2))
-    return float(np.sqrt(np.sum(c2) + mu ** (-4.0 * j_star * tau * beta) * deriv))
 

@@ -159,7 +159,7 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
     step = _STEP_INIT
     history: dict = {"residuals": [], "energies": []}
     v = eng.values_dealiased(c)
-    e0 = eng.energy(c, infinite_outside=True, v=v)
+    e0 = eng.energy(c, v)
     for it in range(cfg.max_iter):
         g = eng.gradient(c, v)
         nu = -_vdot(g, c) / two_mu
@@ -180,7 +180,7 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
             trial = c + t * d
             trial *= scale / np.sqrt(np.sum(np.abs(trial) ** 2))
             v_trial = eng.values_dealiased(trial)
-            e1 = eng.energy(trial, infinite_outside=True, v=v_trial)
+            e1 = eng.energy(trial, v_trial)
             if e1 <= e0 + _ARMIJO * t * slope + _LEDGE * abs(e0):
                 break
             t *= _STEP_SHRINK

@@ -140,6 +140,11 @@ def taylor_remainder(sym: DispersionSymbol, k) -> float | np.ndarray:
     return r
 
 
+def multiplier_values(sym: DispersionSymbol, grid) -> np.ndarray:
+    """m(k) sampled on the grid's wavenumbers (FFT order)."""
+    return np.asarray(sym.eval(grid.wavenumbers), dtype=float)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str

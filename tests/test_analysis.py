@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from solwave.analysis import (convergence_rows, convergence_study,
-                              reduced_reference, scaling_diagnostics)
-from solwave.functionals import Problem, momentum, weighted_norm
-from solwave.grid import PeriodicGrid, SpectralField, sobolev_norm, sup_norm
+from solwave.analysis import (band_split, convergence_rows, convergence_study,
+                              reduced_reference, scaling_diagnostics, weighted_norm)
+from solwave.functionals import Problem, momentum
+from solwave.grid import (PeriodicGrid, SpectralField, band_noise, l2_norm,
+                          sobolev_norm, sup_norm)
 from solwave.longwave import exponents
 from solwave.nonlinearity import quadratic
-from solwave.operators import band_split
 from solwave.solver import SolveConfig, WaveProfile, continuation_sweep
 from solwave.symbols import whitham
 
@@ -22,10 +22,7 @@ def mini_sweep():
 
 @pytest.fixture(scope="module")
 def reference(mini_sweep):
-    exps = exponents(1, 2.0)
-    scaled_period = mini_sweep[0].field.grid.period * mini_sweep[0].mu**exps.beta
-    n = max(p.field.grid.n for p in mini_sweep)
-    return reduced_reference(PROB, PeriodicGrid(scaled_period, n))
+    return reduced_reference(PROB, mini_sweep)
 
 
 def test_convergence_study_trends(mini_sweep, reference):
@@ -86,3 +83,26 @@ def test_convergence_rows_schema(mini_sweep, reference):
     rows = convergence_rows(comps, recs)
     assert set(rows[0]) == {"mu", "dist_aligned", "speed_dev", "energy_dev",
                             "shift", "tau_ratio1", "tau_ratio2", "supnorm_ratio"}
+
+
+def noise(seed, grid, band):
+    return band_noise(grid, band, np.random.Generator(np.random.Philox(seed)))
+
+
+def test_band_split_partition():
+    sym = PROB.symbol
+    u = noise(3, PeriodicGrid(30.0, 256), band=80)
+    u1, u2 = band_split(sym, u)
+    total = u1 + u2
+    assert np.max(np.abs(total.coeffs - u.coeffs)) == 0.0
+    assert l2_norm(u1) ** 2 + l2_norm(u2) ** 2 == approx(l2_norm(u) ** 2, rel=1e-12)
+    assert np.all(np.abs(u1.grid.wavenumbers[np.abs(u1.coeffs) > 0]) <= sym.k_cut)
+
+
+def test_band_split_low_field_untouched():
+    sym = PROB.symbol
+    g = PeriodicGrid(100.0, 128)  # Nyquist ~ 4.02, cutoff 3.997
+    u = noise(9, g, band=int(sym.k_cut * g.period / (2 * np.pi)) - 1)
+    u1, u2 = band_split(sym, u)
+    assert np.max(np.abs(u2.coeffs)) == 0.0
+    assert np.max(np.abs(u1.coeffs - u.coeffs)) == 0.0

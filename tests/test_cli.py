@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,8 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solwave.analysis import reduced_reference, scaling_diagnostics
 from solwave.cli import (DEFAULT_CONFIG, build_evolution_config, build_problem,
                          build_solve_config, load_config, main)
+from solwave.fileio import read_profile
+from solwave.functionals import momentum
+from solwave.grid import PeriodicGrid, SpectralField
+from solwave.longwave import exponents
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -294,6 +300,15 @@ def test_readme_lists_the_default_config():
     assert json.loads(block.split("```", 1)[0]) == DEFAULT_CONFIG
 
 
+def test_readme_layout_names_every_module():
+    # a module added or deleted without its Layout bullet fails here
+    readme = (CONFIGS.parent / "README.md").read_text()
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `src/solwave/(\w+\.py)`", layout, flags=re.M)
+    modules = {p.name for p in (CONFIGS.parent / "src" / "solwave").glob("*.py")}
+    assert sorted(listed) == sorted(modules - {"__init__.py"})
+
+
 def test_sweep_outside_the_long_wave_frame_is_grid_mismatch(tmp_path, capsys):
     # a fixed period cannot hold every mu of a sweep in one long-wave frame
     cfg = write_config(tmp_path, {"grid": {"period": 80.0, "points": 1024}})
@@ -351,8 +366,6 @@ def test_sweep_outputs(sweep_dir):
 
 
 def test_diagnostics_file_writes_the_high_band_floor(sweep_dir):
-    from solwave.analysis import scaling_diagnostics
-    from solwave.fileio import read_profile
     lines = (sweep_dir / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == "mu,tau_ratio2,high_band_floor"
     conv = (sweep_dir / "convergence.csv").read_text().splitlines()[1:]
@@ -380,7 +393,21 @@ def test_compare_kdv_on_sweep(sweep_dir, tmp_path):
     fresh = (out / "convergence.csv").read_bytes()
     original = (sweep_dir / "convergence.csv").read_bytes()
     assert fresh == original
-    assert (out / "scaled" / "scaled_000.csv").exists()
+    # wave NNN on the reduced reference's period: mu^-alpha u(mu^-beta x), momentum Q(u)/mu
+    prob = build_problem(load_config(None))
+    alpha = exponents(prob.symbol.j_star, prob.nonlinearity.p).alpha
+    profiles = [read_profile(p, prob)
+                for p in sorted((sweep_dir / "profiles").glob("profile_*.csv"))]
+    frame = reduced_reference(prob, profiles).field.grid.period
+    scaled = sorted((out / "scaled").glob("scaled_*.csv"))
+    assert [p.name for p in scaled] == [f"scaled_{i:03d}.csv" for i in range(len(profiles))]
+    for path, prof in zip(scaled, profiles):
+        grid = PeriodicGrid(frame, prof.field.grid.n)  # the wave's own N
+        x, w = np.loadtxt(path, delimiter=",", skiprows=1).T
+        assert np.array_equal(x, grid.nodes)
+        assert np.array_equal(w, prof.mu ** -alpha * prof.field.values)
+        field = SpectralField.from_values(grid, w)
+        assert momentum(field) == pytest.approx(momentum(prof.field) / prof.mu, rel=1e-12)
 
 
 def test_compare_kdv_needs_every_meta(sweep_dir, tmp_path, capsys):

@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from solwave.analysis import weighted_norm
 from solwave.errors import OutOfDomain
 from solwave.functionals import (Penalization, Problem, discretize, energy,
                                  energy_gradient, inner_l2, momentum,
-                                 reduced_energy, reduced_gradient,
-                                 weighted_norm)
+                                 reduced_energy, reduced_gradient)
 from solwave.grid import PeriodicGrid, SpectralField, band_noise, sobolev_norm
 from solwave.longwave import kdv_soliton
 from solwave.nonlinearity import quadratic, signed_modulus
-from solwave.operators import multiplier_values
-from solwave.symbols import whitham
+from solwave.symbols import multiplier_values, whitham
 
 KDV_REDUCED_ENERGY = -0.5241482788417793
 
@@ -116,6 +115,16 @@ def test_penalized_gradient_finite_differences():
     gp = SpectralField.from_coeffs(u.grid, eng.gradient(u.coeffs))
     fd = (eng.energy((u + h * v).coeffs) - eng.energy((u - h * v).coeffs)) / (2 * h)
     assert fd == approx(inner_l2(gp, v), rel=1e-5)
+
+
+def test_penalized_energy_is_infinite_outside_the_barrier_domain():
+    pen = Penalization(0.25)
+    u = field(8)
+    u = u * np.sqrt(0.3 / sobolev_norm(u, 1.0) ** 2)  # beyond (2R)^2 = 0.25
+    eng = discretize(PROB, u.grid, pen)
+    assert eng.energy(u.coeffs) == np.inf
+    with pytest.raises(OutOfDomain):
+        eng.gradient(u.coeffs)
 
 
 def test_reduced_energy_closed_form():

@@ -210,3 +210,32 @@ def test_field_arithmetic_and_immutability():
     assert sup_norm(-u) == sup_norm(u)
     with pytest.raises(ValueError):
         u.values[0] = 1.0
+
+
+def deriv(u):
+    # d/dx as the evolution's flux applies it, through the grid's ik
+    return SpectralField.from_coeffs(u.grid, u.grid.ik * u.coeffs)
+
+
+def test_ddx_closed_forms():
+    g = PeriodicGrid(12.0, 64)
+    k1 = 2 * np.pi / g.period
+    s = SpectralField.from_values(g, np.sin(k1 * g.nodes))
+    assert deriv(s).values == approx(k1 * np.cos(k1 * g.nodes), abs=1e-13)
+    c = SpectralField.from_values(g, np.full(g.n, 1.3))
+    assert np.max(np.abs(deriv(c).values)) < 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=1000))
+def test_ddx_antisymmetry(seed):
+    u = random_field(PeriodicGrid(30.0, 128), seed)
+    assert inner_l2(u, deriv(u)) == approx(0.0, abs=1e-12)
+
+
+def test_ddx_zeroes_nyquist():
+    g = PeriodicGrid(10.0, 32)
+    c = np.zeros(g.n, dtype=complex)
+    c[g.n // 2] = 1.0  # the m = -N/2 slot
+    u = SpectralField.from_coeffs(g, c)
+    assert np.max(np.abs(deriv(u).coeffs)) == 0.0

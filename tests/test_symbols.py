@@ -13,13 +13,15 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from solwave.errors import SymbolViolation
-from solwave.symbols import (DispersionSymbol, gaussian, rational,
-                             symbol_from_name, taylor_remainder,
+from solwave.grid import PeriodicGrid, SpectralField, band_noise, inner_l2, l2_norm
+from solwave.symbols import (DispersionSymbol, gaussian, multiplier_values,
+                             rational, symbol_from_name, taylor_remainder,
                              validate_symbol, whitham)
 
 M_AT_2PI = 0.3989408891555464
 K_CUT = 3.997302692060433
 R_AT_01 = 5.259654816239375e-06
+WHITHAM = whitham()
 
 
 def test_whitham_taylor_data():
@@ -140,3 +142,27 @@ def test_whitham_even_and_below_max(k):
     sym = whitham()
     assert sym.eval(k) == approx(sym.eval(-k), abs=1e-13)
     assert sym.eval(k) < sym.m_zero
+
+
+def lu(u):
+    """Lu: the Whitham multiplier applied on the field's grid."""
+    return SpectralField.from_coeffs(u.grid, multiplier_values(WHITHAM, u.grid) * u.coeffs)
+
+
+def noise(seed):
+    g = PeriodicGrid(30.0, 128)
+    return band_noise(g, g.n // 3, np.random.Generator(np.random.Philox(seed)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=1000))
+def test_multiplier_bound(seed):
+    u = noise(seed)
+    assert l2_norm(lu(u)) <= WHITHAM.m_zero * l2_norm(u) * (1 + 1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=500))
+def test_multiplier_self_adjoint(seed):
+    u, v = noise(seed), noise(seed + 7777)
+    assert inner_l2(lu(u), v) == approx(inner_l2(u, lu(v)), abs=1e-10)
