@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import Blowup, ConfigError, ResolutionLoss
 from .functionals import Problem, discretize
-from .grid import (RESOLVED, PeriodicGrid, SpectralField, band_noise, high_mode_ratio,
-                   irfft, l2_norm, rfft)
+from .grid import RESOLVED, PeriodicGrid, SpectralField, band_noise, high_mode_ratio, l2_norm
 from .longwave import orbit_distance
 from .solver import WaveProfile, renormalize
 from .symbols import DispersionSymbol, multiplier_values
@@ -67,59 +66,6 @@ class EvolutionTrace:
                                          self.orbit_dist, self.shifts)]
 
 
-def _advise_on_dt(system, u0: SpectralField, cfg: EvolutionConfig):
-    """Advisory advective time-step bound; the multiplier part is integrated
-    exactly, so this only flags a possibly under-resolved nonlinear flux."""
-    if isinstance(system, Problem):
-        adv = float(np.max(np.abs(system.nonlinearity.n_prime(u0.values))))
-        char = system.symbol.m_zero + adv
-    else:
-        char = system.m_zero
-    bound = 0.5 * u0.grid.spacing / char
-    if cfg.dt > bound:
-        warnings.warn(f"dt = {cfg.dt:g} exceeds the advisory advective bound "
-                      f"{bound:.3g}", RuntimeWarning, stacklevel=3)
-
-
-def _rhs_factory(system, grid: PeriodicGrid):
-    """Returns (lam, f) on the half spectrum m = 0..N/2 of a real field.
-
-    f(c, out) writes -ik mask to_coeffs(n(to_values(c mask))) at m >= 0 into
-    ``out`` and returns it; ``c`` is only read and may not be ``out``.  The
-    grid's node phase and scale, the mask and -ik are folded into two constant
-    arrays, so one irfft and one rfft remain per evaluation, both into work
-    buffers that belong to this f; f is None for the purely dispersive flow.
-    The transforms are the grid module's ``irfft``/``rfft``, which call
-    numpy's pocketfft gufuncs ``irfft`` and ``rfft_n_even`` directly: the
-    results are numpy.fft's bit for bit, without its Python wrappers' cost,
-    which is paid at every one of the eight flux transforms of a step.
-    ``evolve`` records copies, so no array in a returned trace aliases a work
-    buffer of f or of the step.
-    """
-    if isinstance(system, Problem):
-        sym = system.symbol
-        nl = system.nonlinearity
-    elif isinstance(system, DispersionSymbol):
-        sym, nl = system, None
-    else:
-        raise TypeError("system must be a Problem or a DispersionSymbol")
-    n, half = grid.n, grid.n // 2 + 1
-    ik = grid.ik[:half]
-    lam = -ik * multiplier_values(sym, grid)[:half]
-    if nl is None:
-        return lam, None
-    phase = grid.dealias_mask[:half] * grid.node_phase
-    to_vals, to_flux = phase * grid.scale, -ik * phase / grid.scale
-    spec, vals = np.empty(half, complex), np.empty(n)
-
-    def f(c, out):
-        irfft(np.multiply(c, to_vals, out=spec), n, out=vals)
-        rfft(nl.n(vals), out=out)
-        return np.multiply(to_flux, out, out=out)
-
-    return lam, f
-
-
 def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
            reference: SpectralField | None = None) -> EvolutionTrace:
     """Integrate from u0 over [0, t_final] (negative horizons run backward).
@@ -131,19 +77,30 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
     initial sup |u|, and resolved by the grid's rule (``high_mode_ratio``).
     """
     grid = u0.grid
-    _advise_on_dt(system, u0, cfg)
-    lam, f = _rhs_factory(system, grid)
-    dt = math.copysign(cfg.dt, cfg.t_final)
-    n_steps = round(abs(cfg.t_final) / cfg.dt)  # whole, at least 1: see EvolutionConfig
+    half = grid.n // 2 + 1
     if isinstance(system, Problem):
-        energy_of = discretize(system, grid).energy
-    else:
-        mvals = multiplier_values(system, grid)
+        eng = discretize(system, grid)
+        mvals, energy_of, f = eng.mvals, eng.energy, eng.flux()
+        # the multiplier part is integrated exactly, so this bound only flags
+        # a possibly under-resolved nonlinear flux
+        adv = float(np.max(np.abs(system.nonlinearity.n_prime(u0.values))))
+        bound = 0.5 * grid.spacing / (system.symbol.m_zero + adv)
+        if cfg.dt > bound:
+            warnings.warn(f"dt = {cfg.dt:g} exceeds the advisory advective bound "
+                          f"{bound:.3g}", RuntimeWarning, stacklevel=2)
+    elif isinstance(system, DispersionSymbol):
+        # the purely dispersive flow is exact for every dt: no advisory
+        mvals, f = multiplier_values(system, grid), None
 
         def energy_of(full):
             return -0.5 * float(np.sum(mvals * np.abs(full) ** 2))
+    else:
+        raise TypeError("system must be a Problem or a DispersionSymbol")
+    lam = -grid.ik[:half] * mvals[:half]
+    dt = math.copysign(cfg.dt, cfg.t_final)
+    n_steps = round(abs(cfg.t_final) / cfg.dt)  # whole, at least 1: see EvolutionConfig
 
-    c = u0.coeffs[:grid.n // 2 + 1].copy()
+    c = u0.coeffs[:half].copy()
     c_full = grid.unfold(c)
     sup0 = float(np.max(np.abs(u0.values)))
     e0, q0 = energy_of(c_full), 0.5 * float(np.sum(np.abs(c_full) ** 2))

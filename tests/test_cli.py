@@ -349,7 +349,9 @@ def test_shipped_configs_load():
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
-    rc = main(["sweep", "--mu-list", "4e-3,1e-2", "--out", str(out)])
+    # the automatic grids differ (N = 4096 and 2048), so the reference's
+    # max-N rule and each scaled wave's own N are both visible
+    rc = main(["sweep", "--mu-list", "1e-3,1e-2", "--out", str(out)])
     assert rc == 0
     return out
 
@@ -398,7 +400,10 @@ def test_compare_kdv_on_sweep(sweep_dir, tmp_path):
     alpha = exponents(prob.symbol.j_star, prob.nonlinearity.p).alpha
     profiles = [read_profile(p, prob)
                 for p in sorted((sweep_dir / "profiles").glob("profile_*.csv"))]
-    frame = reduced_reference(prob, profiles).field.grid.period
+    assert [p.field.grid.n for p in profiles] == [4096, 2048]
+    ref = reduced_reference(prob, profiles).field.grid
+    assert ref.n == 4096  # the most points of any wave
+    frame = ref.period
     scaled = sorted((out / "scaled").glob("scaled_*.csv"))
     assert [p.name for p in scaled] == [f"scaled_{i:03d}.csv" for i in range(len(profiles))]
     for path, prof in zip(scaled, profiles):
