@@ -128,21 +128,26 @@ class DiscreteFunctional:
 
         f(c, out) writes -ik mask to_coeffs(n(to_values(c mask))) at m >= 0
         into ``out`` and returns it; ``c`` is only read and may not be ``out``.
-        The node phase, scale, mask and -ik are folded into two constant arrays
-        once per call of ``flux``, so one irfft and one rfft remain per
-        evaluation, both into work buffers that belong to this f.  The grid
-        module's ``irfft``/``rfft`` are numpy.fft's bit for bit, without its
-        Python wrappers' cost at each of the eight flux transforms of a step.
+        The node phase, scale, mask and -ik are folded into two constant
+        complex arrays once per call of ``flux``, so an evaluation is two
+        products, one irfft, the nonlinearity's ``nodewise`` and one rfft, all
+        into work buffers that belong to this f: it casts nothing, allocates
+        nothing (but a polynomial remainder's own terms) and calls no Python
+        function of the package.  The grid module's ``irfft``/``rfft`` are
+        numpy.fft's bit for bit, without its Python wrappers' cost at each of
+        the eight flux transforms of a step.
         """
-        grid, nl = self.grid, self.nl
+        grid, nodewise = self.grid, self.nl.nodewise
         n, half = grid.n, grid.n // 2 + 1
         phase = grid.dealias_mask[:half] * grid.node_phase
-        to_vals, to_flux = phase * grid.scale, -grid.ik[:half] * phase / grid.scale
-        spec, vals = np.empty(half, complex), np.empty(n)
+        # cast here rather than by np.multiply on every evaluation: same bits
+        to_vals = (phase * grid.scale).astype(complex)
+        to_flux = -grid.ik[:half] * phase / grid.scale
+        spec, vals, nvals = np.empty(half, complex), np.empty(n), np.empty(n)
 
         def f(c, out):
             irfft(np.multiply(c, to_vals, out=spec), n, out=vals)
-            rfft(nl.n(vals), out=out)
+            rfft(nodewise(vals, nvals), out=out)
             return np.multiply(to_flux, out, out=out)
 
         return f

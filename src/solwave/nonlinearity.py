@@ -8,7 +8,7 @@ remainder must vanish faster, n_r = O(|x|^(p+delta)) near zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable
@@ -19,13 +19,14 @@ from numpy.polynomial import polynomial as P
 from .errors import ConfigError
 
 
-def _ipow(x, n: int):
-    """x**n (n >= 1) by repeated np.square: a float exponent other than 2
-    takes libm's pow, some 70 times slower on negative bases."""
+def _ipow(x, n: int, out=None):
+    """x**n (n >= 1) by repeated np.square, into ``out`` when given and n >= 2:
+    a float exponent other than 2 takes libm's pow, some 70 times slower on
+    negative bases."""
     if n == 1:
         return x
-    half = np.square(_ipow(x, n // 2))
-    return x * half if n % 2 else half
+    half = np.square(_ipow(x, n // 2, out), out=out)
+    return np.multiply(x, half, out=out) if n % 2 else half
 
 
 class Kind(Enum):
@@ -45,6 +46,35 @@ class Remainder:
     prime: Callable
 
 
+def _nodewise(kind: Kind, p: float, cp: float, remainder: Remainder | None) -> Callable:
+    """x, out -> n(x) of a float array, into ``out`` when it is not None.
+    The products and their order do not depend on ``out``, so each value is
+    the same bit for bit, buffered or not."""
+    if kind is Kind.SIGNED_MODULUS:
+        def power(x, out):
+            v = np.abs(x, out=out)
+            v **= p  # in place on an array, with numpy's fast path for p = 2
+            return v
+    elif p == 2:
+        power = np.square
+    else:
+        def power(x, out):
+            return _ipow(x, int(p), out)
+    if cp == 1.0:  # 1.0 * v == v bit for bit, so the quadratic skips a pass
+        lead = power
+    else:
+        def lead(x, out):
+            return np.multiply(cp, power(x, out), out=out)
+    if remainder is None:
+        return lead
+    rem = remainder.func
+
+    def full(x, out):
+        return np.add(lead(x, out), rem(x), out=out)
+
+    return full
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     name: str
@@ -52,6 +82,11 @@ class Nonlinearity:
     cp: float
     kind: Kind
     remainder: Remainder | None = None
+    # x, out -> n(x) of a float array, into ``out`` when it is not None: the
+    # one evaluation behind ``n``, composed once here so that a caller with a
+    # buffer (the flow's flux) pays no Python frames; for ``quadratic()`` it
+    # is np.square itself
+    nodewise: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cp == 0:
@@ -65,18 +100,14 @@ class Nonlinearity:
                 raise ValueError("ODD_POWER needs a positive leading coefficient")
         if self.kind is Kind.PURE_POWER and (self.p != int(self.p) or int(self.p) % 2):
             raise ValueError("PURE_POWER needs an even integer exponent")
+        object.__setattr__(self, "nodewise",
+                           _nodewise(self.kind, self.p, self.cp, self.remainder))
 
     # leading part ----------------------------------------------------------
 
     def _times_cp(self, v):
-        # 1.0 * v == v bit for bit, so the quadratic flux skips a full pass
+        # 1.0 * v == v bit for bit
         return v if self.cp == 1.0 else self.cp * v
-
-    def leading(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind is Kind.SIGNED_MODULUS:
-            return self._times_cp(np.abs(x) ** self.p)
-        return self._times_cp(_ipow(x, int(self.p)))
 
     def leading_prime(self, x):
         x = np.asarray(x, dtype=float)
@@ -93,11 +124,10 @@ class Nonlinearity:
 
     # full nonlinearity ------------------------------------------------------
 
-    def n(self, x):
-        out = self.leading(x)
-        if self.remainder is not None:
-            out = out + self.remainder.func(np.asarray(x, dtype=float))
-        return out
+    def n(self, x, out=None):
+        """n(x); into ``out`` (a float array of x's shape, not x itself) when
+        given, and then ``out`` is returned."""
+        return self.nodewise(np.asarray(x, dtype=float), out)
 
     def n_prime(self, x):
         out = self.leading_prime(x)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,11 +288,53 @@ def reference_ifrk4(system, u0, dt, steps):
     return c
 
 
-@pytest.mark.parametrize("name", ["quadratic", "poly:1,0.5", "modulus:2.5,1"])
+@pytest.mark.parametrize("name", ["quadratic", "poly:1,0.5", "modulus:2.5,1",
+                                  "oddpower:3,1", "poly:-1", "modulus:2,-0.5"])
 def test_buffered_step_matches_reference(name):
+    # the in-place step and the buffered flux are the out-of-place formula
+    # bit for bit; poly:-1 and modulus:2,-0.5 take the c_p != 1 product
     u0 = smooth_pulse(n=256, amp=0.1, decay=0.5)
     prob = Problem(whitham(), nonlinearity_from_name(name))
     cfg = EvolutionConfig(dt=0.005, t_final=10.0, stride=2000)
     got = evolve(prob, u0, cfg).final.coeffs[:u0.grid.n // 2 + 1]
     ref = reference_ifrk4(prob, u0, cfg.dt, 2000)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["quadratic", "modulus:2.5,1"])
+def test_flux_allocates_nothing(name):
+    # poly:1,0.5 is left out: numpy's polyval allocates its Horner terms
+    g = PeriodicGrid(800.0, 1024)
+    f = discretize(Problem(whitham(), nonlinearity_from_name(name)), g).flux()
+    c = g.to_coeffs(0.01 * np.exp(-(g.nodes / 20.0) ** 2))[:g.n // 2 + 1].copy()
+    out = np.empty_like(c)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            f(c, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.n
+
+
+def _moved(u, shift):
+    return SpectralField.from_values(u.grid, np.roll(u.values, shift))
+
+
+def test_evolution_commutes_with_translation(wave):
+    g = wave.field.grid
+    u0 = wave.field + perturbation(g, l2_norm(wave.field), 0.05, seed=3)
+    cfg = EvolutionConfig(dt=0.02, t_final=10.0, stride=500)
+    a = evolve(PROB, _moved(u0, 37), cfg).final
+    b = _moved(evolve(PROB, u0, cfg).final, 37)
+    assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(u0.values))
+
+
+def test_evolution_time_reversal(wave):
+    g = wave.field.grid
+    u0 = wave.field + perturbation(g, l2_norm(wave.field), 0.05, seed=3)
+    fwd = evolve(PROB, u0, EvolutionConfig(dt=0.02, t_final=10.0, stride=500))
+    back = evolve(PROB, fwd.final, EvolutionConfig(dt=0.02, t_final=-10.0, stride=500))
+    assert (np.max(np.abs(back.final.values - u0.values))
+            <= 1e-12 * np.max(np.abs(u0.values)))

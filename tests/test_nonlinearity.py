@@ -77,7 +77,7 @@ def test_leading_part_matches_closed_form(nl):
         lead = [cp * x**p for x in xs]
         prime = [cp * p * x ** (p - 1.0) for x in xs]
         prim = [cp * x ** (p + 1.0) / (p + 1.0) for x in xs]
-    assert nl.leading(xs) == approx(lead, rel=1e-15, abs=0)
+    assert nl.n(xs) == approx(lead, rel=1e-15, abs=0)  # no case has a remainder
     assert nl.leading_prime(xs) == approx(prime, rel=1e-15, abs=0)
     assert nl.leading_primitive(xs) == approx(prim, rel=1e-15, abs=0)
 
@@ -174,3 +174,19 @@ def test_evaluations_bit_identical_to_power_chain(nl):
         want = _power_chain(nl, x)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("name", ["quadratic", "oddpower:3,1", "modulus:2.5,-1",
+                                  "poly:1,0.5"])
+def test_buffered_evaluation_is_bit_identical(name):
+    nl = nonlinearity_from_name(name)
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.concatenate([np.random.default_rng(4).standard_normal(500) * 3.0,
+                        [-2.5, -1.0, 0.0, -0.0, tiny, -tiny, 1e-310, -1e-310,
+                         np.inf, -np.inf, np.nan]])
+    buf = np.empty_like(x)
+    with np.errstate(all="ignore"):
+        want = nl.n(x)
+        got = nl.n(x, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
