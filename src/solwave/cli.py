@@ -138,16 +138,6 @@ def cmd_solve(args, cfg) -> int:
     return 0
 
 
-def _convergence_outputs(prob, profiles, outdir: Path):
-    comparisons = convergence_study(prob, profiles, reduced_reference(prob, profiles))
-    records = [scaling_diagnostics(prob, p) for p in profiles]
-    fileio.write_rows_csv(outdir / "convergence.csv", convergence_rows(comparisons, records))
-    # the high-band ratio beside the round-off floor it cannot be measured below
-    fileio.write_csv(outdir / "diagnostics.csv", ["mu", "tau_ratio2", "high_band_floor"],
-                     [(r.mu, r.high_band_ratio, r.high_band_floor) for r in records])
-    return comparisons
-
-
 def cmd_sweep(args, cfg) -> int:
     out = Path(args.out)
     t0 = time.time()
@@ -157,7 +147,6 @@ def cmd_sweep(args, cfg) -> int:
     for i, prof in enumerate(profiles):
         fileio.write_profile(out / "profiles" / f"profile_{i:03d}.csv", prof)
     fileio.write_rows_csv(out / "sweep.csv", sweep_rows(profiles))
-    _convergence_outputs(prob, profiles, out)
     fileio.write_manifest(out / "manifest.json", "sweep", cfg, t0)
     print(f"sweep of {len(profiles)} waves written to {out}")
     return 0
@@ -172,7 +161,13 @@ def cmd_compare_kdv(args, cfg) -> int:
     profiles = [fileio.read_profile(p, prob) for p in paths]
     out = Path(args.out or args.sweep_dir)
     t0 = time.time()
-    for i, c in enumerate(_convergence_outputs(prob, profiles, out)):
+    comparisons = convergence_study(prob, profiles, reduced_reference(prob, profiles))
+    records = [scaling_diagnostics(prob, p) for p in profiles]
+    fileio.write_rows_csv(out / "convergence.csv", convergence_rows(comparisons, records))
+    # the high-band ratio beside the round-off floor it cannot be measured below
+    fileio.write_csv(out / "diagnostics.csv", ["mu", "tau_ratio2", "high_band_floor"],
+                     [(r.mu, r.high_band_ratio, r.high_band_floor) for r in records])
+    for i, c in enumerate(comparisons):
         fileio.write_field_csv(out / "scaled" / f"scaled_{i:03d}.csv", c.scaled)
     fileio.write_manifest(out / "manifest_compare.json", "compare-kdv", cfg, t0)
     print(f"convergence study over {len(profiles)} waves written to {out}")
@@ -232,7 +227,7 @@ def cmd_stability(args, cfg) -> int:
 def cmd_validate_symbol(args, cfg) -> int:
     name = _name(cfg, "symbol")
     sym = symbol_from_name(name)
-    report = validate_symbol(sym, k_max=args.k_max, n_samples=args.samples)
+    report = validate_symbol(sym)
     for line in report.lines():
         print(line)
     if args.out:
@@ -268,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", default="out-solve")
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("sweep", help="continuation over a mu list + convergence study")
+    p = sub.add_parser("sweep", help="continuation over a mu list")
     p.add_argument("--mu-list", dest="sweep.mu_list", type=_float_list)
     p.add_argument("--out", default="out-sweep")
     p.set_defaults(fn=cmd_sweep)
@@ -296,8 +291,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("validate-symbol", help="run the multiplier checks")
     p.add_argument("--name", dest="problem.symbol")
-    p.add_argument("--k-max", type=float, default=100.0)
-    p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_validate_symbol)
 

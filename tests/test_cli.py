@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solwave.analysis import reduced_reference, scaling_diagnostics
+from solwave.analysis import (convergence_rows, convergence_study, reduced_reference,
+                              scaling_diagnostics)
 from solwave.cli import (DEFAULT_CONFIG, build_evolution_config, build_problem,
                          build_solve_config, load_config, main)
 from solwave.fileio import read_profile
@@ -72,8 +73,7 @@ def test_unknown_config_key_fails_closed(tmp_path, capsys):
 
 
 def test_validate_symbol_command(tmp_path, capsys):
-    rc = main(["validate-symbol", "--name", "whitham", "--k-max", "50",
-               "--samples", "2000", "--out", str(tmp_path)])
+    rc = main(["validate-symbol", "--name", "whitham", "--out", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "symbol_report.json").read_text())
     assert report["passed"] is True
@@ -117,11 +117,6 @@ def bad_inputs(d):
                  "stride_fraction": {"stride": 2.5}}
     cases = {  # id: (field, argv)
         "profile": ("profile", ["evolve", "--profile", str(rows)]),
-        "k_max": ("k_max", ["validate-symbol", "--k-max", "0"]),
-        "samples": ("samples", ["validate-symbol", "--samples", "8"]),
-        # rejected before the sample array is allocated
-        "samples_huge": ("samples", ["validate-symbol", "--samples", "10000000000000"]),
-        "k_max_text": ("argv", ["validate-symbol", "--k-max", "abc"]),
         "meta_keys": ("meta", ["evolve", "--profile", str(d / "keys" / "profile.csv")]),
         "meta_json": ("meta", ["evolve", "--profile", str(d / "json" / "profile.csv")]),
         "profile_cell": ("profile", ["evolve", "--profile", str(cell)]),
@@ -208,9 +203,8 @@ def bad_inputs(d):
 
 
 @pytest.mark.parametrize("case", [
-    "ball_radius", "penalized", "penalized_flag", "profile", "k_max", "samples",
-    "samples_huge", "k_max_text", "meta_keys", "meta_json", "profile_cell",
-    "profile_nodes", "steps_fraction", "dt_nan", "t_final_inf", "stride_fraction",
+    "ball_radius", "penalized", "penalized_flag", "profile", "meta_keys", "meta_json",
+    "profile_cell", "profile_nodes", "steps_fraction", "dt_nan", "t_final_inf", "stride_fraction",
     "rational_-1", "rational_1e-300", "rational_nan", "rational_inf", "mu_null",
     "points_text", "dt_text", "tau_above_1", "scales_text", "points_range", "mu_list_text",
     "seed_negative", "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu",
@@ -310,11 +304,18 @@ def test_readme_layout_names_every_module():
 
 
 def test_sweep_outside_the_long_wave_frame_is_grid_mismatch(tmp_path, capsys):
-    # a fixed period cannot hold every mu of a sweep in one long-wave frame
+    # a fixed period cannot hold every mu of a sweep in one long-wave frame:
+    # the sweep solves and writes its waves, the long-wave comparison refuses them
     cfg = write_config(tmp_path, {"grid": {"period": 80.0, "points": 1024}})
-    rc = main(["--config", cfg, "sweep", "--mu-list", "1e-2,5e-2", "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    rc = main(["--config", cfg, "sweep", "--mu-list", "1e-2,5e-2", "--out", str(out)])
+    assert rc == 0
+    assert (out / "manifest.json").exists()
+    capsys.readouterr()
+    rc = main(["--config", cfg, "compare-kdv", "--sweep-dir", str(out)])
     assert rc == 1
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "GRID_MISMATCH"
+    assert not (out / "convergence.csv").exists()
 
 
 def src_env():
@@ -356,21 +357,29 @@ def sweep_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def compare_dir(sweep_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("compare")
+    rc = main(["compare-kdv", "--sweep-dir", str(sweep_dir), "--out", str(out)])
+    assert rc == 0
+    return out
+
+
 def test_sweep_outputs(sweep_dir):
     sweep = (sweep_dir / "sweep.csv").read_text().splitlines()
     assert sweep[0] == "mu,P,N,nu,energy,residual,tail,iters"
     assert len(sweep) == 3
-    conv = (sweep_dir / "convergence.csv").read_text().splitlines()
-    assert conv[0] == ("mu,dist_aligned,speed_dev,energy_dev,shift,"
-                       "tau_ratio1,tau_ratio2,supnorm_ratio")
+    # the long-wave comparison is compare-kdv's
+    assert not (sweep_dir / "convergence.csv").exists()
+    assert not (sweep_dir / "diagnostics.csv").exists()
     assert (sweep_dir / "profiles" / "profile_000.csv").exists()
     assert (sweep_dir / "profiles" / "meta_001.json").exists()
 
 
-def test_diagnostics_file_writes_the_high_band_floor(sweep_dir):
-    lines = (sweep_dir / "diagnostics.csv").read_text().splitlines()
+def test_diagnostics_file_writes_the_high_band_floor(sweep_dir, compare_dir):
+    lines = (compare_dir / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == "mu,tau_ratio2,high_band_floor"
-    conv = (sweep_dir / "convergence.csv").read_text().splitlines()[1:]
+    conv = (compare_dir / "convergence.csv").read_text().splitlines()[1:]
     prob = build_problem(load_config(None))
     for i, (line, conv_line) in enumerate(zip(lines[1:], conv, strict=True)):
         mu, ratio, floor = map(float, line.split(","))
@@ -384,27 +393,35 @@ def test_sweep_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert main(["sweep", "--mu-list", "1e-2", "--out", str(out)]) == 0
-    for rel in ("sweep.csv", "convergence.csv", "profiles/profile_000.csv"):
-        assert (a / rel).read_bytes() == (b / rel).read_bytes()
+        assert main(["compare-kdv", "--sweep-dir", str(out)]) == 0
+    for rel in ("sweep.csv", "profiles/profile_000.csv", "convergence.csv",
+                "diagnostics.csv", "scaled/scaled_000.csv"):
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
-def test_compare_kdv_on_sweep(sweep_dir, tmp_path):
-    out = tmp_path / "cmp"
-    rc = main(["compare-kdv", "--sweep-dir", str(sweep_dir), "--out", str(out)])
-    assert rc == 0
-    fresh = (out / "convergence.csv").read_bytes()
-    original = (sweep_dir / "convergence.csv").read_bytes()
-    assert fresh == original
-    # wave NNN on the reduced reference's period: mu^-alpha u(mu^-beta x), momentum Q(u)/mu
+def test_compare_kdv_on_sweep(sweep_dir, compare_dir):
     prob = build_problem(load_config(None))
-    alpha = exponents(prob.symbol.j_star, prob.nonlinearity.p).alpha
     profiles = [read_profile(p, prob)
                 for p in sorted((sweep_dir / "profiles").glob("profile_*.csv"))]
     assert [p.field.grid.n for p in profiles] == [4096, 2048]
-    ref = reduced_reference(prob, profiles).field.grid
+    reference = reduced_reference(prob, profiles)
+    # every cell, against the library on the stored profiles; %.17g round-trips
+    records = [scaling_diagnostics(prob, p) for p in profiles]
+    tables = {"convergence.csv": convergence_rows(
+                  convergence_study(prob, profiles, reference), records),
+              "diagnostics.csv": [{"mu": r.mu, "tau_ratio2": r.high_band_ratio,
+                                   "high_band_floor": r.high_band_floor} for r in records]}
+    for name, rows in tables.items():
+        header, *lines = (compare_dir / name).read_text().splitlines()
+        assert header.split(",") == list(rows[0]), name
+        for line, row in zip(lines, rows, strict=True):
+            assert [float(c) for c in line.split(",")] == list(row.values()), name
+    # wave NNN on the reduced reference's period: mu^-alpha u(mu^-beta x), momentum Q(u)/mu
+    alpha = exponents(prob.symbol.j_star, prob.nonlinearity.p).alpha
+    ref = reference.field.grid
     assert ref.n == 4096  # the most points of any wave
     frame = ref.period
-    scaled = sorted((out / "scaled").glob("scaled_*.csv"))
+    scaled = sorted((compare_dir / "scaled").glob("scaled_*.csv"))
     assert [p.name for p in scaled] == [f"scaled_{i:03d}.csv" for i in range(len(profiles))]
     for path, prof in zip(scaled, profiles):
         grid = PeriodicGrid(frame, prof.field.grid.n)  # the wave's own N
@@ -413,6 +430,22 @@ def test_compare_kdv_on_sweep(sweep_dir, tmp_path):
         assert np.array_equal(w, prof.mu ** -alpha * prof.field.values)
         field = SpectralField.from_values(grid, w)
         assert momentum(field) == pytest.approx(momentum(prof.field) / prof.mu, rel=1e-12)
+
+
+def test_compare_kdv_writes_into_the_sweep_by_default(sweep_dir, tmp_path):
+    # with no --out the tables, scaled waves and manifest_compare.json join the
+    # sweep's own files, which stay as they were
+    src = tmp_path / "sweep"
+    shutil.copytree(sweep_dir, src)
+    before = {p: p.read_bytes() for p in src.rglob("*") if p.is_file()}
+    assert main(["compare-kdv", "--sweep-dir", str(src)]) == 0
+    for name in ("convergence.csv", "diagnostics.csv", "scaled/scaled_000.csv",
+                 "scaled/scaled_001.csv", "manifest_compare.json"):
+        assert (src / name).exists(), name
+    assert json.loads((src / "manifest_compare.json").read_text())["command"] == "compare-kdv"
+    assert json.loads((src / "manifest.json").read_text())["command"] == "sweep"
+    for path, data in before.items():
+        assert path.read_bytes() == data, path
 
 
 def test_compare_kdv_needs_every_meta(sweep_dir, tmp_path, capsys):
@@ -496,7 +529,7 @@ def test_stability_command(sweep_dir, tmp_path):
 @pytest.mark.parametrize("command, flags, echoed, outputs", [
     ("solve", ["--mu", "1e-2"], {"solver": {"mu": 1e-2}}, ["profile.csv", "meta.json"]),
     ("sweep", ["--mu-list", "4e-3,1e-2"], {"sweep": {"mu_list": [4e-3, 1e-2]}},
-     ["sweep.csv", "convergence.csv", "profiles/profile_001.csv"]),
+     ["sweep.csv", "profiles/profile_001.csv"]),
     ("evolve", ["--T", "1", "--dt", "0.02"], {"evolution": {"t_final": 1.0, "dt": 0.02}},
      ["trace.csv", "final.csv"]),
     ("stability", ["--scale", "0.01", "--seed", "42", "--T", "1"],
@@ -600,7 +633,7 @@ fuzz_commands = st.one_of(
     st.tuples(st.just("stability"), st.lists(st.sampled_from(
         [["--scale", "0.02"], ["--seed", "3"], ["--T", "0.2"], ["--dt", "0.1"]]), max_size=3)),
     st.tuples(st.just("validate-symbol"), st.lists(st.sampled_from(
-        [["--name", "gaussian"], ["--name", "rational:1.5"], ["--k-max", "20"]]), max_size=2)))
+        [["--name", "gaussian"], ["--name", "rational:1.5"]]), max_size=1)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -647,8 +680,6 @@ def test_cli_fails_closed_on_generated_input(config, profile, command):
             argv += ["--profile", str(d / "profiles" / "profile_000.csv")]
         if name == "compare-kdv":
             argv += ["--sweep-dir", str(d)]
-        if name == "validate-symbol":
-            argv += ["--samples", "200"]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():

@@ -89,7 +89,7 @@ def test_remainder_quartic_bound():
 
 @pytest.mark.parametrize("sym", [whitham(), gaussian(), rational(1.0), rational(0.5)])
 def test_bundled_symbols_validate(sym):
-    report = validate_symbol(sym, k_max=100.0, n_samples=10_000)
+    report = validate_symbol(sym)
     assert report.passed, "\n".join(report.lines())
 
 
@@ -97,7 +97,7 @@ def test_validate_flags_no_strict_max():
     bad = DispersionSymbol("bad", lambda k: 1.0 + np.asarray(k) ** 2,
                            m_zero=1.0, decay_order=-1.0, j_star=1,
                            d2j_star=-1.0, k_cut=1.0)
-    report = validate_symbol(bad, k_max=10.0, n_samples=200)
+    report = validate_symbol(bad)
     failed = {c.name for c in report.checks if not c.passed}
     assert "NO_STRICT_MAX" in failed
     with pytest.raises(SymbolViolation) as err:
@@ -106,7 +106,7 @@ def test_validate_flags_no_strict_max():
 
 
 def test_gaussian_taylor_data_passes_fd_check():
-    report = validate_symbol(gaussian(), k_max=10.0, n_samples=1000)
+    report = validate_symbol(gaussian())
     byname = {c.name: c for c in report.checks}
     assert byname["TAYLOR_MISMATCH"].passed
 
