@@ -1,10 +1,14 @@
 """Every file a study writes and reads back.
 
-All floats are written as %.17g so identical runs give byte-identical files;
-writes go through a temp file and an atomic rename.  A stored wave is a pair:
-``profile<suffix>.csv`` holds its samples and ``meta<suffix>.json`` beside it
-its certificate numbers, and ``read_profile`` is the one way from that pair
-back to a ``WaveProfile``.  A table's header is the keys of its first row.
+All floats are written as %.17g so identical runs give byte-identical files.
+A table is formatted by one ``%``: its row template repeated once per row,
+applied to the cells in row order, which gives the bytes that one ``%`` per
+row gives; a row that does not fit the header is refused before anything is
+written.  Writes go through a temp file and an atomic rename.  A stored wave
+is a pair: ``profile<suffix>.csv`` holds its samples and ``meta<suffix>.json``
+beside it its certificate numbers, and ``read_profile`` is the one way from
+that pair back to a ``WaveProfile``.  A table's header is the keys of its
+first row.
 
 A stored profile is parsed in one call to numpy's C reader, which rounds
 correctly and so gives the doubles ``float()`` gives; a row it cannot read,
@@ -50,12 +54,23 @@ def atomic_write(path, text: str):
         raise
 
 
+def _write_table(path, header: list[str], cells: list) -> None:
+    """The table whose rows are consecutive runs of ``len(header)`` cells;
+    the ``%`` raises TypeError when they leave a part of a row."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    text = (row * (len(cells) // len(header))) % tuple(cells)
+    atomic_write(path, ",".join(header) + "\n" + text)
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """One line per row; each row has one number per header column."""
-    fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(fmt % tuple(row) for row in rows)
-    atomic_write(path, "\n".join(lines) + "\n")
+    cells = []
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: a row of {len(row)} cells under "
+                             f"{len(header)} columns")
+        cells.extend(row)
+    _write_table(path, header, cells)
 
 
 def write_json(path, obj) -> None:
@@ -64,8 +79,11 @@ def write_json(path, obj) -> None:
 
 def write_rows_csv(path, rows: list[dict]) -> None:
     """A table whose header is the first row's keys, which every row shares."""
-    header = list(rows[0])
-    write_csv(path, header, [[row[c] for c in header] for row in rows])
+    keys = rows[0].keys()
+    if any(row.keys() != keys for row in rows):
+        raise ValueError(f"{path}: a row whose keys are not {list(keys)}")
+    header = list(keys)
+    _write_table(path, header, [row[c] for row in rows for c in header])
 
 
 def write_manifest(path, command: str, config: dict, t0: float, **extra) -> None:
@@ -78,7 +96,8 @@ def write_manifest(path, command: str, config: dict, t0: float, **extra) -> None
 
 def write_field_csv(path, u: SpectralField) -> None:
     """Physical samples as `x,u`."""
-    write_csv(path, ["x", "u"], zip(u.grid.nodes, u.values))
+    _write_table(path, ["x", "u"],
+                 np.column_stack((u.grid.nodes, u.values)).ravel().tolist())
 
 
 def read_field_csv(path) -> SpectralField:

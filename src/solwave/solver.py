@@ -187,15 +187,15 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
         else:
             raise MuTooLarge(
                 f"line search collapsed at residual {res:.3e}; no minimizer "
-                f"in reach at mu = {mu:g}", residual=res,
+                f"in reach at mu = {mu:g}", residual=res, iterations=it,
                 history=history["residuals"])
         c, v, e0 = trial, v_trial, e1  # the next gradient reuses the samples
         history["energies"].append(e1)
         step = min(t * _STEP_GROW, _STEP_MAX)
     raise MaxIterations(
         f"residual {history['residuals'][-1]:.3e} after {cfg.max_iter} "
-        f"iterations (tol {cfg.tol_residual:g})",
-        history=history["residuals"])
+        f"iterations (tol {cfg.tol_residual:g})", iterations=cfg.max_iter,
+        residual=history["residuals"][-1], history=history["residuals"])
 
 
 def _finish(eng: DiscreteFunctional, prob_symbol: str, nl_name: str, mu: float,

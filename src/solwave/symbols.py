@@ -7,6 +7,7 @@ m(0) + d2j_star * k**(2*j_star) / (2*j_star)!.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -59,6 +60,10 @@ def cutoff_wavenumber(eval_m, m_zero: float, k_max: float = 100.0,
     return hi
 
 
+# each bundled symbol's cut-off is scanned once per process
+_bundled_cutoff = functools.cache(cutoff_wavenumber)
+
+
 def _whitham_eval(k):
     k = np.asarray(k, dtype=float)
     out = np.empty_like(k)
@@ -84,17 +89,18 @@ def whitham() -> DispersionSymbol:
         decay_order=-0.5,
         j_star=1,
         d2j_star=-1.0 / 3.0,
-        k_cut=cutoff_wavenumber(_whitham_eval, 1.0),
+        k_cut=_bundled_cutoff(_whitham_eval, 1.0),
     )
 
 
-def gaussian() -> DispersionSymbol:
-    def m(k):
-        k = np.asarray(k, dtype=float)
-        return np.exp(-(k**2))
+def _gaussian_eval(k):
+    k = np.asarray(k, dtype=float)
+    return np.exp(-(k**2))
 
-    return DispersionSymbol("gaussian", m, 1.0, -2.0, 1, -2.0,
-                            cutoff_wavenumber(m, 1.0, k_max=10.0))
+
+def gaussian() -> DispersionSymbol:
+    return DispersionSymbol("gaussian", _gaussian_eval, 1.0, -2.0, 1, -2.0,
+                            _bundled_cutoff(_gaussian_eval, 1.0, k_max=10.0))
 
 
 def rational(s: float) -> DispersionSymbol:
@@ -186,7 +192,8 @@ def _fd_even_derivative(eval_m, order: int, step: float) -> float:
 
 
 def validate_symbol(sym: DispersionSymbol) -> SymbolReport:
-    """Evaluate the multiplier invariants on 10,000 uniform samples of [-100, 100]."""
+    """Evaluate the multiplier invariants on 10,000 uniform samples of [-100, 100],
+    and CUTOFF also beyond a k_cut that lies past them."""
     ks = np.linspace(-100.0, 100.0, 10_000)
     vals = np.asarray(sym.eval(ks), dtype=float)
     checks = []
@@ -225,14 +232,18 @@ def validate_symbol(sym: DispersionSymbol) -> SymbolReport:
     checks.append(CheckResult("TAYLOR_REMAINDER", bool(np.isfinite(ratio[jr])), float(kn[jr]),
                               f"sup |r|/k^(2j*+2) = {ratio[jr]:.3e}"))
 
-    # cutoff: m <= m(0)/2 beyond k_cut
+    # cutoff: m <= m(0)/2 beyond k_cut; a k_cut past the samples above gets
+    # its own, 10,000 geometric ones from k_cut to 100 k_cut on either side
     beyond = np.abs(ks) >= sym.k_cut
-    if beyond.any():
-        vb = vals[beyond] - 0.5 * sym.m_zero
-        jb = int(np.argmax(vb))
-        checks.append(CheckResult("CUTOFF", bool(vb[jb] <= 1e-12), float(ks[beyond][jb]),
-                                  f"max m(k)-m(0)/2 beyond k_cut = {vb[jb]:.3e}"))
-    else:
-        checks.append(CheckResult("CUTOFF", True, sym.k_cut, "no samples beyond k_cut"))
+    kb, vb = ks[beyond], vals[beyond]
+    if not beyond.any():
+        far = np.geomspace(sym.k_cut, 100.0 * sym.k_cut, 5_000)
+        kb = np.concatenate((-far[::-1], far))
+        with np.errstate(over="ignore"):  # a decaying m(k) overflows towards 0
+            vb = np.asarray(sym.eval(kb), dtype=float)
+    vb = vb - 0.5 * sym.m_zero
+    jb = int(np.argmax(vb))
+    checks.append(CheckResult("CUTOFF", bool(vb[jb] <= 1e-12), float(kb[jb]),
+                              f"max m(k)-m(0)/2 beyond k_cut = {vb[jb]:.3e}"))
 
     return SymbolReport(sym.name, tuple(checks))

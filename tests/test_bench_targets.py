@@ -7,6 +7,7 @@ anything.  The tracer is loaded by path, as the benchmark runs it.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -34,3 +35,14 @@ def test_every_traced_target_resolves():
     missing = [f"{m}.{p}" for m, p in targets if not callable(resolve(m, p))]
     assert not missing, f"bench/tracer.py names what solwave lacks: {missing}"
 
+
+
+def test_written_bytes_read_atomic_writes_text():
+    # the tracer counts fileio.bytes_written from atomic_write's second
+    # argument, passed by position or as text=
+    from solwave.fileio import atomic_write
+    path, text = list(inspect.signature(atomic_write).parameters)[:2]
+    assert (path, text) == ("path", "text")
+    count = load_tracer()._write_attrs
+    assert count(("d/t.csv", "x,u\n"), {}, None) == {"data_bytes": 4}
+    assert count((), {path: "d/t.csv", text: "x,u\n"}, None) == {"data_bytes": 4}

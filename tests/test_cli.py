@@ -273,6 +273,21 @@ def test_unresolved_solve_is_resolution_loss(tmp_path, capsys):
     assert not (tmp_path / "o" / "profile.csv").exists()
 
 
+@pytest.mark.parametrize("doc, mu, code, rc, iterations", [
+    ({"solver": {"max_iter": 3}}, "1e-4", "MAX_ITER", 3, 3),
+    # on 16 points the cubic descent at mu = 0.3 stalls at residual 9.7e-11
+    ({"problem": {"nonlinearity": "oddpower:3,1"}, "grid": {"points": 16},
+      "solver": {"tol_residual": 1e-16}}, "0.3", "MU_TOO_LARGE", 2, 44)],
+    ids=["max_iter", "line_search"])
+def test_descent_failure_reports_its_iterations(tmp_path, capsys, doc, mu, code, rc,
+                                                iterations):
+    cfg = write_config(tmp_path, doc)
+    assert main(["--config", cfg, "solve", "--mu", mu, "--out", str(tmp_path / "o")]) == rc
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == code and err["iterations"] == iterations
+    assert f"{err['residual']:.3e}" in err["message"]
+
+
 def test_solved_wave_evolves(tmp_path):
     # solve and evolve check the same resolution rule: a wave the solve
     # certifies is one the evolution starts from

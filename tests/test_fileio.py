@@ -1,4 +1,5 @@
-"""Reading stored profiles back: the doubles, the accepted layouts, the refusals."""
+"""Stored tables and profiles: the bytes written, the doubles read back, the
+accepted layouts, the refusals."""
 
 import json
 import warnings
@@ -8,7 +9,8 @@ import pytest
 
 from solwave.cli import main
 from solwave.errors import ConfigError
-from solwave.fileio import read_field_csv
+from solwave.fileio import read_field_csv, write_csv, write_field_csv, write_rows_csv
+from solwave.grid import PeriodicGrid, SpectralField
 
 NODES = [j - 8.0 for j in range(16)]  # the nodes of PeriodicGrid(16.0, 16)
 
@@ -116,3 +118,61 @@ def test_unreadable_profile_is_one_json_line(tmp_path, capsys, text):
     assert len(err.strip().splitlines()) == 1
     line = json.loads(err)
     assert line["error"] == "CONFIG" and line["field"] == "profile"
+
+
+def reference_csv(header, rows):
+    """The per-row writer: one ``%`` per row."""
+    fmt = ",".join(["%.17g"] * len(header))
+    return "".join([",".join(header) + "\n", *(fmt % tuple(row) + "\n" for row in rows)])
+
+
+# signed zero, the subnormal and normal extremes, the non-finite values, and
+# doubles exactly halfway between two 17-digit decimals (1 + j 2^-17)
+SPECIAL = [-0.0, 5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan,
+           *((2**17 + j) / 2**17 for j in (1, 3, 5, 7))]
+
+
+def test_table_bytes_are_the_per_row_writers(tmp_path):
+    rows = [(v, -v, 8192) for v in SPECIAL]
+    write_csv(tmp_path / "t.csv", ["a", "b", "N"], rows)
+    text = (tmp_path / "t.csv").read_text()
+    assert text == reference_csv(["a", "b", "N"], rows)
+    # each tie rounds to the even last digit
+    assert "\n1.0000076293945312,-1.0000076293945312,8192\n1.0000228881835938," in text
+
+
+@pytest.mark.parametrize("n_rows", [1, len(SPECIAL)])
+def test_dict_rows_bytes_are_the_per_row_writers(tmp_path, n_rows):
+    rows = [{"N": 8192, "mu": v, "nu": 1.0 + v} for v in SPECIAL[:n_rows]]
+    write_rows_csv(tmp_path / "t.csv", rows)
+    text = (tmp_path / "t.csv").read_text()
+    assert text == reference_csv(["N", "mu", "nu"], [list(r.values()) for r in rows])
+    assert text.splitlines()[1].startswith("8192,")
+
+
+def test_field_bytes_are_the_per_row_writers(tmp_path):
+    rng = np.random.default_rng(11)
+    vs = rng.standard_normal(16) * 10.0 ** rng.integers(-300, 300, 16)
+    vs[:3] = -0.0, 5e-324, SPECIAL[6]
+    u = SpectralField.from_values(PeriodicGrid(16.0, 16), vs)
+    write_field_csv(tmp_path / "profile.csv", u)
+    assert ((tmp_path / "profile.csv").read_text()
+            == reference_csv(["x", "u"], zip(u.grid.nodes, u.values)))
+
+
+@pytest.mark.parametrize("rows", [[(1.0, 2.0, 3.0)], [(1.0,), (1.0, 2.0, 3.0)]],
+                         ids=["three_under_two", "one_beside_three"])
+def test_ragged_table_is_refused(tmp_path, rows):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], rows)
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("second", [{"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 1.0},
+                                    {"a": 1.0, "c": 3.0}],
+                         ids=["more_keys", "fewer_keys", "other_keys"])
+def test_ragged_dict_rows_are_refused(tmp_path, second):
+    rows = [{"a": 1.0, "b": 2.0}, second]
+    with pytest.raises(ValueError):
+        write_rows_csv(tmp_path / "t.csv", rows)
+    assert not (tmp_path / "t.csv").exists()

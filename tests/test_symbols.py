@@ -14,9 +14,9 @@ from pytest import approx
 
 from solwave.errors import SymbolViolation
 from solwave.grid import PeriodicGrid, SpectralField, band_noise, inner_l2, l2_norm
-from solwave.symbols import (DispersionSymbol, gaussian, multiplier_values,
-                             rational, symbol_from_name, taylor_remainder,
-                             validate_symbol, whitham)
+from solwave.symbols import (DispersionSymbol, _bundled_cutoff, cutoff_wavenumber,
+                             gaussian, multiplier_values, rational, symbol_from_name,
+                             taylor_remainder, validate_symbol, whitham)
 
 M_AT_2PI = 0.3989408891555464
 K_CUT = 3.997302692060433
@@ -61,6 +61,16 @@ def test_cutoff_is_first_double_at_half_height():
         assert sym.eval(np.nextafter(sym.k_cut, 0.0)) > sym.m_zero / 2
 
 
+def test_bundled_cutoff_is_scanned_once():
+    # the cached value is the double a fresh scan gives
+    w, g = whitham(), gaussian()
+    assert w.k_cut == cutoff_wavenumber(w.eval, 1.0)
+    assert g.k_cut == cutoff_wavenumber(g.eval, 1.0, k_max=10.0)
+    misses = _bundled_cutoff.cache_info().misses
+    assert whitham().k_cut == w.k_cut and gaussian().k_cut == g.k_cut
+    assert _bundled_cutoff.cache_info().misses == misses
+
+
 def test_series_and_direct_branch_agree_at_switch():
     sym = whitham()
     for k in (0.009, 0.0099, 0.0101, 0.011):
@@ -103,6 +113,36 @@ def test_validate_flags_no_strict_max():
     with pytest.raises(SymbolViolation) as err:
         report.raise_if_failed()
     assert err.value.info["k"] != 0.0
+
+
+def cutoff_check(sym):
+    return {c.name: c for c in validate_symbol(sym).checks}["CUTOFF"]
+
+
+@pytest.mark.parametrize("sym", [whitham(), gaussian(), rational(0.5)])
+def test_cutoff_within_the_samples_reads_them(sym):
+    assert cutoff_check(sym).worst_k in np.linspace(-100.0, 100.0, 10_000)
+
+
+def test_cutoff_beyond_the_samples_is_measured():
+    # k_cut = sqrt(2^20 - 1) ~ 1024 lies past every sample of [-100, 100]
+    sym = rational(0.05)
+    check = cutoff_check(sym)
+    assert check.passed and abs(check.worst_k) >= sym.k_cut
+    assert check.detail.startswith("max m(k)-m(0)/2 beyond k_cut = ")
+
+
+def test_cutoff_fails_on_a_rise_beyond_the_samples():
+    # at or below m(0)/2 from k_cut = 150 on, save for a bump to 0.6 at |k| = 1000
+    def m(k):
+        k = np.asarray(k, dtype=float)
+        return 1.0 / (1.0 + (k / 150.0) ** 2) + 0.6 * np.exp(-((np.abs(k) - 1000.0) / 50.0) ** 2)
+
+    bump = DispersionSymbol("bump", m, m_zero=1.0, decay_order=-2.0, j_star=1,
+                            d2j_star=-2.0 / 150.0**2, k_cut=150.0)
+    check = cutoff_check(bump)
+    assert not check.passed
+    assert abs(abs(check.worst_k) - 1000.0) < 50.0
 
 
 def test_gaussian_taylor_data_passes_fd_check():
