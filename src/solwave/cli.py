@@ -3,10 +3,11 @@
 One JSON config document with sections {problem, grid, solver, evolution,
 sweep, stability}; unknown keys are errors so typos cannot silently corrupt a
 study.  A flag that stands for a config value overrides exactly that key
-(its argparse ``dest`` is the dotted key) and the commands read only the
-config, so the config echoed in a manifest re-runs the command that wrote
-it.  Exit codes: 0 ok, 1 config, 2 model regime (no wave there),
-3 iteration/resolution failure.
+(its argparse ``dest`` is the dotted key).  ``Run`` then checks the whole
+config before any command runs, and the commands read only what it builds,
+so every command refuses the same configs and the config echoed in a
+manifest re-runs the command that wrote it.  Exit codes: 0 ok, 1 config,
+2 model regime (no wave there), 3 iteration/resolution failure.
 """
 
 from __future__ import annotations
@@ -67,15 +68,25 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-_KINDS = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
+_KINDS = {float: "a number", int: "an integer", str: "a string"}
+# the kinds of the keys whose default is null, the automatic grid
+_NULLABLE = {"grid.period": float, "grid.points": int}
 
 
-def _checked(value, kind: type, field: str):
-    """``value`` converted to ``kind``; a value of another type is a config
-    error naming ``field``.  Booleans are not numbers; an integer may be
-    written as a whole float."""
-    if kind in (bool, str):
-        ok = isinstance(value, kind)
+def _checked(value, default, field: str):
+    """``value`` converted to the kind of ``default``, the key's default; a
+    value of another kind is a config error naming ``field``.  A list
+    default means a list of numbers.  Booleans are not numbers; an integer
+    may be written as a whole float."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{field} must be a list of numbers, got {value!r}", field=field)
+        return [_checked(v, 0.0, field) for v in value]
+    if default is None and value is None:  # the automatic grid
+        return None
+    kind = _NULLABLE[field] if default is None else type(default)
+    if kind is str:
+        ok = isinstance(value, str)
     else:
         ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
               and (kind is float or float(value).is_integer()))
@@ -84,80 +95,69 @@ def _checked(value, kind: type, field: str):
     return kind(value)
 
 
-def _get(cfg: dict, section: str, key: str, kind: type = float, optional: bool = False):
-    value = cfg[section][key]
-    if value is None and optional:
-        return None
-    return _checked(value, kind, f"{section}.{key}")
+class Run:
+    """A command's checked config.  Every key of ``DEFAULT_CONFIG`` is
+    checked, its kind and its range, before any command reads a profile or
+    writes a file; the commands read the objects built here, and echo
+    ``config`` in their manifests."""
+
+    def __init__(self, config: dict):
+        self.config = config
+        v = {f"{section}.{key}": _checked(config[section][key], default, f"{section}.{key}")
+             for section, keys in DEFAULT_CONFIG.items() for key, default in keys.items()}
+        self.problem = Problem(symbol_from_name(v["problem.symbol"]),
+                               nonlinearity_from_name(v["problem.nonlinearity"]))
+        self.solve = SolveConfig(mu=v["solver.mu"], period=v["grid.period"],
+                                 points=v["grid.points"], tol_residual=v["solver.tol_residual"],
+                                 max_iter=v["solver.max_iter"])
+        self.evolution = EvolutionConfig(dt=v["evolution.dt"], t_final=v["evolution.t_final"],
+                                         stride=v["evolution.stride"])
+        self.mu_list, self.scales, self.seed = (
+            v["sweep.mu_list"], v["stability.scales"], v["stability.seed"])
+        # every test is false on NaN; the stability scales stay below the
+        # library's own bound, which compares norms and fires through
+        # round-off at scale = MAX_PERTURBATION itself
+        for field, ok, need in (
+                ("sweep.mu_list", self.mu_list and all(
+                    0 < a < b for a, b in zip(self.mu_list, [*self.mu_list[1:], math.inf])),
+                 "a nonempty, strictly ascending list of finite positive numbers"),
+                ("stability.scales", self.scales and all(
+                    0 < s < MAX_PERTURBATION for s in self.scales),
+                 f"a nonempty list of positive numbers below {MAX_PERTURBATION:g}"),
+                ("stability.seed", self.seed >= 0, "nonnegative")):
+            if not ok:
+                raise ConfigError(f"{field} must be {need}, got {v[field]!r}", field=field)
 
 
-def _numbers(cfg: dict, section: str, key: str) -> list[float]:
-    value, field = cfg[section][key], f"{section}.{key}"
-    if not isinstance(value, list):
-        raise ConfigError(f"{field} must be a list of numbers, got {value!r}", field=field)
-    return [_checked(v, float, field) for v in value]
-
-
-def _name(cfg: dict, key: str) -> str:
-    name = _get(cfg, "problem", key, str)
-    if not name:
-        raise ConfigError(f"problem.{key} is missing", field=f"problem.{key}")
-    return name
-
-
-def build_problem(cfg: dict) -> Problem:
-    return Problem(symbol_from_name(_name(cfg, "symbol")),
-                   nonlinearity_from_name(_name(cfg, "nonlinearity")))
-
-
-def build_solve_config(cfg: dict) -> SolveConfig:
-    return SolveConfig(
-        mu=_get(cfg, "solver", "mu"),
-        period=_get(cfg, "grid", "period", optional=True),
-        points=_get(cfg, "grid", "points", int, optional=True),
-        tol_residual=_get(cfg, "solver", "tol_residual"),
-        max_iter=_get(cfg, "solver", "max_iter", int))
-
-
-def build_evolution_config(cfg: dict) -> EvolutionConfig:
-    return EvolutionConfig(dt=_get(cfg, "evolution", "dt"),
-                           t_final=_get(cfg, "evolution", "t_final"),
-                           stride=_get(cfg, "evolution", "stride", int))
-
-
-def cmd_solve(args, cfg) -> int:
-    prob = build_problem(cfg)
-    scfg = build_solve_config(cfg)
+def cmd_solve(args, run: Run) -> int:
     out = Path(args.out)
     t0 = time.time()
-    prof = minimize_constrained(prob, scfg)
+    prof = minimize_constrained(run.problem, run.solve)
     fileio.write_profile(out / "profile.csv", prof)
-    fileio.write_manifest(out / "manifest.json", "solve", cfg, t0)
+    fileio.write_manifest(out / "manifest.json", "solve", run.config, t0)
     print(f"solved mu={prof.mu:g}: nu={prof.speed:.12g} residual={prof.residual:.3e} "
           f"iterations={prof.iterations} supercritical={prof.supercritical}")
     return 0
 
 
-def cmd_sweep(args, cfg) -> int:
+def cmd_sweep(args, run: Run) -> int:
     out = Path(args.out)
     t0 = time.time()
-    prob = build_problem(cfg)
-    profiles = continuation_sweep(prob, _numbers(cfg, "sweep", "mu_list"),
-                                  build_solve_config(cfg))
+    profiles = continuation_sweep(run.problem, run.mu_list, run.solve)
     for i, prof in enumerate(profiles):
         fileio.write_profile(out / "profiles" / f"profile_{i:03d}.csv", prof)
     fileio.write_rows_csv(out / "sweep.csv", sweep_rows(profiles))
-    fileio.write_manifest(out / "manifest.json", "sweep", cfg, t0)
+    fileio.write_manifest(out / "manifest.json", "sweep", run.config, t0)
     print(f"sweep of {len(profiles)} waves written to {out}")
     return 0
 
 
-def cmd_compare_kdv(args, cfg) -> int:
+def cmd_compare_kdv(args, run: Run) -> int:
     src = Path(args.sweep_dir)
     paths = sorted(src.glob("profiles/profile_*.csv"))
     if not paths:
         raise ConfigError(f"no sweep profiles under {src}", field="sweep-dir")
-    prob = build_problem(cfg)
+    prob = run.problem
     profiles = [fileio.read_profile(p, prob) for p in paths]
     out = Path(args.out or args.sweep_dir)
     t0 = time.time()
@@ -169,65 +169,48 @@ def cmd_compare_kdv(args, cfg) -> int:
                      [(r.mu, r.high_band_ratio, r.high_band_floor) for r in records])
     for i, c in enumerate(comparisons):
         fileio.write_field_csv(out / "scaled" / f"scaled_{i:03d}.csv", c.scaled)
-    fileio.write_manifest(out / "manifest_compare.json", "compare-kdv", cfg, t0)
+    fileio.write_manifest(out / "manifest_compare.json", "compare-kdv", run.config, t0)
     print(f"convergence study over {len(profiles)} waves written to {out}")
     return 0
 
 
-def cmd_evolve(args, cfg) -> int:
-    prob = build_problem(cfg)
-    ecfg = build_evolution_config(cfg)
-    prof = fileio.read_profile(args.profile, prob)
+def cmd_evolve(args, run: Run) -> int:
+    prof = fileio.read_profile(args.profile, run.problem)
     out = Path(args.out)
     t0 = time.time()
-    report = travel_test(prob, prof, ecfg)
+    report = travel_test(run.problem, prof, run.evolution)
     fileio.write_rows_csv(out / "trace.csv", report.trace.rows())
     fileio.write_field_csv(out / "final.csv", report.trace.final)
-    fileio.write_manifest(out / "manifest.json", "evolve", cfg, t0,
+    fileio.write_manifest(out / "manifest.json", "evolve", run.config, t0,
                           shape_error=report.shape_error,
                           measured_speed=report.measured_speed,
                           speed_error=report.speed_error)
-    print(f"travelled T={ecfg.t_final:g}: shape_error={report.shape_error:.3e} "
+    print(f"travelled T={run.evolution.t_final:g}: shape_error={report.shape_error:.3e} "
           f"speed_error={report.speed_error:.3e}")
     return 0
 
 
-def cmd_stability(args, cfg) -> int:
-    prob = build_problem(cfg)
-    ecfg = build_evolution_config(cfg)
-    seed = _get(cfg, "stability", "seed", int)
-    if seed < 0:
-        raise ConfigError(f"stability seed must be nonnegative, got {seed}",
-                          field="stability.seed")
-    scales = _numbers(cfg, "stability", "scales")
-    # checked before any member runs; the library's own bound compares norms
-    # and fires through round-off at scale = MAX_PERTURBATION itself
-    if not scales or not all(0 < s < MAX_PERTURBATION for s in scales):  # false on NaN
-        raise ConfigError(f"stability.scales must be a nonempty list of positive numbers "
-                          f"below {MAX_PERTURBATION:g}, got {scales!r}",
-                          field="stability.scales")
-    prof = fileio.read_profile(args.profile, prob)
+def cmd_stability(args, run: Run) -> int:
+    prof = fileio.read_profile(args.profile, run.problem)
     out = Path(args.out)
     t0 = time.time()
     summaries = []
-    for i, scale in enumerate(scales):
-        pert = perturbation(prof.field.grid, l2_norm(prof.field), scale, seed + i)
-        rep: StabilityReport = stability_experiment(prob, prof, pert, ecfg)
+    for i, scale in enumerate(run.scales):
+        pert = perturbation(prof.field.grid, l2_norm(prof.field), scale, run.seed + i)
+        rep: StabilityReport = stability_experiment(run.problem, prof, pert, run.evolution)
         fileio.write_rows_csv(out / f"trace_{i:03d}.csv", rep.trace.rows())
-        summaries.append({"scale": scale, "seed": seed + i,
+        summaries.append({"scale": scale, "seed": run.seed + i,
                           "initial_dist": rep.initial_dist,
                           "max_dist": rep.max_dist, "ratio": rep.ratio})
         print(f"scale={scale:g}: initial={rep.initial_dist:.3e} "
               f"max={rep.max_dist:.3e} ratio={rep.ratio:.2f}")
     fileio.write_json(out / "summary.json", {"runs": summaries})
-    fileio.write_manifest(out / "manifest.json", "stability", cfg, t0)
+    fileio.write_manifest(out / "manifest.json", "stability", run.config, t0)
     return 0
 
 
-def cmd_validate_symbol(args, cfg) -> int:
-    name = _name(cfg, "symbol")
-    sym = symbol_from_name(name)
-    report = validate_symbol(sym)
+def cmd_validate_symbol(args, run: Run) -> int:
+    report = validate_symbol(run.problem.symbol)
     for line in report.lines():
         print(line)
     if args.out:
@@ -238,7 +221,7 @@ def cmd_validate_symbol(args, cfg) -> int:
                         "detail": c.detail} for c in report.checks],
         })
     report.raise_if_failed()
-    print(f"symbol {name!r} passed all checks")
+    print(f"symbol {run.config['problem']['symbol']!r} passed all checks")
     return 0
 
 
@@ -304,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         # the gates turn an overflowing or non-finite field into a typed error;
         # numpy's own warnings would only print internal source lines first
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.fn(args, cfg)
+            return args.fn(args, Run(cfg))
     except SolwaveError as exc:
         err = {"error": exc.code, "message": str(exc)}
         err.update({k: None if isinstance(v, float) and not math.isfinite(v) else v

@@ -7,8 +7,10 @@ row gives; a row that does not fit the header is refused before anything is
 written.  Writes go through a temp file and an atomic rename.  A stored wave
 is a pair: ``profile<suffix>.csv`` holds its samples and ``meta<suffix>.json``
 beside it its certificate numbers, and ``read_profile`` is the one way from
-that pair back to a ``WaveProfile``.  A table's header is the keys of its
-first row.
+that pair back to a ``WaveProfile``.  meta.json is stated once, in ``_META``:
+each key with the attribute it holds, its kind and its range, which the
+writer, the check and the reader all read.  A table's header is the keys of
+its first row.
 
 A stored profile is parsed in one call to numpy's C reader, which rounds
 correctly and so gives the doubles ``float()`` gives; a row it cannot read,
@@ -35,9 +37,16 @@ from .grid import PeriodicGrid, SpectralField
 from .solver import WaveProfile
 
 _CONVENTION = "unitary-sqrtP"  # the grid's coefficient convention
-_META_KINDS = {"mu": float, "nu": float, "residual": float, "energy": float,
-               "P": float, "N": int, "iterations": int, "supercritical": bool,
-               "symbol": str, "nonlinearity": str, "convention": str}
+_FIELD_HEADER = "x,u"
+# meta.json, key by key: the WaveProfile attribute it holds (None: it describes
+# the samples' grid, see _grid_meta), its kind, and the range every writer keeps
+_META = {"mu": ("mu", float, "positive"), "nu": ("speed", float, None),
+         "residual": ("residual", float, "nonnegative"), "energy": ("energy", float, None),
+         "iterations": ("iterations", int, "nonnegative"),
+         "supercritical": ("supercritical", bool, None), "symbol": ("symbol", str, None),
+         "nonlinearity": ("nonlinearity", str, None),
+         "P": (None, float, None), "N": (None, int, None), "convention": (None, str, None)}
+_IN_RANGE = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 
 
 def atomic_write(path, text: str):
@@ -96,7 +105,7 @@ def write_manifest(path, command: str, config: dict, t0: float, **extra) -> None
 
 def write_field_csv(path, u: SpectralField) -> None:
     """Physical samples as `x,u`."""
-    _write_table(path, ["x", "u"],
+    _write_table(path, _FIELD_HEADER.split(","),
                  np.column_stack((u.grid.nodes, u.values)).ravel().tolist())
 
 
@@ -106,8 +115,8 @@ def read_field_csv(path) -> SpectralField:
         with open(path) as f, warnings.catch_warnings():
             # a header-only file is refused below, as too few samples
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            if f.readline().strip().split(",")[:2] != ["x", "u"]:
-                raise ConfigError(f"{path}: expected header 'x,u'", field="profile")
+            if f.readline().strip().split(",")[:2] != _FIELD_HEADER.split(","):
+                raise ConfigError(f"{path}: expected header {_FIELD_HEADER!r}", field="profile")
             xs, vs = np.loadtxt(f, delimiter=",", comments=None, usecols=(0, 1),
                                 ndmin=2).T
     except ValueError as exc:  # UnicodeDecodeError is a ValueError
@@ -137,18 +146,16 @@ def _meta_path(profile: Path) -> Path:
     return profile.with_name("meta" + profile.stem.removeprefix("profile") + ".json")
 
 
+def _grid_meta(grid: PeriodicGrid) -> dict:
+    return {"P": grid.period, "N": grid.n, "convention": _CONVENTION}
+
+
 def write_profile(path, prof: WaveProfile) -> None:
     """The samples at ``path`` and the certificate numbers beside them."""
     path = Path(path)
-    g = prof.field.grid
     write_field_csv(path, prof.field)
-    write_json(_meta_path(path), {
-        "mu": prof.mu, "nu": prof.speed, "residual": prof.residual,
-        "energy": prof.energy, "P": g.period, "N": g.n,
-        "iterations": prof.iterations, "supercritical": prof.supercritical,
-        "symbol": prof.symbol, "nonlinearity": prof.nonlinearity,
-        "convention": _CONVENTION,
-    })
+    meta = {key: getattr(prof, attr) for key, (attr, _, _) in _META.items() if attr}
+    write_json(_meta_path(path), {**meta, **_grid_meta(prof.field.grid)})
 
 
 def _check_meta(meta, grid: PeriodicGrid) -> None:
@@ -156,7 +163,7 @@ def _check_meta(meta, grid: PeriodicGrid) -> None:
     wrong kind, out of range, or not that of the stored samples."""
     if not isinstance(meta, dict):
         raise ValueError("not a JSON object")
-    for key, kind in _META_KINDS.items():
+    for key, (_, kind, within) in _META.items():
         if key not in meta:
             raise ValueError(f"no {key!r}")
         v = meta[key]
@@ -167,9 +174,9 @@ def _check_meta(meta, grid: PeriodicGrid) -> None:
             ok = isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
         if not ok:
             raise ValueError(f"{key} = {v!r} is not a usable {kind.__name__}")
-    if meta["mu"] <= 0:
-        raise ValueError(f"mu = {meta['mu']!r} is not positive")
-    for key, wanted in (("P", grid.period), ("N", grid.n), ("convention", _CONVENTION)):
+        if within and not _IN_RANGE[within](v):
+            raise ValueError(f"{key} = {v!r} is not {within}")
+    for key, wanted in _grid_meta(grid).items():
         if meta[key] != wanted:
             raise ValueError(f"{key} is {meta[key]!r}, not the profile's {wanted!r}")
 
@@ -194,8 +201,5 @@ def read_profile(path, prob: Problem) -> WaveProfile:
         if meta[key] != wanted:
             raise ConfigError(f"{meta_path} was computed with {key} {meta[key]!r}, "
                               f"not {wanted!r}", field=f"problem.{key}")
-    return WaveProfile(field=u, mu=meta["mu"], speed=meta["nu"],
-                       residual=meta["residual"], energy=meta["energy"],
-                       symbol=meta["symbol"], nonlinearity=meta["nonlinearity"],
-                       iterations=meta["iterations"],
-                       supercritical=meta["supercritical"])
+    return WaveProfile(field=u, **{attr: meta[key] for key, (attr, _, _) in _META.items()
+                                   if attr})

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, OutOfDomain
+from .errors import OutOfDomain
 from .grid import PeriodicGrid, SpectralField, inner_l2, irfft, rfft  # inner_l2 is re-exported
 from .longwave import exponents
 from .nonlinearity import Nonlinearity
@@ -30,12 +31,9 @@ class Problem:
 
     symbol: DispersionSymbol
     nonlinearity: Nonlinearity
-    ball_radius: float = 1.0
+    ball_radius: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        if not 0 < self.ball_radius < math.inf:  # false on NaN
-            raise ConfigError("ball_radius must be finite and positive",
-                              field="problem.ball_radius")
         # raises ExponentWindow outside 2 <= p < 4 j_star + 1
         exponents(self.symbol.j_star, self.nonlinearity.p)
 

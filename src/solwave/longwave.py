@@ -17,6 +17,7 @@ from .grid import PeriodicGrid, SpectralField, irfft, require_same_grid, tail_ma
 
 KDV_AMPLITUDE = 1.5 ** (2.0 / 3.0)
 KDV_DECAY = 1.5 ** (1.0 / 3.0)
+_KDV_TAIL_TOL = 1e-12  # largest tail_max of a sampled ground state
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,11 @@ def kdv_profile(x: np.ndarray) -> np.ndarray:
     return KDV_AMPLITUDE / np.cosh(KDV_DECAY * x) ** 2
 
 
-def kdv_soliton(grid: PeriodicGrid, tail_tol: float = 1e-12) -> SpectralField:
+def kdv_soliton(grid: PeriodicGrid) -> SpectralField:
     """KdV ground state sampled on the grid; the period must contain its decay."""
     w = SpectralField.from_values(grid, kdv_profile(grid.nodes))
     t = tail_max(w)
-    if t > tail_tol:
+    if t > _KDV_TAIL_TOL:
         raise TailTooLarge(f"period {grid.period:g} too small: tail {t:.2e}")
     return w
 

@@ -38,12 +38,14 @@ class DispersionSymbol:
             raise ValueError("j_star must be a positive integer")
 
 
-def cutoff_wavenumber(eval_m, m_zero: float, k_max: float = 100.0,
-                      samples: int = 10_000) -> float:
+_CUTOFF_SAMPLES = 10_000  # uniform samples of [0, k_max] before the bisection
+
+
+def cutoff_wavenumber(eval_m, m_zero: float, k_max: float = 100.0) -> float:
     """Smallest k beyond which m stays at or below m_zero/2: sample, then
     bisect the last crossing until the bracket holds two adjacent doubles
     and return its upper end, where m <= m_zero/2."""
-    ks = np.linspace(0.0, k_max, samples)
+    ks = np.linspace(0.0, k_max, _CUTOFF_SAMPLES)
     vals = np.asarray(eval_m(ks), dtype=float)
     above = np.nonzero(vals > 0.5 * m_zero)[0]
     if len(above) == 0:

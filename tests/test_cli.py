@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from solwave.analysis import (convergence_rows, convergence_study, reduced_reference,
                               scaling_diagnostics)
-from solwave.cli import (DEFAULT_CONFIG, build_evolution_config, build_problem,
-                         build_solve_config, load_config, main)
+from solwave.cli import DEFAULT_CONFIG, Run, load_config, main
 from solwave.fileio import read_profile
 from solwave.functionals import momentum
 from solwave.grid import PeriodicGrid, SpectralField
@@ -102,7 +101,10 @@ def bad_inputs(d):
                        ("mu_negative", json.dumps({**full, "mu": -1.0})),
                        ("P", json.dumps({**full, "P": 1.0})),
                        ("N", json.dumps({**full, "N": 32})),
-                       ("convention", json.dumps({**full, "convention": "something-else"}))]:
+                       ("convention", json.dumps({**full, "convention": "something-else"})),
+                       # values no writer leaves
+                       ("residual_negative", json.dumps({**full, "residual": -1.0})),
+                       ("iterations_negative", json.dumps({**full, "iterations": -5}))]:
         (d / name).mkdir()
         (d / name / "profile.csv").write_text(good)
         (d / name / "meta.json").write_text(meta)
@@ -190,7 +192,8 @@ def bad_inputs(d):
                            ("nonlinearity", "poly:", "solve")):
         cases[f"{key}_unparsed_{cmd}"] = (f"problem.{key}", ["--config", write_config(
             d, {"problem": {key: name}}, f"{key}_unparsed_{cmd}.json"), cmd])
-    for name in ("mu_text", "mu_negative", "P", "N", "convention"):
+    for name in ("mu_text", "mu_negative", "P", "N", "convention", "residual_negative",
+                 "iterations_negative"):
         cases[f"meta_{name}"] = ("meta", ["evolve", "--profile", str(d / name / "profile.csv")])
     cases["zero_profile"] = ("profile", ["stability", "--profile",
                                          str(d / "zero" / "profile.csv"), "--T", "0.1"])
@@ -213,7 +216,8 @@ def bad_inputs(d):
     "step_init_nan", "polarity_default", "integrator_default", "symbol_number",
     "symbol_unparsed_validate-symbol", "symbol_unparsed_solve",
     "nonlinearity_unparsed_solve", "meta_mu_text", "meta_mu_negative", "meta_P", "meta_N",
-    "meta_convention", "zero_profile", "profile_other_symbol", "profile_other_nonlinearity"])
+    "meta_convention", "meta_residual_negative", "meta_iterations_negative", "zero_profile",
+    "profile_other_symbol", "profile_other_nonlinearity"])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
     field, argv = bad_inputs(tmp_path)[case]
     rc = main([*argv, "--out", str(tmp_path / "o")])
@@ -231,6 +235,32 @@ def test_bad_input_fails_closed(tmp_path, capsys, case):
         assert line["value"] is None
 
 
+MOTIVATING = {"evolution": {"dt": "abc", "stride": -3}, "stability": {"scales": "x", "seed": -1}}
+
+
+@pytest.mark.parametrize("doc, command, field", [
+    ({"evolution": {"dt": "abc"}}, ["sweep"], "evolution.dt"),
+    ({"stability": {"seed": -1}}, ["solve"], "stability.seed"),
+    ({"stability": {"scales": [0.5]}}, ["evolve", "--profile", "nope.csv"], "stability.scales"),
+    ({"sweep": {"mu_list": "x"}}, ["validate-symbol"], "sweep.mu_list"),
+    ({"problem": {"nonlinearity": "poly:"}}, ["validate-symbol"], "problem.nonlinearity"),
+    *[(MOTIVATING, command, "evolution.dt") for command in (
+        ["solve"], ["sweep"], ["compare-kdv", "--sweep-dir", "."], ["validate-symbol"],
+        ["evolve", "--profile", "nope.csv"], ["stability", "--profile", "nope.csv"])]],
+    ids=["sweep_dt", "solve_seed", "evolve_scales", "validate_mu_list",
+         "validate_nonlinearity", *(f"motivating_{c}" for c in (
+             "solve", "sweep", "compare-kdv", "validate-symbol", "evolve", "stability"))])
+def test_every_command_checks_the_whole_config(tmp_path, capsys, doc, command, field):
+    # a value no command of this kind reads is still refused, before any
+    # profile (here a missing one) is read or any file written
+    out = tmp_path / "o"
+    rc = main(["--config", write_config(tmp_path, doc), *command, "--out", str(out)])
+    assert rc == 1
+    line = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert line["error"] == "CONFIG" and line["field"] == field
+    assert not out.exists()
+
+
 def test_profile_problem_compares_normalised_names(tmp_path):
     from solwave.fileio import read_profile, write_field_csv
     from solwave.grid import PeriodicGrid, SpectralField
@@ -243,7 +273,7 @@ def test_profile_problem_compares_normalised_names(tmp_path):
         "P": 40.0, "N": 64, "convention": "unitary-sqrtP"}))
     cfg = load_config(write_config(tmp_path, {"problem": {
         "symbol": "rational:2.0", "nonlinearity": "modulus:2.50,1.0"}}))
-    prof = read_profile(tmp_path / "profile.csv", build_problem(cfg))
+    prof = read_profile(tmp_path / "profile.csv", Run(cfg).problem)
     assert (prof.symbol, prof.nonlinearity) == ("rational:2", "modulus:2.5,1")
 
 
@@ -251,7 +281,7 @@ def test_profile_round_trips_through_its_files(tmp_path):
     from dataclasses import fields
     from solwave.fileio import read_profile, write_profile
     from solwave.solver import SolveConfig, minimize_constrained
-    prob = build_problem(load_config(None))
+    prob = Run(load_config(None)).problem
     prof = minimize_constrained(prob, SolveConfig(mu=1e-2))
     write_profile(tmp_path / "profile_007.csv", prof)
     assert (tmp_path / "meta_007.json").exists()
@@ -299,7 +329,7 @@ def test_solved_wave_evolves(tmp_path):
 
 def test_whole_float_stride_is_an_integer(tmp_path):
     cfg = load_config(write_config(tmp_path, {"evolution": {"stride": 50.0}}))
-    stride = build_evolution_config(cfg).stride
+    stride = Run(cfg).evolution.stride
     assert stride == 50 and type(stride) is int
 
 
@@ -356,10 +386,7 @@ def test_shipped_configs_load():
     paths = sorted(CONFIGS.glob("*.json"))
     assert paths
     for path in paths:
-        cfg = load_config(str(path))
-        build_problem(cfg)
-        build_solve_config(cfg)
-        build_evolution_config(cfg)
+        Run(load_config(str(path)))
 
 
 @pytest.fixture(scope="module")
@@ -395,7 +422,7 @@ def test_diagnostics_file_writes_the_high_band_floor(sweep_dir, compare_dir):
     lines = (compare_dir / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == "mu,tau_ratio2,high_band_floor"
     conv = (compare_dir / "convergence.csv").read_text().splitlines()[1:]
-    prob = build_problem(load_config(None))
+    prob = Run(load_config(None)).problem
     for i, (line, conv_line) in enumerate(zip(lines[1:], conv, strict=True)):
         mu, ratio, floor = map(float, line.split(","))
         rec = scaling_diagnostics(prob, read_profile(
@@ -415,7 +442,7 @@ def test_sweep_determinism(tmp_path):
 
 
 def test_compare_kdv_on_sweep(sweep_dir, compare_dir):
-    prob = build_problem(load_config(None))
+    prob = Run(load_config(None)).problem
     profiles = [read_profile(p, prob)
                 for p in sorted((sweep_dir / "profiles").glob("profile_*.csv"))]
     assert [p.field.grid.n for p in profiles] == [4096, 2048]
