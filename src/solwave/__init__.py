@@ -19,8 +19,8 @@ from .grid import (PeriodicGrid, SpectralField, l2_norm, sobolev_norm, sup_norm,
                    tail_max)
 from .longwave import (ScalingExponents, exponents, kdv_energy, kdv_soliton,
                        kdv_speed, orbit_distance, scale_down)
-from .nonlinearity import (Kind, Nonlinearity, nonlinearity_from_name,
-                           odd_power, polynomial, quadratic, signed_modulus)
+from .nonlinearity import (Nonlinearity, nonlinearity_from_name, odd_power,
+                           polynomial, quadratic, signed_modulus)
 from .solver import (SolveConfig, WaveProfile, continuation_sweep,
                      minimize_constrained, minimize_reduced, petviashvili)
 from .symbols import (DispersionSymbol, gaussian, multiplier_values, rational,

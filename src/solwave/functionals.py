@@ -168,9 +168,8 @@ def discretize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
                        grid: PeriodicGrid) -> DiscreteFunctional:
     """Engine for the reduced problem: the polynomial multiplier and the
     leading part of the nonlinearity."""
-    lead = Nonlinearity(nl.name + ":leading", nl.p, nl.cp, nl.kind)
     return DiscreteFunctional(grid, reduced_multiplier(j_star, d2j_star, grid),
-                              lead, j_star)
+                              nl.leading(), j_star)
 
 
 # public evaluations ----------------------------------------------------------

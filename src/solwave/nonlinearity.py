@@ -1,15 +1,15 @@
 """Nonlinearities n = n_p + n_r with primitives.
 
-The leading part n_p is c_p |x|^p (SIGNED_MODULUS), c_p x^p for odd
-integer p > 0 with c_p > 0 (ODD_POWER), or c_p x^p for even integer p
-(PURE_POWER; the quadratic case n(u) = u^2 lives here).  The optional
-remainder must vanish faster, n_r = O(|x|^(p+delta)) near zero.
+The leading part n_p is c_p |x|^p (``modulus``) or c_p x^p for an integer
+p >= 2, which needs c_p > 0 when p is odd; the quadratic case n(u) = u^2 is
+the latter with p = 2, c_p = 1.  The optional remainder must vanish faster,
+n_r = O(|x|^(p+delta)) near zero.  Exponents and coefficients are finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+import math
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -29,12 +29,6 @@ def _ipow(x, n: int, out=None):
     return np.multiply(x, half, out=out) if n % 2 else half
 
 
-class Kind(Enum):
-    SIGNED_MODULUS = "modulus"
-    ODD_POWER = "oddpower"
-    PURE_POWER = "power"
-
-
 @dataclass(frozen=True)
 class Remainder:
     """Higher-order part n_r with growth exponent delta, its primitive
@@ -46,83 +40,82 @@ class Remainder:
     prime: Callable
 
 
-def _nodewise(kind: Kind, p: float, cp: float, remainder: Remainder | None) -> Callable:
-    """x, out -> n(x) of a float array, into ``out`` when it is not None.
-    The products and their order do not depend on ``out``, so each value is
-    the same bit for bit, buffered or not."""
-    if kind is Kind.SIGNED_MODULUS:
-        def power(x, out):
-            v = np.abs(x, out=out)
-            v **= p  # in place on an array, with numpy's fast path for p = 2
-            return v
-    elif p == 2:
-        power = np.square
-    else:
-        def power(x, out):
-            return _ipow(x, int(p), out)
-    if cp == 1.0:  # 1.0 * v == v bit for bit, so the quadratic skips a pass
-        lead = power
-    else:
-        def lead(x, out):
-            return np.multiply(cp, power(x, out), out=out)
-    if remainder is None:
-        return lead
-    rem = remainder.func
-
-    def full(x, out):
-        return np.add(lead(x, out), rem(x), out=out)
-
-    return full
-
-
 @dataclass(frozen=True)
 class Nonlinearity:
     name: str
     p: float
     cp: float
-    kind: Kind
+    modulus: bool               # c_p |x|^p; otherwise c_p x^p for an integer p
     remainder: Remainder | None = None
     # x, out -> n(x) of a float array, into ``out`` when it is not None: the
     # one evaluation behind ``n``, composed once here so that a caller with a
     # buffer (the flow's flux) pays no Python frames; for ``quadratic()`` it
-    # is np.square itself
+    # is np.square itself.  The products and their order do not depend on
+    # ``out``, so each value is the same bit for bit, buffered or not.
     nodewise: Callable = field(init=False, repr=False, compare=False)
+    # x -> n'(x) and x -> N(x) of a float array, composed alongside
+    _prime: Callable = field(init=False, repr=False, compare=False)
+    _primitive: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.cp == 0:
+        p, cp, rem = self.p, self.cp, self.remainder
+        if not (math.isfinite(p) and math.isfinite(cp)):
+            raise ValueError("leading exponent and coefficient must be finite")
+        if cp == 0:
             raise ValueError("leading coefficient must be nonzero")
-        if self.p < 2:
+        if p < 2:
             raise ValueError("leading exponent must be at least 2")
-        if self.kind is Kind.ODD_POWER:
-            if self.p != int(self.p) or int(self.p) % 2 == 0:
-                raise ValueError("ODD_POWER needs an odd integer exponent")
-            if self.cp <= 0:
-                raise ValueError("ODD_POWER needs a positive leading coefficient")
-        if self.kind is Kind.PURE_POWER and (self.p != int(self.p) or int(self.p) % 2):
-            raise ValueError("PURE_POWER needs an even integer exponent")
-        object.__setattr__(self, "nodewise",
-                           _nodewise(self.kind, self.p, self.cp, self.remainder))
+        if not self.modulus and (p != int(p) or p % 2 and cp <= 0):
+            raise ValueError("a power without modulus needs an integer exponent, "
+                             "and a positive leading coefficient when it is odd")
+        if self.modulus:
+            def power(x, out):
+                v = np.abs(x, out=out)
+                v **= p  # in place on an array, with numpy's fast path for p = 2
+                return v
 
-    # leading part ----------------------------------------------------------
+            def prime(x):
+                return cp * p * x * np.abs(x) ** (p - 2.0)
 
-    def _times_cp(self, v):
-        # 1.0 * v == v bit for bit
-        return v if self.cp == 1.0 else self.cp * v
+            def prim(x):  # 1.0 * x == x bit for bit
+                return (x if cp == 1.0 else cp * x) * np.abs(x) ** p / (p + 1.0)
+        else:
+            k = int(p)
+            if k == 2:
+                power = np.square
+            else:
+                def power(x, out):
+                    return _ipow(x, k, out)
 
-    def leading_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind is Kind.SIGNED_MODULUS:
-            return self.cp * self.p * x * np.abs(x) ** (self.p - 2.0)
-        return self.cp * self.p * _ipow(x, int(self.p) - 1)
+            def prime(x):
+                return cp * p * _ipow(x, k - 1)
 
-    def leading_primitive(self, x):
-        """N_(p+1): the primitive of the leading part vanishing at 0."""
-        x = np.asarray(x, dtype=float)
-        if self.kind is Kind.SIGNED_MODULUS:
-            return self._times_cp(x) * np.abs(x) ** self.p / (self.p + 1.0)
-        return self._times_cp(_ipow(x, int(self.p) + 1)) / (self.p + 1.0)
+            def prim(x):
+                v = _ipow(x, k + 1)
+                return (v if cp == 1.0 else cp * v) / (p + 1.0)
+        if cp == 1.0:  # 1.0 * v == v bit for bit, so the quadratic skips a pass
+            n = power
+        else:
+            def n(x, out):
+                return np.multiply(cp, power(x, out), out=out)
+        if rem is not None:
+            lead, lead_prime, lead_prim = n, prime, prim
 
-    # full nonlinearity ------------------------------------------------------
+            def n(x, out):
+                return np.add(lead(x, out), rem.func(x), out=out)
+
+            def prime(x):
+                return lead_prime(x) + rem.prime(x)
+
+            def prim(x):
+                return lead_prim(x) + rem.primitive(x)
+        object.__setattr__(self, "nodewise", n)
+        object.__setattr__(self, "_prime", prime)
+        object.__setattr__(self, "_primitive", prim)
+
+    def leading(self) -> Nonlinearity:
+        """n_p alone, the nonlinearity of the reduced long-wave functional."""
+        return replace(self, name=self.name + ":leading", remainder=None)
 
     def n(self, x, out=None):
         """n(x); into ``out`` (a float array of x's shape, not x itself) when
@@ -130,17 +123,11 @@ class Nonlinearity:
         return self.nodewise(np.asarray(x, dtype=float), out)
 
     def n_prime(self, x):
-        out = self.leading_prime(x)
-        if self.remainder is not None:
-            out = out + self.remainder.prime(np.asarray(x, dtype=float))
-        return out
+        return self._prime(np.asarray(x, dtype=float))
 
     def primitive(self, x):
         """N(x) = int_0^x n, vanishing at the origin."""
-        out = self.leading_primitive(x)
-        if self.remainder is not None:
-            out = out + self.remainder.primitive(np.asarray(x, dtype=float))
-        return out
+        return self._primitive(np.asarray(x, dtype=float))
 
 
 # bundled constructors -------------------------------------------------------
@@ -148,22 +135,27 @@ class Nonlinearity:
 
 def quadratic() -> Nonlinearity:
     """n(u) = u^2, matching the advective form 2 u u_x = (u^2)_x."""
-    return Nonlinearity("quadratic", 2.0, 1.0, Kind.PURE_POWER)
+    return Nonlinearity("quadratic", 2.0, 1.0, False)
 
 
 def signed_modulus(p: float, cp: float) -> Nonlinearity:
-    return Nonlinearity(f"modulus:{p:g},{cp:g}", float(p), float(cp), Kind.SIGNED_MODULUS)
+    return Nonlinearity(f"modulus:{p:g},{cp:g}", float(p), float(cp), True)
 
 
-def odd_power(p: int, cp: float) -> Nonlinearity:
-    return Nonlinearity(f"oddpower:{p:g},{cp:g}", float(p), float(cp), Kind.ODD_POWER)
+def odd_power(p: float, cp: float) -> Nonlinearity:
+    if p % 2 != 1:  # false on an even, fractional or non-finite p
+        raise ValueError(f"odd power needs an odd integer exponent, got {p!r}")
+    return Nonlinearity(f"oddpower:{p:g},{cp:g}", float(p), float(cp), False)
 
 
 def polynomial(coeffs: dict[int, float]) -> Nonlinearity:
     """n(x) = sum_d coeffs[d] x^d with the lowest degree as the leading part.
 
-    Degrees below 2 are rejected (n must vanish to second order at 0).
+    Degrees below 2 and non-finite coefficients are rejected (n must vanish
+    to second order at 0).
     """
+    if not all(math.isfinite(c) for c in coeffs.values()):
+        raise ValueError("polynomial coefficients must be finite")
     degs = sorted(d for d, c in coeffs.items() if c != 0.0)
     if not degs:
         raise ValueError("all coefficients vanish")
@@ -171,7 +163,6 @@ def polynomial(coeffs: dict[int, float]) -> Nonlinearity:
         raise ValueError("polynomial nonlinearity needs degree >= 2 terms only")
     p = degs[0]
     cp = coeffs[p]
-    kind = Kind.PURE_POWER if p % 2 == 0 else Kind.ODD_POWER
     remainder = None
     if len(degs) > 1:
         # Horner evaluation: x**d with integer d takes libm's slow pow on
@@ -183,7 +174,7 @@ def polynomial(coeffs: dict[int, float]) -> Nonlinearity:
                             for a in (c, P.polyint(c), P.polyder(c)))
         remainder = Remainder(rem, float(degs[1] - p), prim, prime)
     name = "poly:" + ",".join(f"{coeffs.get(d, 0.0):g}" for d in range(2, degs[-1] + 1))
-    return Nonlinearity(name, float(p), float(cp), kind, remainder)
+    return Nonlinearity(name, float(p), float(cp), False, remainder)
 
 
 def nonlinearity_from_name(name: str) -> Nonlinearity:
@@ -195,7 +186,7 @@ def nonlinearity_from_name(name: str) -> Nonlinearity:
             return signed_modulus(p, cp)
         if name.startswith("oddpower:"):
             p, cp = (float(v) for v in name.split(":", 1)[1].split(","))
-            return odd_power(int(p), cp)
+            return odd_power(p, cp)
         if name.startswith("poly:"):
             cs = [float(v) for v in name.split(":", 1)[1].split(",")]
             return polynomial({d + 2: c for d, c in enumerate(cs)})

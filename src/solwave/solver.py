@@ -166,6 +166,11 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
         r = g + nu * c
         res = float(np.sqrt(np.sum(np.abs(r) ** 2)))
         history["residuals"].append(res)
+        # a residual that is no longer finite says the iteration failed, not the model
+        if not math.isfinite(res):
+            raise NoConvergence(f"residual {res:.3e} at iteration {it}: the descent "
+                                "left the range of doubles", residual=res,
+                                iterations=it, history=history["residuals"])
         if res <= cfg.tol_residual:
             return c, nu, res, it, history
         d = neg_precond * r

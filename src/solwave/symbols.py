@@ -2,7 +2,8 @@
 
 A multiplier must be even, smooth, decaying (negative order), with a strict
 positive global maximum at k = 0 and leading even Taylor term
-m(0) + d2j_star * k**(2*j_star) / (2*j_star)!.
+m(0) + d2j_star * k**(2*j_star) / (2*j_star)!.  m(0) is ``eval(0)``, read
+off the multiplier and not declared beside it.
 """
 
 from __future__ import annotations
@@ -21,19 +22,18 @@ from .errors import ConfigError, SymbolViolation
 class DispersionSymbol:
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
-    m_zero: float
-    decay_order: float          # classical-symbol order, must be negative
     j_star: int                 # first non-vanishing even derivative is 2*j_star
     d2j_star: float             # m^(2 j_star)(0), strictly negative
     k_cut: float                # m(k) <= m_zero/2 for |k| >= k_cut
+    m_zero: float = field(init=False)  # eval(0), finite and positive
 
     def __post_init__(self):
-        if self.m_zero <= 0:
-            raise ValueError("m(0) must be positive")
+        m_zero = float(self.eval(0.0))
+        if not 0 < m_zero < math.inf:  # false on NaN
+            raise ValueError(f"m(0) = {m_zero!r} must be finite and positive")
+        object.__setattr__(self, "m_zero", m_zero)
         if self.d2j_star >= 0:
             raise ValueError("leading Taylor coefficient must be negative")
-        if self.decay_order >= 0:
-            raise ValueError("symbol order must be negative (smoothing operator)")
         if self.j_star < 1:
             raise ValueError("j_star must be a positive integer")
 
@@ -41,10 +41,11 @@ class DispersionSymbol:
 _CUTOFF_SAMPLES = 10_000  # uniform samples of [0, k_max] before the bisection
 
 
-def cutoff_wavenumber(eval_m, m_zero: float, k_max: float = 100.0) -> float:
-    """Smallest k beyond which m stays at or below m_zero/2: sample, then
+def cutoff_wavenumber(eval_m, k_max: float = 100.0) -> float:
+    """Smallest k beyond which m stays at or below m(0)/2: sample, then
     bisect the last crossing until the bracket holds two adjacent doubles
-    and return its upper end, where m <= m_zero/2."""
+    and return its upper end, where m <= m(0)/2."""
+    m_zero = float(eval_m(0.0))
     ks = np.linspace(0.0, k_max, _CUTOFF_SAMPLES)
     vals = np.asarray(eval_m(ks), dtype=float)
     above = np.nonzero(vals > 0.5 * m_zero)[0]
@@ -87,11 +88,9 @@ def whitham() -> DispersionSymbol:
     return DispersionSymbol(
         name="whitham",
         eval=_whitham_eval,
-        m_zero=1.0,
-        decay_order=-0.5,
         j_star=1,
         d2j_star=-1.0 / 3.0,
-        k_cut=_bundled_cutoff(_whitham_eval, 1.0),
+        k_cut=_bundled_cutoff(_whitham_eval),
     )
 
 
@@ -101,13 +100,13 @@ def _gaussian_eval(k):
 
 
 def gaussian() -> DispersionSymbol:
-    return DispersionSymbol("gaussian", _gaussian_eval, 1.0, -2.0, 1, -2.0,
-                            _bundled_cutoff(_gaussian_eval, 1.0, k_max=10.0))
+    return DispersionSymbol("gaussian", _gaussian_eval, 1, -2.0,
+                            _bundled_cutoff(_gaussian_eval, k_max=10.0))
 
 
 def rational(s: float) -> DispersionSymbol:
     """(1 + k^2)^(-s) for finite s > 0 whose cut-off sqrt(2^(1/s) - 1) is finite."""
-    if not 0 < 2.0 * s < math.inf:  # false on NaN; -2s is both the order and m''(0)
+    if not 0 < 2.0 * s < math.inf:  # false on NaN; m''(0) = -2s
         raise ConfigError(f"rational symbol needs finite s > 0, got {s!r}",
                           field="problem.symbol")
     try:
@@ -120,7 +119,7 @@ def rational(s: float) -> DispersionSymbol:
         k = np.asarray(k, dtype=float)
         return (1.0 + k**2) ** (-s)
 
-    return DispersionSymbol(f"rational:{s:g}", m, 1.0, -2.0 * s, 1, -2.0 * s, k_cut)
+    return DispersionSymbol(f"rational:{s:g}", m, 1, -2.0 * s, k_cut)
 
 
 def symbol_from_name(name: str) -> DispersionSymbol:

@@ -88,6 +88,11 @@ def test_failed_symbol_is_json_error(capsys):
     assert err["check"] == "TAYLOR_MISMATCH" and err["k"] == 0.0
 
 
+REFUSED_NONLINEARITIES = ("oddpower:3.5,1", "oddpower:3.9,2", "oddpower:3,inf",
+                          "modulus:2.5,nan", "modulus:2.5,inf", "poly:nan", "poly:1,nan",
+                          "poly:1,inf")
+
+
 def bad_inputs(d):
     rows = d / "profile_100.csv"  # uniform centred nodes, but not 2^k of them
     rows.write_text("x,u\n" + "".join(f"{j - 50.0!r},0.0\n" for j in range(100)))
@@ -197,6 +202,12 @@ def bad_inputs(d):
         cases[f"meta_{name}"] = ("meta", ["evolve", "--profile", str(d / name / "profile.csv")])
     cases["zero_profile"] = ("profile", ["stability", "--profile",
                                          str(d / "zero" / "profile.csv"), "--T", "0.1"])
+    # a fractional odd power or a non-finite coefficient is refused when the
+    # nonlinearity is built, before any descent could turn it into a NaN
+    for name in REFUSED_NONLINEARITIES:
+        cases[f"nonlinearity_{name}"] = ("problem.nonlinearity", ["--config", write_config(
+            d, {"problem": {"nonlinearity": name}, "grid": {"points": 256}},
+            f"nonlinearity_{name}.json"), "solve", "--mu", "1e-2"])
     # the stored wave is a whitham/quadratic one
     for key, name in (("symbol", "gaussian"), ("nonlinearity", "modulus:2.5,1")):
         cases[f"profile_other_{key}"] = (f"problem.{key}", ["--config", write_config(
@@ -217,12 +228,14 @@ def bad_inputs(d):
     "symbol_unparsed_validate-symbol", "symbol_unparsed_solve",
     "nonlinearity_unparsed_solve", "meta_mu_text", "meta_mu_negative", "meta_P", "meta_N",
     "meta_convention", "meta_residual_negative", "meta_iterations_negative", "zero_profile",
-    "profile_other_symbol", "profile_other_nonlinearity"])
+    "profile_other_symbol", "profile_other_nonlinearity",
+    *(f"nonlinearity_{name}" for name in REFUSED_NONLINEARITIES)])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
     field, argv = bad_inputs(tmp_path)[case]
     rc = main([*argv, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
+    assert not (tmp_path / "o").exists()
     assert "Traceback" not in err
 
     def reject(name):
@@ -316,6 +329,22 @@ def test_descent_failure_reports_its_iterations(tmp_path, capsys, doc, mu, code,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == code and err["iterations"] == iterations
     assert f"{err['residual']:.3e}" in err["message"]
+
+
+def test_overflowing_descent_is_an_iteration_failure(tmp_path, capsys):
+    # c_p = 1e308 overflows the first gradient: the iteration failed, so the
+    # exit is 3 and not a model-regime verdict on a residual of inf
+    cfg = write_config(tmp_path, {"problem": {"nonlinearity": "modulus:2.5,1e308"},
+                                  "grid": {"points": 256}})
+    assert main(["--config", cfg, "solve", "--mu", "1e-2", "--out", str(tmp_path / "o")]) == 3
+
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in the error line")
+
+    err = json.loads(capsys.readouterr().err, parse_constant=reject)
+    assert err["error"] == "NO_CONVERGENCE" and err["iterations"] == 0
+    assert err["residual"] is None and "residual inf" in err["message"]
+    assert not (tmp_path / "o" / "profile.csv").exists()
 
 
 def test_solved_wave_evolves(tmp_path):
@@ -621,7 +650,8 @@ FUZZ_VALID = {
 # values the CLI must reject; at most one replaces a value of a generated config
 FUZZ_INVALID = [(sec, key, v) for sec, key, values in [
     ("problem", "symbol", ["rational:x", "nosuch", "", 3, None]),
-    ("problem", "nonlinearity", ["poly:", "modulus:x", None, 2]),
+    ("problem", "nonlinearity", ["poly:", "modulus:x", None, 2, "oddpower:3.5,1",
+                                 "modulus:2.5,nan", "poly:1,inf"]),
     ("problem", "ball_radius", [1.0]),  # retired keys: unknown at any value
     ("grid", "points", [100, 0, 2.0, 1e9, "64"]),
     ("grid", "period", [0.0, -5.0, NAN, INF]),

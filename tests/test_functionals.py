@@ -15,7 +15,7 @@ from solwave.functionals import (Penalization, Problem, discretize, energy,
                                  reduced_energy, reduced_gradient)
 from solwave.grid import PeriodicGrid, SpectralField, band_noise, sobolev_norm
 from solwave.longwave import kdv_soliton
-from solwave.nonlinearity import quadratic, signed_modulus
+from solwave.nonlinearity import nonlinearity_from_name, quadratic, signed_modulus
 from solwave.symbols import multiplier_values, whitham
 
 KDV_REDUCED_ENERGY = -0.5241482788417793
@@ -154,6 +154,15 @@ def test_reduced_gradient_finite_differences():
     e = lambda w: reduced_energy(1, -1.0 / 3.0, quadratic(), w)
     fd = (e(u + h * v) - e(u - h * v)) / (2 * h)
     assert fd == approx(inner_l2(g, v), rel=1e-6)
+
+
+def test_reduced_functional_drops_the_remainder():
+    # the reduced problem keeps n_p alone: x^2 + 0.5 x^3 reduces to x^2
+    u = field(23, scale=0.5)
+    poly = nonlinearity_from_name("poly:1,0.5")
+    assert reduced_energy(1, -1.0 / 3.0, poly, u) == reduced_energy(1, -1.0 / 3.0, quadratic(), u)
+    got, want = (reduced_gradient(1, -1.0 / 3.0, nl, u).coeffs for nl in (poly, quadratic()))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_weighted_norm_tau_zero():

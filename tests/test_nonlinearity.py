@@ -4,17 +4,17 @@ from pytest import approx
 
 from solwave.errors import ConfigError, ExponentWindow
 from solwave.functionals import Problem
-from solwave.nonlinearity import (Kind, Nonlinearity, nonlinearity_from_name,
-                                  odd_power, polynomial, quadratic,
-                                  signed_modulus)
+from solwave.nonlinearity import (Nonlinearity, nonlinearity_from_name, odd_power,
+                                  polynomial, quadratic, signed_modulus)
 from solwave.symbols import whitham
+
+NAN, INF = float("nan"), float("inf")
 
 
 def test_quadratic_values():
     nl = quadratic()
     assert nl.n(0.5) == approx(0.25)
     assert nl.primitive(0.5) == approx(0.5**3 / 3.0)
-    assert nl.leading_primitive(0.5) == approx(0.5**3 / 3.0)
     assert nl.n(0.0) == 0.0
     assert nl.n_prime(0.0) == 0.0
 
@@ -29,7 +29,7 @@ def test_quadratic_chain_rule_identity():
 def test_signed_modulus_negative_coefficient():
     nl = signed_modulus(2.0, -1.0)
     assert nl.n(-0.5) == approx(-0.25)
-    assert nl.leading_primitive(-0.5) == approx(+0.5**3 / 3.0)
+    assert nl.primitive(-0.5) == approx(+0.5**3 / 3.0)
     assert nl.n(0.5) == approx(-0.25)
 
 
@@ -69,7 +69,7 @@ def test_leading_part_matches_closed_form(nl):
     # closed forms, negative arguments included, to a few ulp
     xs = np.concatenate([-np.geomspace(1e-3, 2.0, 40), np.geomspace(1e-3, 2.0, 40)])
     p, cp = nl.p, nl.cp
-    if nl.kind is Kind.SIGNED_MODULUS:
+    if nl.modulus:
         lead = [cp * abs(x) ** p for x in xs]
         prime = [cp * p * x * abs(x) ** (p - 2.0) for x in xs]
         prim = [cp * x * abs(x) ** p / (p + 1.0) for x in xs]
@@ -78,8 +78,8 @@ def test_leading_part_matches_closed_form(nl):
         prime = [cp * p * x ** (p - 1.0) for x in xs]
         prim = [cp * x ** (p + 1.0) / (p + 1.0) for x in xs]
     assert nl.n(xs) == approx(lead, rel=1e-15, abs=0)  # no case has a remainder
-    assert nl.leading_prime(xs) == approx(prime, rel=1e-15, abs=0)
-    assert nl.leading_primitive(xs) == approx(prim, rel=1e-15, abs=0)
+    assert nl.n_prime(xs) == approx(prime, rel=1e-15, abs=0)
+    assert nl.primitive(xs) == approx(prim, rel=1e-15, abs=0)
 
 
 def test_exponent_window_checked_at_assembly():
@@ -90,15 +90,25 @@ def test_exponent_window_checked_at_assembly():
 
 def test_construction_rejections():
     with pytest.raises(ValueError):
-        Nonlinearity("x", 2.0, 0.0, Kind.PURE_POWER)
+        Nonlinearity("x", 2.0, 0.0, False)
     with pytest.raises(ValueError):
-        Nonlinearity("x", 3.0, -1.0, Kind.ODD_POWER)  # odd power needs cp > 0
+        Nonlinearity("x", 3.0, -1.0, False)  # odd power needs cp > 0
     with pytest.raises(ValueError):
-        Nonlinearity("x", 3.0, 1.0, Kind.PURE_POWER)  # even integer only
+        Nonlinearity("x", 2.5, 1.0, False)  # integer only without the modulus
     with pytest.raises(ValueError):
-        Nonlinearity("x", 1.5, 1.0, Kind.SIGNED_MODULUS)  # p >= 2
+        Nonlinearity("x", 1.5, 1.0, True)  # p >= 2
     with pytest.raises(ValueError):
         polynomial({1: 1.0, 2: 1.0})
+    for p in (4, 3.5):  # an odd power's exponent is an odd integer
+        with pytest.raises(ValueError):
+            odd_power(p, 1.0)
+    for p, cp in ((2.5, NAN), (2.5, INF), (NAN, 1.0), (INF, 1.0)):
+        with pytest.raises(ValueError):
+            Nonlinearity("x", p, cp, True)
+    for coeffs in ({2: NAN}, {2: 1.0, 3: NAN}, {2: 1.0, 3: INF}, {2: 1.0, 4: -INF}):
+        with pytest.raises(ValueError):
+            polynomial(coeffs)
+
 
 
 def test_euler_identity_homogeneous():
@@ -127,9 +137,9 @@ def test_remainder_growth_bound():
 def test_names_roundtrip():
     assert nonlinearity_from_name("quadratic").name == "quadratic"
     nl = nonlinearity_from_name("modulus:2.5,-1.0")
-    assert nl.kind is Kind.SIGNED_MODULUS and nl.p == 2.5 and nl.cp == -1.0
+    assert nl.modulus and nl.p == 2.5 and nl.cp == -1.0
     nl = nonlinearity_from_name("oddpower:3,2.0")
-    assert nl.kind is Kind.ODD_POWER
+    assert not nl.modulus and nl.p == 3.0 and nl.name == "oddpower:3,2"
     nl = nonlinearity_from_name("poly:1,0,1")
     assert nl.n(0.3) == approx(0.3**2 + 0.3**4)
     with pytest.raises(ConfigError):
@@ -149,7 +159,7 @@ def _old_ipow(x, n):
 def _power_chain(nl, x):
     """n, n' and N written out as evaluated with ** 2.0 squaring."""
     cp, p = nl.cp, nl.p
-    if nl.kind is Kind.SIGNED_MODULUS:
+    if nl.modulus:
         n = cp * np.abs(x) ** p
         n_prime = cp * p * x * np.abs(x) ** (p - 2.0)
         prim = cp * x * np.abs(x) ** p / (p + 1.0)

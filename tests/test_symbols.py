@@ -5,6 +5,7 @@ sqrt(tanh(k)/k) at 2*pi, the root of tanh(k)/k = 1/4, and the Maclaurin
 remainder sqrt(tanh(k)/k) - 1 + k^2/6 at k = 0.1.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -64,8 +65,8 @@ def test_cutoff_is_first_double_at_half_height():
 def test_bundled_cutoff_is_scanned_once():
     # the cached value is the double a fresh scan gives
     w, g = whitham(), gaussian()
-    assert w.k_cut == cutoff_wavenumber(w.eval, 1.0)
-    assert g.k_cut == cutoff_wavenumber(g.eval, 1.0, k_max=10.0)
+    assert w.k_cut == cutoff_wavenumber(w.eval)
+    assert g.k_cut == cutoff_wavenumber(g.eval, k_max=10.0)
     misses = _bundled_cutoff.cache_info().misses
     assert whitham().k_cut == w.k_cut and gaussian().k_cut == g.k_cut
     assert _bundled_cutoff.cache_info().misses == misses
@@ -105,8 +106,7 @@ def test_bundled_symbols_validate(sym):
 
 def test_validate_flags_no_strict_max():
     bad = DispersionSymbol("bad", lambda k: 1.0 + np.asarray(k) ** 2,
-                           m_zero=1.0, decay_order=-1.0, j_star=1,
-                           d2j_star=-1.0, k_cut=1.0)
+                           j_star=1, d2j_star=-1.0, k_cut=1.0)
     report = validate_symbol(bad)
     failed = {c.name for c in report.checks if not c.passed}
     assert "NO_STRICT_MAX" in failed
@@ -138,8 +138,7 @@ def test_cutoff_fails_on_a_rise_beyond_the_samples():
         k = np.asarray(k, dtype=float)
         return 1.0 / (1.0 + (k / 150.0) ** 2) + 0.6 * np.exp(-((np.abs(k) - 1000.0) / 50.0) ** 2)
 
-    bump = DispersionSymbol("bump", m, m_zero=1.0, decay_order=-2.0, j_star=1,
-                            d2j_star=-2.0 / 150.0**2, k_cut=150.0)
+    bump = DispersionSymbol("bump", m, j_star=1, d2j_star=-2.0 / 150.0**2, k_cut=150.0)
     check = cutoff_check(bump)
     assert not check.passed
     assert abs(abs(check.worst_k) - 1000.0) < 50.0
@@ -153,19 +152,22 @@ def test_gaussian_taylor_data_passes_fd_check():
 
 def test_constructor_rejects_bad_data():
     with pytest.raises(ValueError):
-        DispersionSymbol("x", np.cos, m_zero=-1.0, decay_order=-1.0,
-                         j_star=1, d2j_star=-1.0, k_cut=1.0)
+        DispersionSymbol("x", np.cos, j_star=1, d2j_star=0.5, k_cut=1.0)
+    # m(0) is eval(0): it must be finite and positive
+    for m0 in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DispersionSymbol("x", lambda k, m0=m0: m0 * np.cos(k), j_star=1,
+                             d2j_star=-1.0, k_cut=1.0)
+    assert DispersionSymbol("x", lambda k: 2.0 * np.cos(k), j_star=1, d2j_star=-2.0,
+                            k_cut=1.0).m_zero == 2.0
+    # nor declared: NO_STRICT_MAX and CUTOFF would measure against a wrong one
     with pytest.raises(ValueError):
-        DispersionSymbol("x", np.cos, m_zero=1.0, decay_order=-1.0,
-                         j_star=1, d2j_star=0.5, k_cut=1.0)
-    with pytest.raises(ValueError):
-        DispersionSymbol("x", np.cos, m_zero=1.0, decay_order=0.5,
-                         j_star=1, d2j_star=-1.0, k_cut=1.0)
+        dataclasses.replace(whitham(), m_zero=1.1)
 
 
 def test_symbol_from_name():
     assert symbol_from_name("whitham").name == "whitham"
-    assert symbol_from_name("rational:1.5").decay_order == -3.0
+    assert symbol_from_name("rational:1.5").d2j_star == -3.0
     from solwave.errors import ConfigError
     with pytest.raises(ConfigError):
         symbol_from_name("nosuch")
