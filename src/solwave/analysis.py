@@ -9,8 +9,8 @@ their leading-order laws
     nu  = m(0) + nu_r mu^gamma + o(mu^gamma)
     I   = -m(0) mu + I_r mu^(1+gamma) + o(mu^(1+gamma))
 
-are recorded (gamma = (p-1) alpha).  The trends towards zero as mu decreases
-are the checkable content; the remainders carry unknown constants.
+are recorded, with ``Problem.scaling``'s gamma.  The trends towards zero as mu
+decreases are the checkable content; the remainders carry unknown constants.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
 from .functionals import Problem
 from .grid import SpectralField, change_points, l2_norm, sobolev_norm, sup_norm
-from .longwave import exponents, orbit_distance, scale_down
+from .longwave import orbit_distance, scale_down
 from .solver import SolveConfig, WaveProfile, minimize_reduced
 from .symbols import DispersionSymbol
 
@@ -52,8 +51,7 @@ def reduced_reference(prob: Problem, profiles: list[WaveProfile]) -> WaveProfile
     """Ground state of the reduced problem in the long-wave frame of a sweep:
     the first wave's period times mu^beta, on the most points of any wave."""
     sym = prob.symbol
-    exps = exponents(sym.j_star, prob.nonlinearity.p)
-    period = profiles[0].field.grid.period * profiles[0].mu**exps.beta
+    period = profiles[0].field.grid.period * profiles[0].mu**prob.scaling.beta
     points = max(p.field.grid.n for p in profiles)
     return minimize_reduced(sym.j_star, sym.d2j_star, prob.nonlinearity,
                             SolveConfig(mu=1.0, tol_residual=1e-10,
@@ -64,25 +62,17 @@ def convergence_study(prob: Problem, profiles: list[WaveProfile],
                       reference: WaveProfile) -> list[LongWaveComparison]:
     """Compare each sweep wave, scaled to the unit-momentum frame, against the
     reduced ground state.  Profiles must come from one problem, ascending mu."""
-    sym = prob.symbol
-    exps = exponents(sym.j_star, prob.nonlinearity.p)
-    gamma = (prob.nonlinearity.p - 1.0) * exps.alpha
+    sym, exps = prob.symbol, prob.scaling
     ref = reference
     out = []
     for prof in profiles:
-        w = scale_down(prof.mu, exps, prof.field,
-                       period_hint=ref.field.grid.period)
-        if w.grid.period != ref.field.grid.period:
-            raise GridMismatch(
-                f"scaled period {w.grid.period:g} does not match the reference "
-                f"{ref.field.grid.period:g}; sweep and reference grids must share "
-                "the long-wave frame")
+        w = scale_down(prof.mu, exps, prof.field, ref.field.grid.period)
         n = max(w.grid.n, ref.field.grid.n)
         wn = change_points(w, n)
         rn = change_points(ref.field, n)
         d, y = orbit_distance(wn, rn, s_norm=float(sym.j_star))
-        speed_dev = (prof.speed - sym.m_zero) / prof.mu**gamma - ref.speed
-        energy_dev = ((prof.energy + sym.m_zero * prof.mu) / prof.mu ** (1.0 + gamma)
+        speed_dev = (prof.speed - sym.m_zero) / prof.mu**exps.gamma - ref.speed
+        energy_dev = ((prof.energy + sym.m_zero * prof.mu) / prof.mu ** (1.0 + exps.gamma)
                       - ref.energy)
         out.append(LongWaveComparison(prof.mu, d, speed_dev, energy_dev, y, w))
     return out
@@ -122,8 +112,7 @@ def scaling_diagnostics(prob: Problem, prof: WaveProfile,
     if tau >= 1:
         raise ValueError("tau must be below 1")
     sym = prob.symbol
-    p = prob.nonlinearity.p
-    exps = exponents(sym.j_star, p)
+    p, exps = prob.nonlinearity.p, prob.scaling
     u1, u2 = band_split(sym, prof.field)
     mu = prof.mu
     scale = mu ** (tau * exps.beta * (p - 1.0) + p)

@@ -43,10 +43,11 @@ _FIELD_HEADER = "x,u"
 _META = {"mu": ("mu", float, "positive"), "nu": ("speed", float, None),
          "residual": ("residual", float, "nonnegative"), "energy": ("energy", float, None),
          "iterations": ("iterations", int, "nonnegative"),
-         "supercritical": ("supercritical", bool, None), "symbol": ("symbol", str, None),
+         "supercritical": ("supercritical", bool, "true"), "symbol": ("symbol", str, None),
          "nonlinearity": ("nonlinearity", str, None),
          "P": (None, float, None), "N": (None, int, None), "convention": (None, str, None)}
-_IN_RANGE = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
+_IN_RANGE = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0,
+             "true": lambda v: v is True}  # every stored wave passed the speed gate
 
 
 def atomic_write(path, text: str):

@@ -13,29 +13,32 @@ otherwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import OutOfDomain
 from .grid import PeriodicGrid, SpectralField, inner_l2, irfft, rfft  # inner_l2 is re-exported
-from .longwave import exponents
+from .longwave import ScalingExponents, exponents
 from .nonlinearity import Nonlinearity
 from .symbols import DispersionSymbol, multiplier_values
 
 
 @dataclass(frozen=True)
 class Problem:
-    """A dispersive model: multiplier, nonlinearity, and admissible ball radius."""
+    """A dispersive model: multiplier, nonlinearity, and admissible ball radius.
+    ``scaling`` holds its long-wave exponents, computed once from (j_star, p)
+    for the solver, its engine and the analysis, and is not compared."""
 
     symbol: DispersionSymbol
     nonlinearity: Nonlinearity
+    scaling: ScalingExponents = field(init=False, compare=False)
     ball_radius: ClassVar[float] = 1.0
 
     def __post_init__(self):
         # raises ExponentWindow outside 2 <= p < 4 j_star + 1
-        exponents(self.symbol.j_star, self.nonlinearity.p)
+        object.__setattr__(self, "scaling", exponents(self.symbol.j_star, self.nonlinearity.p))
 
 
 @dataclass(frozen=True)
@@ -72,15 +75,15 @@ class DiscreteFunctional:
     """Energy/gradient engine for one (multiplier values, nonlinearity, grid)
     triple, working directly on coefficient arrays.  Shared by the public
     functional evaluations, the minimizer, the fixed-point iteration and the
-    time stepper.  ``j_star`` (the order of m at 0) fixes the minimizer's
-    long-wave scaling."""
+    time stepper.  ``gamma``, the long-wave speed exponent, sets the
+    minimizer's preconditioner shift."""
 
     def __init__(self, grid: PeriodicGrid, mvals: np.ndarray, nl: Nonlinearity,
-                 j_star: int, penalization: Penalization | None = None):
+                 gamma: float, penalization: Penalization | None = None):
         self.grid = grid
         self.mvals = np.asarray(mvals, dtype=float)
         self.nl = nl
-        self.j_star = j_star
+        self.gamma = gamma
         self.pen = penalization
         # real factors of complex products, cast once as numpy would per call
         self.mask = grid.dealias_mask.astype(complex)
@@ -154,7 +157,7 @@ class DiscreteFunctional:
 def discretize(prob: Problem, grid: PeriodicGrid,
                penalization: Penalization | None = None) -> DiscreteFunctional:
     return DiscreteFunctional(grid, multiplier_values(prob.symbol, grid),
-                              prob.nonlinearity, prob.symbol.j_star, penalization)
+                              prob.nonlinearity, prob.scaling.gamma, penalization)
 
 
 def reduced_multiplier(j_star: int, d2j_star: float, grid: PeriodicGrid) -> np.ndarray:
@@ -169,7 +172,7 @@ def discretize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
     """Engine for the reduced problem: the polynomial multiplier and the
     leading part of the nonlinearity."""
     return DiscreteFunctional(grid, reduced_multiplier(j_star, d2j_star, grid),
-                              nl.leading(), j_star)
+                              nl.leading(), exponents(j_star, nl.p).gamma)
 
 
 # public evaluations ----------------------------------------------------------

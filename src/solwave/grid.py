@@ -211,7 +211,8 @@ def sup_norm(u: SpectralField) -> float:
 def tail_max(u: SpectralField) -> float:
     """max |u| over the outer tenth of the period (|x| >= 0.45 P).
 
-    Gate for treating the periodic field as a line-solitary surrogate.
+    How far a periodic wave has decayed at its cell's edge: sweep.csv's
+    ``tail``.  Only ``kdv_soliton`` gates on it, no solve does.
     """
     mask = np.abs(u.grid.nodes) >= 0.45 * u.grid.period
     return float(np.max(np.abs(u.values[mask])))

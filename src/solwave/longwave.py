@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentWindow, TailTooLarge
+from .errors import ExponentWindow, GridMismatch, TailTooLarge
 from .grid import PeriodicGrid, SpectralField, irfft, require_same_grid, tail_max
 
 KDV_AMPLITUDE = 1.5 ** (2.0 / 3.0)
@@ -40,17 +40,20 @@ def exponents(j_star: int, p: float) -> ScalingExponents:
 
 
 def scale_down(mu: float, exps: ScalingExponents, u: SpectralField,
-               period_hint: float | None = None) -> SpectralField:
-    """mu^-alpha u(mu^-beta x) on the compressed grid (period P mu^beta, same N).
+               period: float) -> SpectralField:
+    """mu^-alpha u(mu^-beta x) on the long-wave frame's grid (``period``, same N).
 
-    Q(scale_down(u)) = Q(u)/mu exactly.  ``period_hint`` snaps the target period
-    when a separately computed value is known to agree to round-off.
+    Q(scale_down(u)) = Q(u)/mu exactly.  The frame check: u's period times
+    mu^beta must lie within 1e-9 relative of ``period`` (GridMismatch
+    otherwise), and the result takes ``period`` exactly, so that every wave
+    of a sweep lands on the frame's one grid.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    period = u.grid.period * mu**exps.beta
-    if period_hint is not None and abs(period - period_hint) <= 1e-9 * period_hint:
-        period = period_hint
+    scaled = u.grid.period * mu**exps.beta
+    if not abs(scaled - period) <= 1e-9 * period:
+        raise GridMismatch(f"scaled period {scaled:g} is not the long-wave frame's "
+                           f"{period:g}: sweep and reference must share one frame")
     grid = PeriodicGrid(period, u.grid.n)
     return SpectralField.from_values(grid, mu ** (-exps.alpha) * u.values)
 

@@ -19,6 +19,14 @@ from numpy.polynomial import polynomial as P
 from .errors import ConfigError
 
 
+def spec_name(kind: str, *values: float) -> str:
+    """``kind:v1,v2,...``, each value written ``{:g}`` where that reads back
+    as the value and as its shortest ``repr`` otherwise: a problem's name
+    rebuilds the problem it names."""
+    return kind + ":" + ",".join(
+        f"{v:g}" if float(f"{v:g}") == v else repr(float(v)) for v in values)
+
+
 def _ipow(x, n: int, out=None):
     """x**n (n >= 1) by repeated np.square, into ``out`` when given and n >= 2:
     a float exponent other than 2 takes libm's pow, some 70 times slower on
@@ -139,13 +147,13 @@ def quadratic() -> Nonlinearity:
 
 
 def signed_modulus(p: float, cp: float) -> Nonlinearity:
-    return Nonlinearity(f"modulus:{p:g},{cp:g}", float(p), float(cp), True)
+    return Nonlinearity(spec_name("modulus", p, cp), float(p), float(cp), True)
 
 
 def odd_power(p: float, cp: float) -> Nonlinearity:
     if p % 2 != 1:  # false on an even, fractional or non-finite p
         raise ValueError(f"odd power needs an odd integer exponent, got {p!r}")
-    return Nonlinearity(f"oddpower:{p:g},{cp:g}", float(p), float(cp), False)
+    return Nonlinearity(spec_name("oddpower", p, cp), float(p), float(cp), False)
 
 
 def polynomial(coeffs: dict[int, float]) -> Nonlinearity:
@@ -173,7 +181,7 @@ def polynomial(coeffs: dict[int, float]) -> Nonlinearity:
         rem, prim, prime = (partial(P.polyval, c=a)
                             for a in (c, P.polyint(c), P.polyder(c)))
         remainder = Remainder(rem, float(degs[1] - p), prim, prime)
-    name = "poly:" + ",".join(f"{coeffs.get(d, 0.0):g}" for d in range(2, degs[-1] + 1))
+    name = spec_name("poly", *(coeffs.get(d, 0.0) for d in range(2, degs[-1] + 1)))
     return Nonlinearity(name, float(p), float(cp), False, remainder)
 
 

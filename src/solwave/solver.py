@@ -152,7 +152,7 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
         raise BallExit(f"initial iterate has ||u||_H1^2 = {eng.h1_sq(c):.3e}, "
                        f"outside the barrier domain (2R)^2 = "
                        f"{(2.0 * eng.pen.radius) ** 2:.3e}")
-    c_ref = np.max(eng.mvals) + kdv_speed() * mu ** exponents(eng.j_star, eng.nl.p).gamma
+    c_ref = np.max(eng.mvals) + kdv_speed() * mu ** eng.gamma
     precond = 1.0 / (c_ref - eng.mvals)
     neg_precond = (-precond).astype(complex)  # cast once, not per product
     two_mu = 2.0 * mu
@@ -205,17 +205,20 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
 
 def _finish(eng: DiscreteFunctional, prob_symbol: str, nl_name: str, mu: float,
             m_sup: float, c: np.ndarray, nu: float, res: float, its: int) -> WaveProfile:
+    """The certified wave: its speed exceeds m(0) = ``m_sup`` (MU_TOO_LARGE
+    otherwise, the one place this is decided) and its grid resolves it."""
+    if nu <= m_sup:
+        raise MuTooLarge(f"converged multiplier nu = {nu:g} is subcritical "
+                         f"(m(0) = {m_sup:g})", nu=nu)
     u = SpectralField.from_coeffs(eng.grid, c)
     ratio = high_mode_ratio(u)
     if ratio > RESOLVED:
         raise ResolutionLoss(f"mu = {mu:g}: {ratio:.2e} of the peak coefficient above "
                              f"|m| = 0.3N on N = {eng.grid.n}", mu=mu, ratio=ratio)
     u = center(u)
-    supercritical = nu > m_sup
     return WaveProfile(field=u, mu=mu, speed=nu, residual=res,
                        energy=eng.energy(u.coeffs), symbol=prob_symbol,
-                       nonlinearity=nl_name, iterations=its,
-                       supercritical=supercritical)
+                       nonlinearity=nl_name, iterations=its, supercritical=True)
 
 
 def minimize_constrained(prob: Problem, cfg: SolveConfig,
@@ -229,15 +232,12 @@ def minimize_constrained(prob: Problem, cfg: SolveConfig,
     multiplier is not supercritical: both say the small-momentum regime,
     where the constrained minimizer exists, has been left.
     """
-    exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
+    exps = prob.scaling
     if guess is None:
         grid = default_grid(cfg, prob.symbol.k_cut, exps)
         guess = kdv_scaled_seed(grid, cfg.mu, exps) * math.copysign(1.0, prob.nonlinearity.cp)
     eng = discretize(prob, guess.grid, cfg.penalization)
     c, nu, res, its, _ = _descend(eng, cfg.mu, cfg, guess.coeffs)
-    if nu <= prob.symbol.m_zero:
-        raise MuTooLarge(f"converged multiplier nu = {nu:g} is subcritical "
-                         f"(m(0) = {prob.symbol.m_zero:g})", nu=nu)
     return _finish(eng, prob.symbol.name, prob.nonlinearity.name, cfg.mu,
                    prob.symbol.m_zero, c, nu, res, its)
 
@@ -256,8 +256,6 @@ def minimize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
                                       * np.exp(-0.5 * grid.nodes**2))
     eng = discretize_reduced(j_star, d2j_star, nl, grid)
     c, nu, res, its, _ = _descend(eng, 1.0, cfg, guess.coeffs)
-    if nu <= 0:
-        raise MuTooLarge(f"reduced multiplier nu = {nu:g} not positive", nu=nu)
     return _finish(eng, f"reduced(j*={j_star}, m2j={d2j_star:g})", nl.name,
                    1.0, 0.0, c, nu, res, its)
 
@@ -279,7 +277,7 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
     if max_iter < 1:
         raise ConfigError("max_iter must be at least 1", field="max_iter")
     tol = cfg.tol_residual if tol is None else tol
-    exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
+    exps = prob.scaling
     if guess is None:
         # seed momentum from the long-wave speed relation nu = m(0) + nu_lw mu^gamma
         mu_guess = max(((nu - prob.symbol.m_zero) / kdv_speed()) ** (1.0 / exps.gamma), 1e-12)
@@ -319,17 +317,16 @@ def continuation_sweep(prob: Problem, mu_list: list[float],
         raise ConfigError("mu_list is empty", field="sweep.mu_list")
     if any(b <= a for a, b in zip(mu_list, mu_list[1:])):
         raise ConfigError("mu_list must be strictly ascending", field="sweep.mu_list")
-    exps = exponents(prob.symbol.j_star, prob.nonlinearity.p)
     profiles: list[WaveProfile] = []
     for mu in mu_list:
         cfg = replace(base_cfg, mu=mu)
         guess = None
         if profiles:
             prev = profiles[-1]
-            grid = default_grid(cfg, prob.symbol.k_cut, exps)
+            grid = default_grid(cfg, prob.symbol.k_cut, prob.scaling)
             carried = SpectralField.from_values(
                 PeriodicGrid(grid.period, prev.field.grid.n),
-                (mu / prev.mu)**exps.alpha * prev.field.values)
+                (mu / prev.mu)**prob.scaling.alpha * prev.field.values)
             guess = change_points(carried, grid.n, drop_tol=1e-6)
         profiles.append(minimize_constrained(prob, cfg, guess))
     return profiles

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, SymbolViolation
+from .nonlinearity import spec_name
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,7 @@ class DispersionSymbol:
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
     j_star: int                 # first non-vanishing even derivative is 2*j_star
-    d2j_star: float             # m^(2 j_star)(0), strictly negative
+    d2j_star: float             # m^(2 j_star)(0), finite and strictly negative
     k_cut: float                # m(k) <= m_zero/2 for |k| >= k_cut
     m_zero: float = field(init=False)  # eval(0), finite and positive
 
@@ -32,8 +33,8 @@ class DispersionSymbol:
         if not 0 < m_zero < math.inf:  # false on NaN
             raise ValueError(f"m(0) = {m_zero!r} must be finite and positive")
         object.__setattr__(self, "m_zero", m_zero)
-        if self.d2j_star >= 0:
-            raise ValueError("leading Taylor coefficient must be negative")
+        if not -math.inf < self.d2j_star < 0:  # false on NaN
+            raise ValueError("leading Taylor coefficient must be finite and negative")
         if self.j_star < 1:
             raise ValueError("j_star must be a positive integer")
 
@@ -119,7 +120,7 @@ def rational(s: float) -> DispersionSymbol:
         k = np.asarray(k, dtype=float)
         return (1.0 + k**2) ** (-s)
 
-    return DispersionSymbol(f"rational:{s:g}", m, 1, -2.0 * s, k_cut)
+    return DispersionSymbol(spec_name("rational", s), m, 1, -2.0 * s, k_cut)
 
 
 def symbol_from_name(name: str) -> DispersionSymbol:
@@ -212,11 +213,6 @@ def validate_symbol(sym: DispersionSymbol) -> SymbolReport:
     worst = float(ks[interior][j])
     checks.append(CheckResult("NO_STRICT_MAX", bool(excess[j] < 0), worst,
                               f"max m(k)-m(0) off origin = {excess[j]:.3e}"))
-
-    checks.append(CheckResult("NONPOSITIVE_MZERO", sym.m_zero > 0, 0.0,
-                              f"m(0) = {sym.m_zero:g}"))
-    checks.append(CheckResult("NONNEGATIVE_D2JSTAR", sym.d2j_star < 0, 0.0,
-                              f"m^(2j*)(0) = {sym.d2j_star:g}"))
 
     # declared Taylor data vs finite differences (analytic derivatives of
     # order 2 j_star are ill-conditioned to estimate, so this is a coarse check)

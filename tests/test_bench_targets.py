@@ -1,8 +1,10 @@
-"""The benchmark's tracer names package functions by string.
+"""The benchmark's tracer names package functions by string, and its layer
+timings call package functions directly.
 
 ``bench/tracer.py`` wraps each of its ``TARGETS`` in every solwave module that
 holds it; a name that no longer exists fails the benchmark before it measures
-anything.  The tracer is loaded by path, as the benchmark runs it.
+anything.  ``bench/micro.py`` calls ``default_grid``, ``kdv_scaled_seed`` and
+``discretize`` by position.  Both are loaded by path, as the benchmark runs them.
 """
 
 import importlib
@@ -46,3 +48,22 @@ def test_written_bytes_read_atomic_writes_text():
     count = load_tracer()._write_attrs
     assert count(("d/t.csv", "x,u\n"), {}, None) == {"data_bytes": 4}
     assert count((), {path: "d/t.csv", text: "x,u\n"}, None) == {"data_bytes": 4}
+
+
+def test_layer_timings_run_on_the_current_signatures(monkeypatch):
+    # bench/micro.py calls solver.default_grid, solver.kdv_scaled_seed and
+    # functionals.discretize directly; run every layer once, untimed
+    spec = importlib.util.spec_from_file_location("bench_micro", TRACER.with_name("micro.py"))
+    micro = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(micro)
+
+    def once(fn, **_):
+        fn()
+        return 1.0
+
+    monkeypatch.setattr(micro, "per_call_us", once)
+    from solwave.functionals import Problem
+    from solwave.nonlinearity import quadratic
+    from solwave.symbols import whitham
+    timings = micro.layer_timings(Problem(whitham(), quadratic()))
+    assert len(timings) == 8 * len(micro.SIZES)

@@ -109,7 +109,9 @@ def bad_inputs(d):
                        ("convention", json.dumps({**full, "convention": "something-else"})),
                        # values no writer leaves
                        ("residual_negative", json.dumps({**full, "residual": -1.0})),
-                       ("iterations_negative", json.dumps({**full, "iterations": -5}))]:
+                       ("iterations_negative", json.dumps({**full, "iterations": -5})),
+                       # a wave the speed gate refused is never stored
+                       ("subcritical", json.dumps({**full, "supercritical": False}))]:
         (d / name).mkdir()
         (d / name / "profile.csv").write_text(good)
         (d / name / "meta.json").write_text(meta)
@@ -198,7 +200,7 @@ def bad_inputs(d):
         cases[f"{key}_unparsed_{cmd}"] = (f"problem.{key}", ["--config", write_config(
             d, {"problem": {key: name}}, f"{key}_unparsed_{cmd}.json"), cmd])
     for name in ("mu_text", "mu_negative", "P", "N", "convention", "residual_negative",
-                 "iterations_negative"):
+                 "iterations_negative", "subcritical"):
         cases[f"meta_{name}"] = ("meta", ["evolve", "--profile", str(d / name / "profile.csv")])
     cases["zero_profile"] = ("profile", ["stability", "--profile",
                                          str(d / "zero" / "profile.csv"), "--T", "0.1"])
@@ -227,7 +229,8 @@ def bad_inputs(d):
     "step_init_nan", "polarity_default", "integrator_default", "symbol_number",
     "symbol_unparsed_validate-symbol", "symbol_unparsed_solve",
     "nonlinearity_unparsed_solve", "meta_mu_text", "meta_mu_negative", "meta_P", "meta_N",
-    "meta_convention", "meta_residual_negative", "meta_iterations_negative", "zero_profile",
+    "meta_convention", "meta_residual_negative", "meta_iterations_negative",
+    "meta_subcritical", "zero_profile",
     "profile_other_symbol", "profile_other_nonlinearity",
     *(f"nonlinearity_{name}" for name in REFUSED_NONLINEARITIES)])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
@@ -288,6 +291,21 @@ def test_profile_problem_compares_normalised_names(tmp_path):
         "symbol": "rational:2.0", "nonlinearity": "modulus:2.50,1.0"}}))
     prof = read_profile(tmp_path / "profile.csv", Run(cfg).problem)
     assert (prof.symbol, prof.nonlinearity) == ("rational:2", "modulus:2.5,1")
+
+
+def test_profile_keeps_every_digit_of_its_problem(tmp_path, capsys):
+    # {:g} would name both problems poly:1,0.123457 and let the one read the other's wave
+    out = tmp_path / "w"
+    cfg = write_config(tmp_path, {"problem": {"nonlinearity": "poly:1,0.12345678"}}, "a.json")
+    assert main(["--config", cfg, "solve", "--mu", "1e-2", "--out", str(out)]) == 0
+    assert json.loads((out / "meta.json").read_text())["nonlinearity"] == "poly:1,0.12345678"
+    capsys.readouterr()
+    cfg = write_config(tmp_path, {"problem": {"nonlinearity": "poly:1,0.123457"}}, "b.json")
+    rc = main(["--config", cfg, "evolve", "--profile", str(out / "profile.csv"),
+               "--out", str(tmp_path / "e")])
+    assert rc == 1
+    line = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert line["error"] == "CONFIG" and line["field"] == "problem.nonlinearity"
 
 
 def test_profile_round_trips_through_its_files(tmp_path):

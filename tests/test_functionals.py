@@ -14,7 +14,7 @@ from solwave.functionals import (Penalization, Problem, discretize, energy,
                                  energy_gradient, inner_l2, momentum,
                                  reduced_energy, reduced_gradient)
 from solwave.grid import PeriodicGrid, SpectralField, band_noise, sobolev_norm
-from solwave.longwave import kdv_soliton
+from solwave.longwave import exponents, kdv_soliton
 from solwave.nonlinearity import nonlinearity_from_name, quadratic, signed_modulus
 from solwave.symbols import multiplier_values, whitham
 
@@ -27,6 +27,16 @@ def field(seed, grid=None, scale=1.0):
     g = grid or PeriodicGrid(30.0, 128)
     rng = np.random.Generator(np.random.Philox(seed))
     return band_noise(g, g.n // 4, rng) * scale
+
+
+def test_problem_computes_its_scaling_once():
+    prob = Problem(whitham(), signed_modulus(2.5, 1.0))
+    assert prob.scaling == exponents(1, 2.5)
+    assert discretize(prob, PeriodicGrid(30.0, 128)).gamma == prob.scaling.gamma
+    # not compared: equality and hash are those of (symbol, nonlinearity)
+    same = Problem(prob.symbol, prob.nonlinearity)
+    object.__setattr__(same, "scaling", None)
+    assert same == prob and hash(same) == hash(prob)
 
 
 def test_momentum_closed_forms():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from solwave.errors import ExponentWindow, TailTooLarge
+from solwave.errors import ExponentWindow, GridMismatch, TailTooLarge
 from solwave.functionals import momentum, reduced_energy
 from solwave.grid import (PeriodicGrid, SpectralField, band_noise, l2_norm,
                           sobolev_norm, sup_norm)
@@ -62,11 +62,25 @@ def test_scale_roundtrip_and_supnorm():
     # mu^alpha w(mu^beta x): the same samples on the stretched grid
     u = SpectralField.from_values(PeriodicGrid(w.grid.period * mu**-e.beta, w.grid.n),
                                   mu**e.alpha * w.values)
-    back = scale_down(mu, e, u, period_hint=w.grid.period)
+    back = scale_down(mu, e, u, w.grid.period)
     assert back.grid == w.grid
     assert sup_norm(back) == approx(sup_norm(u) / mu**e.alpha, rel=1e-14)
     assert momentum(back) == approx(momentum(u) / mu, rel=1e-13)
     assert np.max(np.abs(back.values - w.values)) < 1e-10 * sup_norm(w)
+
+
+def test_scale_down_checks_the_frame():
+    e = exponents(1, 2.0)
+    w = field(5)
+    mu = 3e-3
+    u = SpectralField.from_values(PeriodicGrid(w.grid.period * mu**-e.beta, w.grid.n),
+                                  mu**e.alpha * w.values)
+    # within 1e-9 relative, the frame's period is taken as given
+    near = w.grid.period * (1.0 + 5e-10)
+    assert scale_down(mu, e, u, near).grid.period == near
+    for off in (w.grid.period * (1.0 + 2e-9), 2.0 * w.grid.period, float("nan")):
+        with pytest.raises(GridMismatch):
+            scale_down(mu, e, u, off)
 
 
 def test_kdv_soliton_oracle():

@@ -142,6 +142,13 @@ def test_names_roundtrip():
     assert not nl.modulus and nl.p == 3.0 and nl.name == "oddpower:3,2"
     nl = nonlinearity_from_name("poly:1,0,1")
     assert nl.n(0.3) == approx(0.3**2 + 0.3**4)
+    # {:g} where it reads back, the shortest repr where it does not: a name
+    # rebuilds the problem it names
+    for name in ("modulus:2.5,1.0000001", "poly:1,0.12345678", "modulus:2.5,1",
+                 "oddpower:3,2", "poly:1,0,1", "poly:1e-20,3"):
+        assert nonlinearity_from_name(name).name == name
+    nl = signed_modulus(2.5, 1.0000001)
+    assert Problem(whitham(), nonlinearity_from_name(nl.name)) == Problem(whitham(), nl)
     with pytest.raises(ConfigError):
         nonlinearity_from_name("nosuch")
     with pytest.raises(ConfigError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from solwave.errors import (ConfigError, MaxIterations, SubcriticalSpeed)
+from solwave.errors import ConfigError, MaxIterations, MuTooLarge, SubcriticalSpeed
 from solwave.functionals import Penalization, Problem, discretize, momentum
 from solwave.grid import tail_max
 from solwave.longwave import exponents, kdv_speed, orbit_distance
@@ -18,7 +18,8 @@ from solwave.nonlinearity import (nonlinearity_from_name, odd_power, polynomial,
                                   quadratic, signed_modulus)
 from solwave.solver import (MAX_POINTS, SolveConfig, continuation_sweep,
                             default_grid, kdv_scaled_seed, minimize_constrained,
-                            minimize_reduced, petviashvili, renormalize, sweep_rows)
+                            _finish, minimize_reduced, petviashvili, renormalize,
+                            sweep_rows)
 from solwave.symbols import symbol_from_name, whitham
 
 PROB = Problem(whitham(), quadratic())
@@ -35,6 +36,18 @@ def test_converged_wave_certificate(wave):
     assert wave.supercritical and wave.speed > 1.0
     assert momentum(wave.field) == approx(wave.mu, rel=1e-12)
     assert tail_max(wave.field) < 1e-10
+
+
+def test_one_gate_certifies_the_speed(wave):
+    # _finish, which every solve ends in, refuses nu <= m(0) before the
+    # resolution rule, so a stored wave is always supercritical
+    eng = discretize(PROB, wave.field.grid)
+    unresolved = wave.field.coeffs.copy()
+    unresolved[wave.field.grid.n // 2] = 1.0
+    with pytest.raises(MuTooLarge):
+        _finish(eng, "whitham", "quadratic", wave.mu, 1.0, unresolved, 1.0, 0.0, 0)
+    assert _finish(eng, "whitham", "quadratic", wave.mu, 1.0, wave.field.coeffs,
+                   wave.speed, wave.residual, 0).supercritical is True
 
 
 def test_speed_close_to_long_wave_law(wave):

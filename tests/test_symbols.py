@@ -104,6 +104,12 @@ def test_bundled_symbols_validate(sym):
     assert report.passed, "\n".join(report.lines())
 
 
+def test_report_holds_only_checks_that_can_fail():
+    # m(0) > 0 and m^(2j*)(0) < 0 hold for every DispersionSymbol that exists
+    assert [c.name for c in validate_symbol(whitham()).checks] == [
+        "NOT_EVEN", "NO_STRICT_MAX", "TAYLOR_MISMATCH", "TAYLOR_REMAINDER", "CUTOFF"]
+
+
 def test_validate_flags_no_strict_max():
     bad = DispersionSymbol("bad", lambda k: 1.0 + np.asarray(k) ** 2,
                            j_star=1, d2j_star=-1.0, k_cut=1.0)
@@ -151,8 +157,10 @@ def test_gaussian_taylor_data_passes_fd_check():
 
 
 def test_constructor_rejects_bad_data():
-    with pytest.raises(ValueError):
-        DispersionSymbol("x", np.cos, j_star=1, d2j_star=0.5, k_cut=1.0)
+    # m^(2j*)(0) must be finite and negative
+    for d2 in (0.5, 0.0, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            DispersionSymbol("x", np.cos, j_star=1, d2j_star=d2, k_cut=1.0)
     # m(0) is eval(0): it must be finite and positive
     for m0 in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -168,6 +176,11 @@ def test_constructor_rejects_bad_data():
 def test_symbol_from_name():
     assert symbol_from_name("whitham").name == "whitham"
     assert symbol_from_name("rational:1.5").d2j_star == -3.0
+    # a name keeps every digit its number needs, so it rebuilds the symbol
+    sym = rational(1.0000001)
+    assert sym.name == "rational:1.0000001"
+    assert symbol_from_name(sym.name).d2j_star == sym.d2j_star
+    assert symbol_from_name("rational:2.0").name == "rational:2"
     from solwave.errors import ConfigError
     with pytest.raises(ConfigError):
         symbol_from_name("nosuch")
