@@ -22,6 +22,7 @@ N = 1024, which the time step pays at each of its eight transforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,8 +56,8 @@ class PeriodicGrid:
     n: int
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < math.inf:  # false on NaN
+            raise ValueError("period must be finite and positive")
         n = self.n
         if n < 16 or n & (n - 1):
             raise ValueError("n must be a power of two, at least 16")

@@ -1,9 +1,16 @@
-"""Nonlinearities n = n_p + n_r with primitives.
+"""Nonlinearities n = n_p + n_r with primitives, and the one grammar of a
+problem's names.
 
 The leading part n_p is c_p |x|^p (``modulus``) or c_p x^p for an integer
 p >= 2, which needs c_p > 0 when p is odd; the quadratic case n(u) = u^2 is
-the latter with p = 2, c_p = 1.  The optional remainder must vanish faster,
-n_r = O(|x|^(p+delta)) near zero.  Exponents and coefficients are finite.
+the latter with p = 2, c_p = 1.  The optional remainder n_r is a polynomial,
+held as its coefficients by degree, that vanishes faster: its lowest degree
+exceeds p, and the gap between the two is its growth exponent delta,
+n_r = O(|x|^(p+delta)) near zero.  Exponents and coefficients are finite.  A
+nonlinearity is its name and these numbers, and compares by them.
+
+Nonlinearities and symbols are named ``kind`` or ``kind:v1,v2,...``:
+``spec_name`` writes a name and ``from_spec`` reads it.
 """
 
 from __future__ import annotations
@@ -27,6 +34,21 @@ def spec_name(kind: str, *values: float) -> str:
         f"{v:g}" if float(f"{v:g}") == v else repr(float(v)) for v in values)
 
 
+def from_spec(name: str, families: dict[str, Callable], field: str):
+    """``families[kind](v1, v2, ...)`` for a ``name`` written ``kind`` or
+    ``kind:v1,v2,...``.  An unknown kind, a value that is not a number, and
+    values the constructor refuses (a ValueError or TypeError) are a
+    ConfigError on ``field``."""
+    kind, colon, values = name.partition(":")
+    if kind not in families:
+        raise ConfigError(f"{name!r} names no known kind; {field} takes one of "
+                          f"{', '.join(families)}", field=field)
+    try:
+        return families[kind](*([float(v) for v in values.split(",")] if colon else []))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {field} {name!r}: {exc}", field=field)
+
+
 def _ipow(x, n: int, out=None):
     """x**n (n >= 1) by repeated np.square, into ``out`` when given and n >= 2:
     a float exponent other than 2 takes libm's pow, some 70 times slower on
@@ -38,23 +60,12 @@ def _ipow(x, n: int, out=None):
 
 
 @dataclass(frozen=True)
-class Remainder:
-    """Higher-order part n_r with growth exponent delta, its primitive
-    vanishing at 0, and its derivative."""
-
-    func: Callable
-    delta: float
-    primitive: Callable
-    prime: Callable
-
-
-@dataclass(frozen=True)
 class Nonlinearity:
     name: str
     p: float
     cp: float
     modulus: bool               # c_p |x|^p; otherwise c_p x^p for an integer p
-    remainder: Remainder | None = None
+    remainder: tuple[float, ...] = ()  # n_r's coefficients by degree
     # x, out -> n(x) of a float array, into ``out`` when it is not None: the
     # one evaluation behind ``n``, composed once here so that a caller with a
     # buffer (the flow's flux) pays no Python frames; for ``quadratic()`` it
@@ -76,6 +87,9 @@ class Nonlinearity:
         if not self.modulus and (p != int(p) or p % 2 and cp <= 0):
             raise ValueError("a power without modulus needs an integer exponent, "
                              "and a positive leading coefficient when it is odd")
+        if not all(map(math.isfinite, rem)) or any(rem[:int(p) + 1]):
+            raise ValueError("remainder coefficients must be finite and vanish "
+                             "at every degree up to the leading exponent")
         if self.modulus:
             def power(x, out):
                 v = np.abs(x, out=out)
@@ -106,29 +120,32 @@ class Nonlinearity:
         else:
             def n(x, out):
                 return np.multiply(cp, power(x, out), out=out)
-        if rem is not None:
+        if rem:
             lead, lead_prime, lead_prim = n, prime, prim
+            # Horner evaluation: x**d with integer d takes libm's slow pow on
+            # negative bases
+            c = np.array(rem)
+            r, r_prim, r_prime = (partial(P.polyval, c=a)
+                                  for a in (c, P.polyint(c), P.polyder(c)))
 
             def n(x, out):
-                return np.add(lead(x, out), rem.func(x), out=out)
+                return np.add(lead(x, out), r(x), out=out)
 
             def prime(x):
-                return lead_prime(x) + rem.prime(x)
+                return lead_prime(x) + r_prime(x)
 
             def prim(x):
-                return lead_prim(x) + rem.primitive(x)
+                return lead_prim(x) + r_prim(x)
         object.__setattr__(self, "nodewise", n)
         object.__setattr__(self, "_prime", prime)
         object.__setattr__(self, "_primitive", prim)
 
     def leading(self) -> Nonlinearity:
         """n_p alone, the nonlinearity of the reduced long-wave functional."""
-        return replace(self, name=self.name + ":leading", remainder=None)
+        return replace(self, name=self.name + ":leading", remainder=())
 
-    def n(self, x, out=None):
-        """n(x); into ``out`` (a float array of x's shape, not x itself) when
-        given, and then ``out`` is returned."""
-        return self.nodewise(np.asarray(x, dtype=float), out)
+    def n(self, x):
+        return self.nodewise(np.asarray(x, dtype=float), None)
 
     def n_prime(self, x):
         return self._prime(np.asarray(x, dtype=float))
@@ -157,48 +174,27 @@ def odd_power(p: float, cp: float) -> Nonlinearity:
 
 
 def polynomial(coeffs: dict[int, float]) -> Nonlinearity:
-    """n(x) = sum_d coeffs[d] x^d with the lowest degree as the leading part.
+    """n(x) = sum_d coeffs[d] x^d: the lowest degree is the leading part and
+    the others the remainder.
 
-    Degrees below 2 and non-finite coefficients are rejected (n must vanish
-    to second order at 0).
+    Degrees below 2 are rejected (n must vanish to second order at 0), and
+    non-finite coefficients by ``Nonlinearity``.
     """
-    if not all(math.isfinite(c) for c in coeffs.values()):
-        raise ValueError("polynomial coefficients must be finite")
     degs = sorted(d for d, c in coeffs.items() if c != 0.0)
     if not degs:
         raise ValueError("all coefficients vanish")
     if degs[0] < 2:
         raise ValueError("polynomial nonlinearity needs degree >= 2 terms only")
-    p = degs[0]
-    cp = coeffs[p]
-    remainder = None
-    if len(degs) > 1:
-        # Horner evaluation: x**d with integer d takes libm's slow pow on
-        # negative bases
-        c = np.zeros(degs[-1] + 1)
-        for d in degs[1:]:
-            c[d] = coeffs[d]
-        rem, prim, prime = (partial(P.polyval, c=a)
-                            for a in (c, P.polyint(c), P.polyder(c)))
-        remainder = Remainder(rem, float(degs[1] - p), prim, prime)
+    p, rest = degs[0], degs[1:]
+    remainder = tuple(float(coeffs[d]) if d in rest else 0.0
+                      for d in range(degs[-1] + 1)) if rest else ()
     name = spec_name("poly", *(coeffs.get(d, 0.0) for d in range(2, degs[-1] + 1)))
-    return Nonlinearity(name, float(p), float(cp), False, remainder)
+    return Nonlinearity(name, float(p), float(coeffs[p]), False, remainder)
+
+
+NONLINEARITIES = {"quadratic": quadratic, "modulus": signed_modulus, "oddpower": odd_power,
+                  "poly": lambda *cs: polynomial(dict(enumerate(cs, 2)))}
 
 
 def nonlinearity_from_name(name: str) -> Nonlinearity:
-    if name == "quadratic":
-        return quadratic()
-    try:
-        if name.startswith("modulus:"):
-            p, cp = (float(v) for v in name.split(":", 1)[1].split(","))
-            return signed_modulus(p, cp)
-        if name.startswith("oddpower:"):
-            p, cp = (float(v) for v in name.split(":", 1)[1].split(","))
-            return odd_power(p, cp)
-        if name.startswith("poly:"):
-            cs = [float(v) for v in name.split(":", 1)[1].split(",")]
-            return polynomial({d + 2: c for d, c in enumerate(cs)})
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad nonlinearity spec {name!r}: {exc}",
-                          field="problem.nonlinearity")
-    raise ConfigError(f"unknown nonlinearity {name!r}", field="problem.nonlinearity")
+    return from_spec(name, NONLINEARITIES, "problem.nonlinearity")

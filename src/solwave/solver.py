@@ -271,7 +271,7 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
     """
     if nu <= prob.symbol.m_zero:
         raise SubcriticalSpeed(f"nu = {nu:g} does not exceed m(0) = {prob.symbol.m_zero:g}")
-    if prob.nonlinearity.remainder is not None:
+    if prob.nonlinearity.remainder:
         raise ConfigError("fixed-point oracle needs a homogeneous nonlinearity",
                           field="problem.nonlinearity")
     if max_iter < 1:
@@ -299,13 +299,15 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
         num = float(np.sum(denom_m * np.abs(c) ** 2))
         den = _vdot(c, nc)
         if not np.isfinite(den) or den == 0.0:
-            raise NoConvergence("fixed-point stabilizer degenerated", iteration=it)
+            raise NoConvergence("fixed-point stabilizer degenerated",
+                                iterations=it, residual=res)
         s = num / den
         if not np.isfinite(s) or s <= 0:
-            raise NoConvergence(f"stabilizer S = {s:g} at iteration {it}", iteration=it)
+            raise NoConvergence(f"stabilizer S = {s:g} at iteration {it}",
+                                iterations=it, residual=res)
         c = s**gamma * nc / denom_m
     raise NoConvergence(f"residual {res:.3e} after {max_iter} fixed-point steps",
-                        residual=res)
+                        iterations=max_iter, residual=res)
 
 
 def continuation_sweep(prob: Problem, mu_list: list[float],

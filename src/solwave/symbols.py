@@ -3,7 +3,9 @@
 A multiplier must be even, smooth, decaying (negative order), with a strict
 positive global maximum at k = 0 and leading even Taylor term
 m(0) + d2j_star * k**(2*j_star) / (2*j_star)!.  m(0) is ``eval(0)``, read
-off the multiplier and not declared beside it.
+off the multiplier and not declared beside it.  A symbol's name identifies its
+multiplier, so symbols compare and hash by name and Taylor data; names are
+read by ``nonlinearity.from_spec``.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, SymbolViolation
-from .nonlinearity import spec_name
+from .errors import SymbolViolation
+from .nonlinearity import from_spec, spec_name
 
 
 @dataclass(frozen=True)
 class DispersionSymbol:
     name: str
-    eval: Callable[[np.ndarray], np.ndarray]
+    eval: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     j_star: int                 # first non-vanishing even derivative is 2*j_star
     d2j_star: float             # m^(2 j_star)(0), finite and strictly negative
     k_cut: float                # m(k) <= m_zero/2 for |k| >= k_cut
@@ -108,13 +110,11 @@ def gaussian() -> DispersionSymbol:
 def rational(s: float) -> DispersionSymbol:
     """(1 + k^2)^(-s) for finite s > 0 whose cut-off sqrt(2^(1/s) - 1) is finite."""
     if not 0 < 2.0 * s < math.inf:  # false on NaN; m''(0) = -2s
-        raise ConfigError(f"rational symbol needs finite s > 0, got {s!r}",
-                          field="problem.symbol")
+        raise ValueError(f"rational symbol needs finite s > 0, got {s!r}")
     try:
         k_cut = math.sqrt(2.0 ** (1.0 / s) - 1.0)
     except OverflowError:
-        raise ConfigError(f"rational:{s!r} has no finite cut-off wavenumber",
-                          field="problem.symbol")
+        raise ValueError(f"rational:{s!r} has no finite cut-off wavenumber")
 
     def m(k):
         k = np.asarray(k, dtype=float)
@@ -123,19 +123,11 @@ def rational(s: float) -> DispersionSymbol:
     return DispersionSymbol(spec_name("rational", s), m, 1, -2.0 * s, k_cut)
 
 
+SYMBOLS = {"whitham": whitham, "gaussian": gaussian, "rational": rational}
+
+
 def symbol_from_name(name: str) -> DispersionSymbol:
-    if name == "whitham":
-        return whitham()
-    if name == "gaussian":
-        return gaussian()
-    if name.startswith("rational:"):
-        try:
-            s = float(name.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad rational symbol spec {name!r}",
-                              field="problem.symbol")
-        return rational(s)
-    raise ConfigError(f"unknown symbol {name!r}", field="problem.symbol")
+    return from_spec(name, SYMBOLS, "problem.symbol")
 
 
 def taylor_remainder(sym: DispersionSymbol, k) -> float | np.ndarray:

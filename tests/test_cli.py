@@ -23,6 +23,8 @@ from solwave.fileio import read_profile
 from solwave.functionals import momentum
 from solwave.grid import PeriodicGrid, SpectralField
 from solwave.longwave import exponents
+from solwave.nonlinearity import NONLINEARITIES
+from solwave.symbols import SYMBOLS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -194,11 +196,16 @@ def bad_inputs(d):
     cases["symbol_number"] = ("problem.symbol", ["--config", write_config(
         d, {"problem": {"symbol": 3}}, "symbol_number.json"), "validate-symbol"])
     # a name the parser rejects: the error names the config field it came from
-    for key, name, cmd in (("symbol", "nosuch", "validate-symbol"),
-                           ("symbol", "nosuch", "solve"),
-                           ("nonlinearity", "poly:", "solve")):
-        cases[f"{key}_unparsed_{cmd}"] = (f"problem.{key}", ["--config", write_config(
-            d, {"problem": {key: name}}, f"{key}_unparsed_{cmd}.json"), cmd])
+    for case, key, name, cmd in (
+            ("symbol_unparsed_validate-symbol", "symbol", "nosuch", "validate-symbol"),
+            ("symbol_unparsed_solve", "symbol", "nosuch", "solve"),
+            ("symbol_value_text", "symbol", "rational:x", "solve"),
+            ("symbol_value_count", "symbol", "whitham:1", "solve"),
+            ("nonlinearity_unknown", "nonlinearity", "nosuch", "solve"),
+            ("nonlinearity_unparsed_solve", "nonlinearity", "poly:", "solve"),
+            ("nonlinearity_value_count", "nonlinearity", "modulus:2.5", "solve")):
+        cases[case] = (f"problem.{key}", ["--config", write_config(
+            d, {"problem": {key: name}}, f"{case}.json"), cmd])
     for name in ("mu_text", "mu_negative", "P", "N", "convention", "residual_negative",
                  "iterations_negative", "subcritical"):
         cases[f"meta_{name}"] = ("meta", ["evolve", "--profile", str(d / name / "profile.csv")])
@@ -227,8 +234,9 @@ def bad_inputs(d):
     "band_negative", "scale_0", "scale_nan", "scale_0.1", "scales_empty",
     "scales_oversized", "period_scale_zero",
     "step_init_nan", "polarity_default", "integrator_default", "symbol_number",
-    "symbol_unparsed_validate-symbol", "symbol_unparsed_solve",
-    "nonlinearity_unparsed_solve", "meta_mu_text", "meta_mu_negative", "meta_P", "meta_N",
+    "symbol_unparsed_validate-symbol", "symbol_unparsed_solve", "symbol_value_text",
+    "symbol_value_count", "nonlinearity_unknown", "nonlinearity_unparsed_solve",
+    "nonlinearity_value_count", "meta_mu_text", "meta_mu_negative", "meta_P", "meta_N",
     "meta_convention", "meta_residual_negative", "meta_iterations_negative",
     "meta_subcritical", "zero_profile",
     "profile_other_symbol", "profile_other_nonlinearity",
@@ -393,6 +401,17 @@ def test_readme_layout_names_every_module():
     listed = re.findall(r"^- `src/solwave/(\w+\.py)`", layout, flags=re.M)
     modules = {p.name for p in (CONFIGS.parent / "src" / "solwave").glob("*.py")}
     assert sorted(listed) == sorted(modules - {"__init__.py"})
+
+
+def test_readme_names_every_kind_the_parser_reads():
+    # a kind added to or dropped from a parser table without its README entry fails here
+    readme = (CONFIGS.parent / "README.md").read_text()
+    listed = dict(re.findall(r"^- `(problem\.\w+)`: (.*)$", readme, flags=re.M))
+    tables = {"problem.symbol": SYMBOLS, "problem.nonlinearity": NONLINEARITIES}
+    assert sorted(listed) == sorted(tables)
+    for field, table in tables.items():
+        kinds = [name.partition(":")[0] for name in re.findall(r"`([^`]*)`", listed[field])]
+        assert sorted(kinds) == sorted(table), field
 
 
 def test_sweep_outside_the_long_wave_frame_is_grid_mismatch(tmp_path, capsys):

@@ -37,6 +37,13 @@ def test_grid_construction():
         PeriodicGrid(-1.0, 32)
 
 
+@pytest.mark.parametrize("period", [float("nan"), float("inf")])
+def test_period_must_be_finite(period):
+    # a NaN or infinite period would give a NaN or infinite spacing
+    with pytest.raises(ValueError, match="finite and positive"):
+        PeriodicGrid(period, 16)
+
+
 @settings(max_examples=30, deadline=None)
 @given(grids, st.integers(min_value=0, max_value=10_000))
 def test_roundtrip_and_parseval(gp, seed):

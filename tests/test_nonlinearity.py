@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from pytest import approx
 
 from solwave.errors import ConfigError, ExponentWindow
 from solwave.functionals import Problem
 from solwave.nonlinearity import (Nonlinearity, nonlinearity_from_name, odd_power,
                                   polynomial, quadratic, signed_modulus)
-from solwave.symbols import whitham
+from solwave.symbols import symbol_from_name, whitham
 
 NAN, INF = float("nan"), float("inf")
+
+
+def growth_exponent(nl):
+    """delta of n_r = O(|x|^(p+delta)): the remainder's lowest degree minus p."""
+    return next(d for d, c in enumerate(nl.remainder) if c) - nl.p
 
 
 def test_quadratic_values():
@@ -36,7 +42,7 @@ def test_signed_modulus_negative_coefficient():
 def test_polynomial_with_remainder():
     nl = polynomial({2: 1.0, 4: 1.0})
     assert nl.p == 2.0
-    assert nl.remainder is not None and nl.remainder.delta == 2.0
+    assert nl.remainder == (0.0, 0.0, 0.0, 0.0, 1.0) and growth_exponent(nl) == 2.0
     assert nl.n(0.3) == approx(0.3**2 + 0.3**4)
     assert nl.primitive(0.3) == approx(0.3**3 / 3 + 0.3**5 / 5)
     # remainder terms of every parity, on negative arguments where no two
@@ -108,6 +114,12 @@ def test_construction_rejections():
     for coeffs in ({2: NAN}, {2: 1.0, 3: NAN}, {2: 1.0, 3: INF}, {2: 1.0, 4: -INF}):
         with pytest.raises(ValueError):
             polynomial(coeffs)
+    # a remainder vanishes faster than the leading part, with finite coefficients
+    for p, modulus, rem in ((2.0, False, (0.0, 0.0, 1.0)), (2.5, True, (0.0, 0.0, 1.0)),
+                            (2.0, False, (0.0, 1.0)), (2.0, False, (0.0, 0.0, 0.0, NAN))):
+        with pytest.raises(ValueError):
+            Nonlinearity("x", p, 1.0, modulus, rem)
+    assert Nonlinearity("x", 2.5, 1.0, True, (0.0, 0.0, 0.0, 1.0)).n(1.0) == 2.0
 
 
 
@@ -123,7 +135,7 @@ def test_euler_identity_with_remainder():
     nl = polynomial({2: 1.0, 4: 1.0})
     xs = np.linspace(1e-3, 1.0, 100)
     lhs = np.abs(3.0 * nl.primitive(xs) - xs * nl.n(xs))
-    ratio = lhs / xs ** (nl.p + nl.remainder.delta + 1.0)
+    ratio = lhs / xs ** (nl.p + growth_exponent(nl) + 1.0)
     assert np.all(np.isfinite(ratio))
     assert ratio.max() < 1.0  # exact value 2/5 x^5 over x^5
 
@@ -131,7 +143,8 @@ def test_euler_identity_with_remainder():
 def test_remainder_growth_bound():
     nl = polynomial({2: 1.0, 4: 1.0})
     xs = np.linspace(1e-3, 1.0, 200)
-    assert np.max(np.abs(nl.remainder.func(xs)) / xs ** (nl.p + nl.remainder.delta)) <= 1.0 + 1e-12
+    n_r = P.polyval(xs, nl.remainder)
+    assert np.max(np.abs(n_r) / xs ** (nl.p + growth_exponent(nl))) <= 1.0 + 1e-12
 
 
 def test_names_roundtrip():
@@ -151,8 +164,37 @@ def test_names_roundtrip():
     assert Problem(whitham(), nonlinearity_from_name(nl.name)) == Problem(whitham(), nl)
     with pytest.raises(ConfigError):
         nonlinearity_from_name("nosuch")
-    with pytest.raises(ConfigError):
-        nonlinearity_from_name("modulus:a,b")
+    # a constructor's refusal, of a value or of their number, is a ConfigError
+    for bad in ("modulus:a,b", "modulus:2.5", "quadratic:1", "poly:", "oddpower:4,1"):
+        with pytest.raises(ConfigError) as err:
+            nonlinearity_from_name(bad)
+        assert err.value.info["field"] == "problem.nonlinearity"
+
+
+SYMBOL_NAMES = ("whitham", "gaussian", "rational:1.5", "rational:1.0000001")
+NONLINEARITY_NAMES = ("quadratic", "poly:1,0.5", "poly:0,1,0.3", "modulus:2.5,-1",
+                      "oddpower:3,1")
+
+
+@pytest.mark.parametrize("symbol", SYMBOL_NAMES)
+@pytest.mark.parametrize("nonlinearity", NONLINEARITY_NAMES)
+def test_problems_from_one_name_are_equal(symbol, nonlinearity):
+    # a model is its name and its numbers
+    a, b = (Problem(symbol_from_name(symbol), nonlinearity_from_name(nonlinearity))
+            for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("names", [
+    (("rational:1.5", "quadratic"), ("rational:1.5000001", "quadratic")),
+    (("whitham", "poly:1,0.5"), ("whitham", "poly:1,0.6")),
+    (("whitham", "poly:0,1,0.3"), ("whitham", "poly:0,1,0.3,0.1")),
+    (("gaussian", "modulus:2.5,-1"), ("gaussian", "modulus:2.5,-1.5")),
+    (("whitham", "oddpower:3,1"), ("whitham", "oddpower:3,2"))])
+def test_problems_from_names_differing_in_a_coefficient_differ(names):
+    a, b = (Problem(symbol_from_name(s), nonlinearity_from_name(n)) for s, n in names)
+    assert a != b
 
 
 def _old_ipow(x, n):
@@ -174,10 +216,11 @@ def _power_chain(nl, x):
         n = cp * _old_ipow(x, int(p))
         n_prime = cp * p * _old_ipow(x, int(p) - 1)
         prim = cp * _old_ipow(x, int(p) + 1) / (p + 1.0)
-    if nl.remainder is not None:
-        n = n + nl.remainder.func(x)
-        n_prime = n_prime + nl.remainder.prime(x)
-        prim = prim + nl.remainder.primitive(x)
+    if nl.remainder:  # by Horner's rule, from the coefficients
+        c = np.array(nl.remainder)
+        n = n + P.polyval(x, c)
+        n_prime = n_prime + P.polyval(x, P.polyder(c))
+        prim = prim + P.polyval(x, P.polyint(c))
     return n, n_prime, prim
 
 
@@ -204,6 +247,6 @@ def test_buffered_evaluation_is_bit_identical(name):
     buf = np.empty_like(x)
     with np.errstate(all="ignore"):
         want = nl.n(x)
-        got = nl.n(x, out=buf)
+        got = nl.nodewise(x, buf)  # as the flux calls it
     assert got is buf
     assert got.tobytes() == want.tobytes()

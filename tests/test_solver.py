@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from solwave.errors import ConfigError, MaxIterations, MuTooLarge, SubcriticalSpeed
+from solwave.errors import (ConfigError, MaxIterations, MuTooLarge, NoConvergence,
+                            SubcriticalSpeed)
 from solwave.functionals import Penalization, Problem, discretize, momentum
-from solwave.grid import tail_max
+from solwave.grid import PeriodicGrid, SpectralField, tail_max
 from solwave.longwave import exponents, kdv_speed, orbit_distance
 from solwave.nonlinearity import (nonlinearity_from_name, odd_power, polynomial,
                                   quadratic, signed_modulus)
@@ -143,7 +144,7 @@ def test_wave_sign_follows_the_nonlinearity(pos, neg):
     nls = [nonlinearity_from_name(name) for name in (pos, neg)]
     solves = [lambda nl: minimize_constrained(Problem(whitham(), nl), cfg),
               lambda nl: minimize_reduced(1, -1.0 / 3.0, nl, SolveConfig(tol_residual=1e-10))]
-    if nls[0].remainder is None:
+    if not nls[0].remainder:
         solves.append(lambda nl: petviashvili(Problem(whitham(), nl), 1.0088, cfg))
     for solve in solves:
         a, b = (solve(nl) for nl in nls)
@@ -257,6 +258,22 @@ def test_petviashvili_rejects_a_remainder():
     with pytest.raises(ConfigError) as err:
         petviashvili(Problem(whitham(), polynomial({2: 1.0, 3: 0.5})), 1.01, SolveConfig())
     assert err.value.info["field"] == "problem.nonlinearity"
+
+
+@pytest.mark.parametrize("case", ["degenerate", "negative", "max_iter"])
+def test_petviashvili_failures_carry_iterations_and_residual(case):
+    # as every descent failure does: the iterations run and the last residual
+    grid = PeriodicGrid(200.0, 256)
+    bump = np.exp(-0.5 * (grid.nodes / 10.0) ** 2)
+    guess, max_iter = {  # a NaN guess, a depression wave for n = u^2, one step
+        "degenerate": (SpectralField.from_values(grid, np.nan * bump), 5),
+        "negative": (SpectralField.from_values(grid, -0.01 * bump), 5),
+        "max_iter": (None, 1)}[case]
+    with pytest.raises(NoConvergence) as err:
+        petviashvili(PROB, 1.01, SolveConfig(mu=1e-3), guess=guess, max_iter=max_iter)
+    info = err.value.info
+    assert info["iterations"] == (1 if case == "max_iter" else 0)
+    assert (math.isnan if case == "degenerate" else math.isfinite)(info["residual"])
 
 
 def test_seed_file_roundtrip(tmp_path, wave):

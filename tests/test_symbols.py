@@ -185,10 +185,15 @@ def test_symbol_from_name():
     with pytest.raises(ConfigError):
         symbol_from_name("nosuch")
     for bad in ("rational:abc", "rational:-1", "rational:0", "rational:1e-300",
-                "rational:nan", "rational:inf", "rational:1e308"):
+                "rational:nan", "rational:inf", "rational:1e308", "rational",
+                "rational:1,2", "whitham:1"):
         with pytest.raises(ConfigError) as err:
             symbol_from_name(bad)
         assert err.value.info["field"] == "problem.symbol"
+    # the constructor refuses a value as its siblings do; the parser names the field
+    for s in (-1.0, 0.0, 1e-300, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            rational(s)
 
 
 @settings(max_examples=50, deadline=None)
