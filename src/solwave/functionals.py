@@ -1,4 +1,4 @@
-"""Energy, momentum, gradients, the flow's flux, penalization, and the reduced long-wave energy.
+"""Energy, momentum, gradients, the flow's flux, penalization, and the reduced problem.
 
 Sign conventions: E(u) = -1/2 <u, Lu> - int N(u) and Q(u) = 1/2 int u^2, so
 the constrained stationarity condition E'(u) + nu u = 0 is the travelling-wave
@@ -8,6 +8,9 @@ The nonlinear integrand is evaluated nodewise on the dealiased field and the
 result of n(.) is dealiased again, which makes the discrete gradient exact for
 the discrete energy (quadratic and cubic products alias at high modes
 otherwise).
+
+The reduced long-wave problem is the ``Problem`` that ``reduced_problem``
+builds, so ``discretize`` is the one discretizer of both.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import OutOfDomain
 from .grid import PeriodicGrid, SpectralField, inner_l2, irfft, rfft  # inner_l2 is re-exported
 from .longwave import ScalingExponents, exponents
 from .nonlinearity import Nonlinearity
-from .symbols import DispersionSymbol, multiplier_values
+from .symbols import DispersionSymbol, LongWaveSymbol, multiplier_values
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,7 @@ class Problem:
     ``scaling`` holds its long-wave exponents, computed once from (j_star, p)
     for the solver, its engine and the analysis, and is not compared."""
 
-    symbol: DispersionSymbol
+    symbol: DispersionSymbol | LongWaveSymbol
     nonlinearity: Nonlinearity
     scaling: ScalingExponents = field(init=False, compare=False)
     ball_radius: ClassVar[float] = 1.0
@@ -160,19 +163,10 @@ def discretize(prob: Problem, grid: PeriodicGrid,
                               prob.nonlinearity, prob.scaling.gamma, penalization)
 
 
-def reduced_multiplier(j_star: int, d2j_star: float, grid: PeriodicGrid) -> np.ndarray:
-    """Polynomial stand-in d2j_star k^(2 j_star)/(2 j_star)! whose energy is the
-    reduced long-wave functional."""
-    k = grid.wavenumbers
-    return d2j_star * k ** (2 * j_star) / math.factorial(2 * j_star)
-
-
-def discretize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
-                       grid: PeriodicGrid) -> DiscreteFunctional:
-    """Engine for the reduced problem: the polynomial multiplier and the
-    leading part of the nonlinearity."""
-    return DiscreteFunctional(grid, reduced_multiplier(j_star, d2j_star, grid),
-                              nl.leading(), exponents(j_star, nl.p).gamma)
+def reduced_problem(j_star: int, d2j_star: float, nl: Nonlinearity) -> Problem:
+    """The reduced long-wave problem: the multiplier's leading Taylor term,
+    with m(0) = 0, and the leading part of the nonlinearity."""
+    return Problem(LongWaveSymbol(j_star, d2j_star), nl.leading())
 
 
 # public evaluations ----------------------------------------------------------
@@ -194,11 +188,10 @@ def energy_gradient(prob: Problem, u: SpectralField) -> SpectralField:
 def reduced_energy(j_star: int, d2j_star: float, nl: Nonlinearity,
                    w: SpectralField) -> float:
     """-int( m^(2j*)(0)/(2 (2j*)!) (w^(j*))^2 + N_(p+1)(w) ), evaluated spectrally."""
-    return discretize_reduced(j_star, d2j_star, nl, w.grid).energy(w.coeffs)
+    return energy(reduced_problem(j_star, d2j_star, nl), w)
 
 
 def reduced_gradient(j_star: int, d2j_star: float, nl: Nonlinearity,
                      w: SpectralField) -> SpectralField:
-    eng = discretize_reduced(j_star, d2j_star, nl, w.grid)
-    return SpectralField.from_coeffs(w.grid, eng.gradient(w.coeffs))
+    return energy_gradient(reduced_problem(j_star, d2j_star, nl), w)
 

@@ -16,7 +16,7 @@ Nonlinearities and symbols are named ``kind`` or ``kind:v1,v2,...``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -141,8 +141,12 @@ class Nonlinearity:
         object.__setattr__(self, "_primitive", prim)
 
     def leading(self) -> Nonlinearity:
-        """n_p alone, the nonlinearity of the reduced long-wave functional."""
-        return replace(self, name=self.name + ":leading", remainder=())
+        """n_p alone, the nonlinearity of the reduced long-wave functional,
+        named as the grammar reads it back."""
+        if not self.remainder:
+            return self
+        return (signed_modulus(self.p, self.cp) if self.modulus
+                else polynomial({int(self.p): self.cp}))
 
     def n(self, x):
         return self.nodewise(np.asarray(x, dtype=float), None)

@@ -7,6 +7,8 @@ exact renormalization to Q = mu accepts the step, and descent stops when the
 residual drops below tolerance.  An independent Petviashvili fixed-point
 iteration at given speed serves as a cross-check oracle: the two methods
 meet on the same discrete travelling-wave equation from different sides.
+The reduced long-wave problem is a ``Problem`` too: both minimizers take one
+path (discretize, descend, ``_finish``), and ``_finish`` ends all three solvers.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import numpy as np
 
 from .errors import (BallExit, ConfigError, MaxIterations, MuTooLarge,
                      NoConvergence, ResolutionLoss, SubcriticalSpeed)
-from .functionals import (DiscreteFunctional, Penalization, Problem,
-                          discretize, discretize_reduced)
+from .functionals import (DiscreteFunctional, Penalization, Problem, discretize,
+                          reduced_problem)
 from .grid import (RESOLVED, PeriodicGrid, SpectralField, change_points, high_mode_ratio,
                    l2_norm, tail_max)
-from .longwave import ScalingExponents, exponents, kdv_profile, kdv_speed
+from .longwave import ScalingExponents, kdv_profile, kdv_speed
 from .nonlinearity import Nonlinearity
 
 _LEDGE = 1e-15         # roundoff slack for the descent test near the floor of E
@@ -111,6 +113,13 @@ def kdv_scaled_seed(grid: PeriodicGrid, mu: float, exps: ScalingExponents) -> Sp
     """mu^alpha w_kdv(mu^beta x): the long-wave seed on the solve grid."""
     y = mu**exps.beta * grid.nodes
     return SpectralField.from_values(grid, mu**exps.alpha * kdv_profile(y))
+
+
+def _long_wave_seed(prob: Problem, cfg: SolveConfig) -> SpectralField:
+    """The KdV-scaled seed at cfg.mu on the automatic grid, signed like c_p:
+    n(u) -> -n(-u) flips that sign and maps each wave u to -u."""
+    grid = default_grid(cfg, prob.symbol.k_cut, prob.scaling)
+    return kdv_scaled_seed(grid, cfg.mu, prob.scaling) * math.copysign(1.0, prob.nonlinearity.cp)
 
 
 def renormalize(u: SpectralField, mu: float) -> SpectralField:
@@ -203,13 +212,13 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
         residual=history["residuals"][-1], history=history["residuals"])
 
 
-def _finish(eng: DiscreteFunctional, prob_symbol: str, nl_name: str, mu: float,
-            m_sup: float, c: np.ndarray, nu: float, res: float, its: int) -> WaveProfile:
-    """The certified wave: its speed exceeds m(0) = ``m_sup`` (MU_TOO_LARGE
+def _finish(prob: Problem, eng: DiscreteFunctional, mu: float, c: np.ndarray,
+            nu: float, res: float, its: int) -> WaveProfile:
+    """The certified wave of ``prob``: its speed exceeds m(0) (MU_TOO_LARGE
     otherwise, the one place this is decided) and its grid resolves it."""
-    if nu <= m_sup:
+    if nu <= prob.symbol.m_zero:
         raise MuTooLarge(f"converged multiplier nu = {nu:g} is subcritical "
-                         f"(m(0) = {m_sup:g})", nu=nu)
+                         f"(m(0) = {prob.symbol.m_zero:g})", nu=nu)
     u = SpectralField.from_coeffs(eng.grid, c)
     ratio = high_mode_ratio(u)
     if ratio > RESOLVED:
@@ -217,47 +226,44 @@ def _finish(eng: DiscreteFunctional, prob_symbol: str, nl_name: str, mu: float,
                              f"|m| = 0.3N on N = {eng.grid.n}", mu=mu, ratio=ratio)
     u = center(u)
     return WaveProfile(field=u, mu=mu, speed=nu, residual=res,
-                       energy=eng.energy(u.coeffs), symbol=prob_symbol,
-                       nonlinearity=nl_name, iterations=its, supercritical=True)
+                       energy=eng.energy(u.coeffs), symbol=prob.symbol.name,
+                       nonlinearity=prob.nonlinearity.name, iterations=its,
+                       supercritical=True)
+
+
+def _minimize(prob: Problem, cfg: SolveConfig, guess: SpectralField) -> WaveProfile:
+    """Descend from ``guess`` on Q = cfg.mu and certify the result."""
+    eng = discretize(prob, guess.grid, cfg.penalization)
+    c, nu, res, its, _ = _descend(eng, cfg.mu, cfg, guess.coeffs)
+    return _finish(prob, eng, cfg.mu, c, nu, res, its)
 
 
 def minimize_constrained(prob: Problem, cfg: SolveConfig,
                          guess: SpectralField | None = None) -> WaveProfile:
     """Minimize the energy over Q = mu; returns the wave with its speed.
 
-    Without a guess the seed is the long-wave one with the sign of the
-    leading coefficient c_p: n(u) -> -n(-u) flips that sign and maps each
-    wave u to -u.
+    Without a guess the seed is the long-wave one.
     Raises MU_TOO_LARGE when the line search collapses or the converged
     multiplier is not supercritical: both say the small-momentum regime,
     where the constrained minimizer exists, has been left.
     """
-    exps = prob.scaling
-    if guess is None:
-        grid = default_grid(cfg, prob.symbol.k_cut, exps)
-        guess = kdv_scaled_seed(grid, cfg.mu, exps) * math.copysign(1.0, prob.nonlinearity.cp)
-    eng = discretize(prob, guess.grid, cfg.penalization)
-    c, nu, res, its, _ = _descend(eng, cfg.mu, cfg, guess.coeffs)
-    return _finish(eng, prob.symbol.name, prob.nonlinearity.name, cfg.mu,
-                   prob.symbol.m_zero, c, nu, res, its)
+    return _minimize(prob, cfg, _long_wave_seed(prob, cfg) if guess is None else guess)
 
 
 def minimize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
                      cfg: SolveConfig) -> WaveProfile:
-    """Ground state of the reduced long-wave functional on Q = 1.
+    """Ground state of the reduced long-wave problem on Q = 1, unpenalized.
 
     The descent's preconditioner, here (nu_lw - L)^-1, tames the unbounded
     polynomial multiplier; stationary points are unchanged.
     """
-    cfg = replace(cfg, mu=1.0)
-    grid = default_grid(cfg, 0.0, exponents(j_star, nl.p))
+    prob = reduced_problem(j_star, d2j_star, nl)
+    cfg = replace(cfg, mu=1.0, penalization=None)
+    grid = default_grid(cfg, prob.symbol.k_cut, prob.scaling)
     # generic unit-width bump: the descent must find the ground state itself
     guess = SpectralField.from_values(grid, math.copysign(1.0, nl.cp)
                                       * np.exp(-0.5 * grid.nodes**2))
-    eng = discretize_reduced(j_star, d2j_star, nl, grid)
-    c, nu, res, its, _ = _descend(eng, 1.0, cfg, guess.coeffs)
-    return _finish(eng, f"reduced(j*={j_star}, m2j={d2j_star:g})", nl.name,
-                   1.0, 0.0, c, nu, res, its)
+    return _minimize(prob, cfg, guess)
 
 
 def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
@@ -277,13 +283,10 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
     if max_iter < 1:
         raise ConfigError("max_iter must be at least 1", field="max_iter")
     tol = cfg.tol_residual if tol is None else tol
-    exps = prob.scaling
     if guess is None:
         # seed momentum from the long-wave speed relation nu = m(0) + nu_lw mu^gamma
-        mu_guess = max(((nu - prob.symbol.m_zero) / kdv_speed()) ** (1.0 / exps.gamma), 1e-12)
-        cfg = replace(cfg, mu=mu_guess)
-        grid = default_grid(cfg, prob.symbol.k_cut, exps)
-        guess = kdv_scaled_seed(grid, mu_guess, exps) * math.copysign(1.0, prob.nonlinearity.cp)
+        mu_guess = ((nu - prob.symbol.m_zero) / kdv_speed()) ** (1.0 / prob.scaling.gamma)
+        guess = _long_wave_seed(prob, replace(cfg, mu=max(mu_guess, 1e-12)))
     eng = discretize(prob, guess.grid)
     gamma = prob.nonlinearity.p / (prob.nonlinearity.p - 1.0)
     denom_m = nu - eng.mvals
@@ -294,8 +297,7 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
         res = float(np.sqrt(np.sum(np.abs(r) ** 2)))
         if res <= tol:
             mu = 0.5 * float(np.sum(np.abs(c) ** 2))
-            return _finish(eng, prob.symbol.name, prob.nonlinearity.name, mu,
-                           prob.symbol.m_zero, c, nu, res, it)
+            return _finish(prob, eng, mu, c, nu, res, it)
         num = float(np.sum(denom_m * np.abs(c) ** 2))
         den = _vdot(c, nc)
         if not np.isfinite(den) or den == 0.0:

@@ -5,7 +5,8 @@ positive global maximum at k = 0 and leading even Taylor term
 m(0) + d2j_star * k**(2*j_star) / (2*j_star)!.  m(0) is ``eval(0)``, read
 off the multiplier and not declared beside it.  A symbol's name identifies its
 multiplier, so symbols compare and hash by name and Taylor data; names are
-read by ``nonlinearity.from_spec``.
+read by ``nonlinearity.from_spec``.  ``LongWaveSymbol``, with m(0) = 0, is
+that leading term alone (its one copy): the reduced problem's multiplier.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -39,6 +40,24 @@ class DispersionSymbol:
             raise ValueError("leading Taylor coefficient must be finite and negative")
         if self.j_star < 1:
             raise ValueError("j_star must be a positive integer")
+
+
+@dataclass(frozen=True)
+class LongWaveSymbol:
+    """d2j_star k^(2 j_star)/(2 j_star)!: unbounded, so not a DispersionSymbol."""
+
+    j_star: int
+    d2j_star: float
+    m_zero: ClassVar[float] = 0.0
+    k_cut: ClassVar[float] = 0.0
+
+    @property
+    def name(self) -> str:
+        return f"reduced(j*={self.j_star}, m2j={self.d2j_star:g})"
+
+    def eval(self, k):
+        j2 = 2 * self.j_star
+        return self.d2j_star * np.asarray(k, dtype=float) ** j2 / math.factorial(j2)
 
 
 _CUTOFF_SAMPLES = 10_000  # uniform samples of [0, k_max] before the bisection
@@ -133,14 +152,13 @@ def symbol_from_name(name: str) -> DispersionSymbol:
 def taylor_remainder(sym: DispersionSymbol, k) -> float | np.ndarray:
     """m(k) minus its leading even Taylor polynomial at 0."""
     k = np.asarray(k, dtype=float)
-    j2 = 2 * sym.j_star
-    r = sym.eval(k) - sym.m_zero - sym.d2j_star * k**j2 / math.factorial(j2)
+    r = sym.eval(k) - sym.m_zero - LongWaveSymbol(sym.j_star, sym.d2j_star).eval(k)
     if r.ndim == 0:
         return float(r)
     return r
 
 
-def multiplier_values(sym: DispersionSymbol, grid) -> np.ndarray:
+def multiplier_values(sym: DispersionSymbol | LongWaveSymbol, grid) -> np.ndarray:
     """m(k) sampled on the grid's wavenumbers (FFT order)."""
     return np.asarray(sym.eval(grid.wavenumbers), dtype=float)
 

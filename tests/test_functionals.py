@@ -4,6 +4,8 @@ Frozen constant: the reduced energy of the unit-momentum KdV ground state is
 -(4/15) (3/2)^(5/3) = -0.5241482788417793 (40-digit quadrature agrees).
 """
 
+import math
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -12,7 +14,7 @@ from solwave.analysis import weighted_norm
 from solwave.errors import OutOfDomain
 from solwave.functionals import (Penalization, Problem, discretize, energy,
                                  energy_gradient, inner_l2, momentum,
-                                 reduced_energy, reduced_gradient)
+                                 reduced_energy, reduced_gradient, reduced_problem)
 from solwave.grid import PeriodicGrid, SpectralField, band_noise, sobolev_norm
 from solwave.longwave import exponents, kdv_soliton
 from solwave.nonlinearity import nonlinearity_from_name, quadratic, signed_modulus
@@ -164,6 +166,15 @@ def test_reduced_gradient_finite_differences():
     e = lambda w: reduced_energy(1, -1.0 / 3.0, quadratic(), w)
     fd = (e(u + h * v) - e(u - h * v)) / (2 * h)
     assert fd == approx(inner_l2(g, v), rel=1e-6)
+
+
+@pytest.mark.parametrize("j_star, d2j_star", [(1, -1.0 / 3.0), (2, -24.0)])
+def test_reduced_engine_holds_the_leading_taylor_term(j_star, d2j_star):
+    grid = PeriodicGrid(40.0, 256)
+    eng = discretize(reduced_problem(j_star, d2j_star, quadratic()), grid)
+    k = grid.wavenumbers
+    want = d2j_star * k ** (2 * j_star) / math.factorial(2 * j_star)
+    assert eng.mvals.tobytes() == want.tobytes()
 
 
 def test_reduced_functional_drops_the_remainder():

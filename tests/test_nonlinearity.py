@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -184,6 +186,24 @@ def test_problems_from_one_name_are_equal(symbol, nonlinearity):
             for _ in range(2))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("name", NONLINEARITY_NAMES)
+def test_leading_part_reads_back_from_its_name(name):
+    nl = nonlinearity_from_name(name)
+    lead = nl.leading()
+    assert nonlinearity_from_name(lead.name) == lead
+    assert (lead.p, lead.cp, lead.modulus, lead.remainder) == (nl.p, nl.cp, nl.modulus, ())
+    assert (lead is nl) == (not nl.remainder)
+    # n_p evaluates as the nonlinearity with its remainder dropped, bit for bit
+    x = np.linspace(-2.0, 2.0, 101)
+    dropped = replace(nl, name="dropped", remainder=())
+    assert lead.nodewise(x, None).tobytes() == dropped.nodewise(x, None).tobytes()
+
+
+def test_leading_part_of_a_modulus_with_remainder():
+    nl = Nonlinearity("built", 2.5, -1.0, True, (0.0, 0.0, 0.0, 0.5))
+    assert nl.leading() == signed_modulus(2.5, -1.0)
 
 
 @pytest.mark.parametrize("names", [

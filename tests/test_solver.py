@@ -5,6 +5,7 @@ the acceptance suite exercises the production mu range.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pytest import approx
 
 from solwave.errors import (ConfigError, MaxIterations, MuTooLarge, NoConvergence,
                             SubcriticalSpeed)
-from solwave.functionals import Penalization, Problem, discretize, momentum
+from solwave.functionals import Penalization, Problem, discretize, momentum, reduced_problem
 from solwave.grid import PeriodicGrid, SpectralField, tail_max
 from solwave.longwave import exponents, kdv_speed, orbit_distance
 from solwave.nonlinearity import (nonlinearity_from_name, odd_power, polynomial,
@@ -46,9 +47,31 @@ def test_one_gate_certifies_the_speed(wave):
     unresolved = wave.field.coeffs.copy()
     unresolved[wave.field.grid.n // 2] = 1.0
     with pytest.raises(MuTooLarge):
-        _finish(eng, "whitham", "quadratic", wave.mu, 1.0, unresolved, 1.0, 0.0, 0)
-    assert _finish(eng, "whitham", "quadratic", wave.mu, 1.0, wave.field.coeffs,
-                   wave.speed, wave.residual, 0).supercritical is True
+        _finish(PROB, eng, wave.mu, unresolved, 1.0, 0.0, 0)
+    done = _finish(PROB, eng, wave.mu, wave.field.coeffs, wave.speed, wave.residual, 0)
+    assert done.supercritical is True
+    assert (done.symbol, done.nonlinearity) == ("whitham", "quadratic")
+    # the reduced problem's gate reads its m(0) = 0 off the same problem
+    red = reduced_problem(1, -1.0 / 3.0, quadratic())
+    eng = discretize(red, wave.field.grid)
+    for nu in (0.0, -1e-3):
+        with pytest.raises(MuTooLarge, match=r"m\(0\) = 0\)"):
+            _finish(red, eng, 1.0, unresolved, nu, 0.0, 0)
+
+
+def test_reduced_solve_runs_the_exponent_rule_once(monkeypatch):
+    # the reduced Problem computes its scaling once, for its grid and its engine
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exponents(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "solwave" and getattr(module, "exponents", None) is exponents:
+            monkeypatch.setattr(module, "exponents", counted)
+    minimize_reduced(1, -1.0 / 3.0, quadratic(), SolveConfig(tol_residual=1e-8))
+    assert calls == [(1, 2.0)]
 
 
 def test_speed_close_to_long_wave_law(wave):

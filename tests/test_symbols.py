@@ -15,9 +15,9 @@ from pytest import approx
 
 from solwave.errors import SymbolViolation
 from solwave.grid import PeriodicGrid, SpectralField, band_noise, inner_l2, l2_norm
-from solwave.symbols import (DispersionSymbol, _bundled_cutoff, cutoff_wavenumber,
-                             gaussian, multiplier_values, rational, symbol_from_name,
-                             taylor_remainder, validate_symbol, whitham)
+from solwave.symbols import (DispersionSymbol, LongWaveSymbol, _bundled_cutoff,
+                             cutoff_wavenumber, gaussian, multiplier_values, rational,
+                             symbol_from_name, taylor_remainder, validate_symbol, whitham)
 
 M_AT_2PI = 0.3989408891555464
 K_CUT = 3.997302692060433
@@ -88,6 +88,26 @@ def test_remainder_at_01():
     r = taylor_remainder(whitham(), 0.1)
     assert r == approx(R_AT_01, rel=1e-10)
     assert r == approx(19.0 / 360.0 * 1e-4, rel=4e-3)
+
+
+@pytest.mark.parametrize("name", ["whitham", "gaussian", "rational:1.5"])
+def test_remainder_subtracts_the_long_wave_term(name):
+    # LongWaveSymbol holds the one copy of the leading Taylor term; the
+    # remainder is the same bits as the term written out
+    sym = symbol_from_name(name)
+    ks = np.linspace(-100.0, 100.0, 10_000)  # validate_symbol's samples
+    j2 = 2 * sym.j_star
+    want = sym.eval(ks) - sym.m_zero - sym.d2j_star * ks**j2 / math.factorial(j2)
+    assert taylor_remainder(sym, ks).tobytes() == want.tobytes()
+
+
+def test_long_wave_symbol():
+    lw = LongWaveSymbol(1, -1.0 / 3.0)
+    assert lw.name == "reduced(j*=1, m2j=-0.333333)"
+    assert (lw.m_zero, lw.k_cut, lw.eval(0.0)) == (0.0, 0.0, 0.0)
+    assert lw.eval(3.0) == approx(-1.5, rel=1e-15)
+    assert lw == LongWaveSymbol(1, -1.0 / 3.0) != LongWaveSymbol(2, -1.0 / 3.0)
+    assert not isinstance(lw, DispersionSymbol)
 
 
 def test_remainder_quartic_bound():
