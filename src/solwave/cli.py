@@ -50,9 +50,9 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path) as f:
             user = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}", field="config")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config file unreadable: {exc}", field="config")
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ConfigError(f"config is not valid JSON: {exc}", field="config")
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object", field="config")
@@ -136,7 +136,7 @@ def cmd_solve(args, run: Run) -> int:
     fileio.write_profile(out / "profile.csv", prof)
     fileio.write_manifest(out / "manifest.json", "solve", run.config, t0)
     print(f"solved mu={prof.mu:g}: nu={prof.speed:.12g} residual={prof.residual:.3e} "
-          f"iterations={prof.iterations} supercritical={prof.supercritical}")
+          f"iterations={prof.iterations}")
     return 0
 
 

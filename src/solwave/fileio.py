@@ -42,12 +42,10 @@ _FIELD_HEADER = "x,u"
 # the samples' grid, see _grid_meta), its kind, and the range every writer keeps
 _META = {"mu": ("mu", float, "positive"), "nu": ("speed", float, None),
          "residual": ("residual", float, "nonnegative"), "energy": ("energy", float, None),
-         "iterations": ("iterations", int, "nonnegative"),
-         "supercritical": ("supercritical", bool, "true"), "symbol": ("symbol", str, None),
+         "iterations": ("iterations", int, "nonnegative"), "symbol": ("symbol", str, None),
          "nonlinearity": ("nonlinearity", str, None),
          "P": (None, float, None), "N": (None, int, None), "convention": (None, str, None)}
-_IN_RANGE = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0,
-             "true": lambda v: v is True}  # every stored wave passed the speed gate
+_IN_RANGE = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 
 
 def atomic_write(path, text: str):
@@ -172,7 +170,7 @@ def _check_meta(meta, grid: PeriodicGrid) -> None:
             ok = (isinstance(v, (int, float)) and not isinstance(v, bool)
                   and math.isfinite(v))
         else:
-            ok = isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
+            ok = isinstance(v, kind) and not isinstance(v, bool)
         if not ok:
             raise ValueError(f"{key} = {v!r} is not a usable {kind.__name__}")
         if within and not _IN_RANGE[within](v):
@@ -186,8 +184,9 @@ def read_profile(path, prob: Problem) -> WaveProfile:
     """The wave stored at ``path`` by ``write_profile``.
 
     Its meta must hold every entry that ``write_profile`` writes, with the
-    grid of the samples, the package's convention, and the symbol and
-    nonlinearity of ``prob``; anything else is a ConfigError."""
+    grid of the samples, the package's convention, the symbol and
+    nonlinearity of ``prob``, and a speed nu above ``prob``'s m(0), as every
+    solve certifies; anything else is a ConfigError.  Other keys are ignored."""
     u = read_field_csv(path)
     meta_path = _meta_path(Path(path))
     if not meta_path.exists():
@@ -202,5 +201,8 @@ def read_profile(path, prob: Problem) -> WaveProfile:
         if meta[key] != wanted:
             raise ConfigError(f"{meta_path} was computed with {key} {meta[key]!r}, "
                               f"not {wanted!r}", field=f"problem.{key}")
+    if not meta["nu"] > prob.symbol.m_zero:
+        raise ConfigError(f"{meta_path}: nu = {meta['nu']!r} does not exceed "
+                          f"m(0) = {prob.symbol.m_zero!r}", field="meta")
     return WaveProfile(field=u, **{attr: meta[key] for key, (attr, _, _) in _META.items()
                                    if attr})

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
 from .errors import OutOfDomain
-from .grid import PeriodicGrid, SpectralField, inner_l2, irfft, rfft  # inner_l2 is re-exported
+from .grid import PeriodicGrid, SpectralField, irfft, rfft
 from .longwave import ScalingExponents, exponents
 from .nonlinearity import Nonlinearity
 from .symbols import DispersionSymbol, LongWaveSymbol, multiplier_values
@@ -30,14 +29,15 @@ from .symbols import DispersionSymbol, LongWaveSymbol, multiplier_values
 
 @dataclass(frozen=True)
 class Problem:
-    """A dispersive model: multiplier, nonlinearity, and admissible ball radius.
-    ``scaling`` holds its long-wave exponents, computed once from (j_star, p)
-    for the solver, its engine and the analysis, and is not compared."""
+    """A dispersive model: its multiplier and its nonlinearity.  ``scaling``
+    holds its long-wave exponents, computed once from (j_star, p) for the
+    solver, its engine and the analysis, and is not compared.  The reduced
+    long-wave model is one too (``reduced_problem``), so ``energy`` and
+    ``energy_gradient`` evaluate both."""
 
     symbol: DispersionSymbol | LongWaveSymbol
     nonlinearity: Nonlinearity
     scaling: ScalingExponents = field(init=False, compare=False)
-    ball_radius: ClassVar[float] = 1.0
 
     def __post_init__(self):
         # raises ExponentWindow outside 2 <= p < 4 j_star + 1
@@ -165,7 +165,8 @@ def discretize(prob: Problem, grid: PeriodicGrid,
 
 def reduced_problem(j_star: int, d2j_star: float, nl: Nonlinearity) -> Problem:
     """The reduced long-wave problem: the multiplier's leading Taylor term,
-    with m(0) = 0, and the leading part of the nonlinearity."""
+    with m(0) = 0, and the leading part of the nonlinearity.  Its ``energy`` is
+    -int( m^(2j*)(0)/(2 (2j*)!) (w^(j*))^2 + N_(p+1)(w) ), evaluated spectrally."""
     return Problem(LongWaveSymbol(j_star, d2j_star), nl.leading())
 
 
@@ -183,15 +184,3 @@ def energy(prob: Problem, u: SpectralField) -> float:
 
 def energy_gradient(prob: Problem, u: SpectralField) -> SpectralField:
     return SpectralField.from_coeffs(u.grid, discretize(prob, u.grid).gradient(u.coeffs))
-
-
-def reduced_energy(j_star: int, d2j_star: float, nl: Nonlinearity,
-                   w: SpectralField) -> float:
-    """-int( m^(2j*)(0)/(2 (2j*)!) (w^(j*))^2 + N_(p+1)(w) ), evaluated spectrally."""
-    return energy(reduced_problem(j_star, d2j_star, nl), w)
-
-
-def reduced_gradient(j_star: int, d2j_star: float, nl: Nonlinearity,
-                     w: SpectralField) -> SpectralField:
-    return energy_gradient(reduced_problem(j_star, d2j_star, nl), w)
-

@@ -262,9 +262,8 @@ def band_noise(grid: PeriodicGrid, band: int, rng: np.random.Generator) -> Spect
     c = np.zeros(grid.n, dtype=complex)
     re = rng.standard_normal(band)
     im = rng.standard_normal(band)
-    for m in range(1, band + 1):
-        c[m] = re[m - 1] + 1j * im[m - 1]
-        c[-m] = np.conj(c[m])
+    c[1:band + 1] = re + 1j * im
+    c[grid.n - band:] = np.conj(c[band:0:-1])  # c[-m] = conj(c[m])
     c[0] = rng.standard_normal()
     u = SpectralField.from_coeffs(grid, c)
     return u * (1.0 / l2_norm(u))

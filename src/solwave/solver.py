@@ -87,7 +87,6 @@ class WaveProfile:
     symbol: str
     nonlinearity: str
     iterations: int
-    supercritical: bool
 
 
 def next_pow2(x: float) -> int:
@@ -227,8 +226,7 @@ def _finish(prob: Problem, eng: DiscreteFunctional, mu: float, c: np.ndarray,
     u = center(u)
     return WaveProfile(field=u, mu=mu, speed=nu, residual=res,
                        energy=eng.energy(u.coeffs), symbol=prob.symbol.name,
-                       nonlinearity=prob.nonlinearity.name, iterations=its,
-                       supercritical=True)
+                       nonlinearity=prob.nonlinearity.name, iterations=its)
 
 
 def _minimize(prob: Problem, cfg: SolveConfig, guess: SpectralField) -> WaveProfile:
@@ -244,7 +242,7 @@ def minimize_constrained(prob: Problem, cfg: SolveConfig,
 
     Without a guess the seed is the long-wave one.
     Raises MU_TOO_LARGE when the line search collapses or the converged
-    multiplier is not supercritical: both say the small-momentum regime,
+    multiplier does not exceed m(0): both say the small-momentum regime,
     where the constrained minimizer exists, has been left.
     """
     return _minimize(prob, cfg, _long_wave_seed(prob, cfg) if guess is None else guess)
@@ -267,9 +265,9 @@ def minimize_reduced(j_star: int, d2j_star: float, nl: Nonlinearity,
 
 
 def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
-                 guess: SpectralField | None = None,
-                 tol: float | None = None, max_iter: int = 2_000) -> WaveProfile:
-    """Stabilized fixed point u -> S^gamma (nu - L)^(-1) n(u) at fixed speed.
+                 guess: SpectralField | None = None) -> WaveProfile:
+    """Stabilized fixed point u -> S^gamma (nu - L)^(-1) n(u) at fixed speed,
+    stopped at ``cfg.tol_residual`` or after ``cfg.max_iter`` steps.
 
     Independent of the minimizer: the momentum of the result is whatever the
     travelling wave at this speed carries.  Requires a leading-homogeneous
@@ -280,9 +278,6 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
     if prob.nonlinearity.remainder:
         raise ConfigError("fixed-point oracle needs a homogeneous nonlinearity",
                           field="problem.nonlinearity")
-    if max_iter < 1:
-        raise ConfigError("max_iter must be at least 1", field="max_iter")
-    tol = cfg.tol_residual if tol is None else tol
     if guess is None:
         # seed momentum from the long-wave speed relation nu = m(0) + nu_lw mu^gamma
         mu_guess = ((nu - prob.symbol.m_zero) / kdv_speed()) ** (1.0 / prob.scaling.gamma)
@@ -291,11 +286,11 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
     gamma = prob.nonlinearity.p / (prob.nonlinearity.p - 1.0)
     denom_m = nu - eng.mvals
     c = guess.coeffs.copy()
-    for it in range(max_iter):
+    for it in range(cfg.max_iter):
         nc = eng.nonlinear_coeffs(c)
         r = denom_m * c - nc
         res = float(np.sqrt(np.sum(np.abs(r) ** 2)))
-        if res <= tol:
+        if res <= cfg.tol_residual:
             mu = 0.5 * float(np.sum(np.abs(c) ** 2))
             return _finish(prob, eng, mu, c, nu, res, it)
         num = float(np.sum(denom_m * np.abs(c) ** 2))
@@ -308,8 +303,8 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
             raise NoConvergence(f"stabilizer S = {s:g} at iteration {it}",
                                 iterations=it, residual=res)
         c = s**gamma * nc / denom_m
-    raise NoConvergence(f"residual {res:.3e} after {max_iter} fixed-point steps",
-                        iterations=max_iter, residual=res)
+    raise NoConvergence(f"residual {res:.3e} after {cfg.max_iter} fixed-point steps",
+                        iterations=cfg.max_iter, residual=res)
 
 
 def continuation_sweep(prob: Problem, mu_list: list[float],

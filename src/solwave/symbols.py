@@ -28,7 +28,7 @@ class DispersionSymbol:
     eval: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     j_star: int                 # first non-vanishing even derivative is 2*j_star
     d2j_star: float             # m^(2 j_star)(0), finite and strictly negative
-    k_cut: float                # m(k) <= m_zero/2 for |k| >= k_cut
+    k_cut: float                # m(k) <= m_zero/2 for |k| >= k_cut, finite and positive
     m_zero: float = field(init=False)  # eval(0), finite and positive
 
     def __post_init__(self):
@@ -40,6 +40,8 @@ class DispersionSymbol:
             raise ValueError("leading Taylor coefficient must be finite and negative")
         if self.j_star < 1:
             raise ValueError("j_star must be a positive integer")
+        if not 0 < self.k_cut < math.inf:  # false on NaN
+            raise ValueError(f"cut-off wavenumber {self.k_cut!r} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -60,22 +62,23 @@ class LongWaveSymbol:
         return self.d2j_star * np.asarray(k, dtype=float) ** j2 / math.factorial(j2)
 
 
-_CUTOFF_SAMPLES = 10_000  # uniform samples of [0, k_max] before the bisection
+_CUTOFF_SAMPLES = 10_000  # uniform samples of [0, _CUTOFF_K_MAX] before the bisection
+_CUTOFF_K_MAX = 100.0
 
 
-def cutoff_wavenumber(eval_m, k_max: float = 100.0) -> float:
+def cutoff_wavenumber(eval_m) -> float:
     """Smallest k beyond which m stays at or below m(0)/2: sample, then
     bisect the last crossing until the bracket holds two adjacent doubles
     and return its upper end, where m <= m(0)/2."""
     m_zero = float(eval_m(0.0))
-    ks = np.linspace(0.0, k_max, _CUTOFF_SAMPLES)
+    ks = np.linspace(0.0, _CUTOFF_K_MAX, _CUTOFF_SAMPLES)
     vals = np.asarray(eval_m(ks), dtype=float)
     above = np.nonzero(vals > 0.5 * m_zero)[0]
     if len(above) == 0:
         return 0.0
     i = int(above[-1])
     if i + 1 >= len(ks):
-        raise ValueError("m(k) still exceeds m(0)/2 at k_max; increase k_max")
+        raise ValueError(f"m(k) still exceeds m(0)/2 at k = {_CUTOFF_K_MAX:g}")
     lo, hi = float(ks[i]), float(ks[i + 1])
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if float(eval_m(mid)) > 0.5 * m_zero:
@@ -123,7 +126,7 @@ def _gaussian_eval(k):
 
 def gaussian() -> DispersionSymbol:
     return DispersionSymbol("gaussian", _gaussian_eval, 1, -2.0,
-                            _bundled_cutoff(_gaussian_eval, k_max=10.0))
+                            _bundled_cutoff(_gaussian_eval))
 
 
 def rational(s: float) -> DispersionSymbol:

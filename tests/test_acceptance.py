@@ -14,10 +14,9 @@ from solwave.analysis import convergence_study, scaling_diagnostics
 from solwave.evolution import (EvolutionConfig, evolve, perturbation,
                                stability_experiment, travel_test)
 from solwave.functionals import (Penalization, Problem, energy,
-                                 energy_gradient, inner_l2, momentum,
-                                 reduced_energy, reduced_gradient)
-from solwave.grid import (PeriodicGrid, SpectralField, band_noise, l2_norm,
-                          sobolev_norm, tail_max)
+                                 energy_gradient, momentum, reduced_problem)
+from solwave.grid import (PeriodicGrid, SpectralField, band_noise, inner_l2,
+                          l2_norm, sobolev_norm, tail_max)
 from solwave.longwave import (exponents, kdv_energy, kdv_soliton, kdv_speed,
                               orbit_distance)
 from solwave.nonlinearity import quadratic
@@ -84,7 +83,7 @@ def test_criterion_01_kdv_oracle():
     wpp = SpectralField.from_coeffs(g, -(g.wavenumbers**2) * w.coeffs)
     res = wpp.values / 6.0 - kdv_speed() * w.values + w.values**2
     el = float(np.sqrt(g.period / g.n * np.sum(res**2)))
-    e_err = abs(reduced_energy(1, -1.0 / 3.0, quadratic(), w) - I_LW)
+    e_err = abs(energy(reduced_problem(1, -1.0 / 3.0, quadratic()), w) - I_LW)
     ok = q_err <= 1e-10 and el <= 1e-10 and e_err <= 1e-8
     check(1, "KdV oracle exactness", ok,
           f"|Q-1|={q_err:.2e}, EL residual={el:.2e}, |E-I_lw|={e_err:.2e}")
@@ -112,8 +111,8 @@ def test_criterion_04_oracle_equivalence(prob, wave_1e3, wave_1e4):
     dists = {}
     for p in (wave_1e4, wave_1e3):
         cfg = SolveConfig(mu=p.mu, period=p.field.grid.period,
-                          points=p.field.grid.n)
-        pet = petviashvili(prob, p.speed, cfg, tol=1e-12)
+                          points=p.field.grid.n, tol_residual=1e-12)
+        pet = petviashvili(prob, p.speed, cfg)
         d, _ = orbit_distance(p.field, pet.field)
         dists[p.mu] = d
     ok = all(d <= 1e-7 for d in dists.values())
@@ -147,7 +146,7 @@ def test_criterion_07_profile_convergence(prob, law_rows):
     reference = WaveProfile(field=kdv_soliton(ref_grid), mu=1.0,
                             speed=kdv_speed(), residual=0.0, energy=kdv_energy(),
                             symbol="whitham", nonlinearity="quadratic",
-                            iterations=0, supercritical=True)
+                            iterations=0)
     comps = convergence_study(prob, law_rows, reference)
     dists = [c.aligned_distance for c in comps]
     decreasing = all(a < b for a, b in zip(dists, dists[1:]))
@@ -185,6 +184,7 @@ def test_criterion_08_subadditivity(sweep):
 def test_criterion_09_gradient_correctness(prob):
     h = 1e-5
     g = PeriodicGrid(30.0, 128)
+    red = reduced_problem(1, -1 / 3, quadratic())
     worst_full, worst_red = 0.0, 0.0
     for seed in range(100):
         rng = np.random.Generator(np.random.Philox(seed))
@@ -193,9 +193,8 @@ def test_criterion_09_gradient_correctness(prob):
         fd = (energy(prob, u + h * v) - energy(prob, u - h * v)) / (2 * h)
         an = inner_l2(energy_gradient(prob, u), v)
         worst_full = max(worst_full, abs(fd - an) / max(abs(an), 1e-12))
-        fd = (reduced_energy(1, -1 / 3, quadratic(), u + h * v)
-              - reduced_energy(1, -1 / 3, quadratic(), u - h * v)) / (2 * h)
-        an = inner_l2(reduced_gradient(1, -1 / 3, quadratic(), u), v)
+        fd = (energy(red, u + h * v) - energy(red, u - h * v)) / (2 * h)
+        an = inner_l2(energy_gradient(red, u), v)
         worst_red = max(worst_red, abs(fd - an) / max(abs(an), 1e-12))
     ok = worst_full <= 1e-6 and worst_red <= 1e-6
     check(9, "gradient correctness on 100 random fields", ok,
@@ -243,7 +242,7 @@ def test_criterion_12_stability(prob, wave_low):
 
 
 def test_criterion_13_penalization_fidelity(prob, wave_low):
-    pen = Penalization(prob.ball_radius)
+    pen = Penalization()
     cfg = SolveConfig(mu=1e-3, tol_residual=1e-12, period=800.0, points=1024,
                       penalization=pen)
     pwave = minimize_constrained(prob, cfg)

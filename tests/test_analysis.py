@@ -63,7 +63,7 @@ def test_high_band_floor(mini_sweep):
     grid = PeriodicGrid(800.0, 4096)
     field = SpectralField.from_values(grid, 1e-2 / np.cosh(0.1 * grid.nodes) ** 2)
     prof = WaveProfile(field, momentum(field), 0.0, 0.0, 0.0,
-                       "whitham", "quadratic", 0, True)
+                       "whitham", "quadratic", 0)
     rec = scaling_diagnostics(PROB, prof, tau=0.9)
     assert 0.3 * rec.high_band_floor <= rec.high_band_ratio <= 10.0 * rec.high_band_floor
 

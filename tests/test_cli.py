@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from solwave.analysis import (convergence_rows, convergence_study, reduced_reference,
                               scaling_diagnostics)
 from solwave.cli import DEFAULT_CONFIG, Run, load_config, main
-from solwave.fileio import read_profile
+from solwave.errors import ConfigError
+from solwave.fileio import _META, read_profile
 from solwave.functionals import momentum
 from solwave.grid import PeriodicGrid, SpectralField
 from solwave.longwave import exponents
@@ -47,7 +48,7 @@ def test_solve_outputs(solved_dir):
     assert (solved_dir / "profile.csv").exists()
     assert not (solved_dir / "profile.spectral.csv").exists()
     meta = json.loads((solved_dir / "meta.json").read_text())
-    assert meta["supercritical"] is True
+    assert meta["nu"] > 1.0 and "supercritical" not in meta
     assert meta["convention"] == "unitary-sqrtP"
     manifest = json.loads((solved_dir / "manifest.json").read_text())
     assert manifest["command"] == "solve"
@@ -99,8 +100,8 @@ def bad_inputs(d):
     rows = d / "profile_100.csv"  # uniform centred nodes, but not 2^k of them
     rows.write_text("x,u\n" + "".join(f"{j - 50.0!r},0.0\n" for j in range(100)))
     good = "x,u\n" + "".join(f"{j - 8.0!r},0.0\n" for j in range(16))
-    full = {"mu": 0.01, "nu": 1.0, "residual": 0.0, "energy": -0.01, "symbol": "whitham",
-            "nonlinearity": "quadratic", "iterations": 0, "supercritical": True,
+    full = {"mu": 0.01, "nu": 1.01, "residual": 0.0, "energy": -0.01, "symbol": "whitham",
+            "nonlinearity": "quadratic", "iterations": 0,
             "P": 16.0, "N": 16, "convention": "unitary-sqrtP"}
     # the last three disagree with the samples or the package's convention
     for name, meta in [("keys", '{"mu": 0.01}'), ("json", "not json"),
@@ -112,8 +113,8 @@ def bad_inputs(d):
                        # values no writer leaves
                        ("residual_negative", json.dumps({**full, "residual": -1.0})),
                        ("iterations_negative", json.dumps({**full, "iterations": -5})),
-                       # a wave the speed gate refused is never stored
-                       ("subcritical", json.dumps({**full, "supercritical": False}))]:
+                       # a wave the speed gate refused is never stored: nu < m(0) = 1
+                       ("subcritical", json.dumps({**full, "nu": 0.99}))]:
         (d / name).mkdir()
         (d / name / "profile.csv").write_text(good)
         (d / name / "meta.json").write_text(meta)
@@ -139,7 +140,7 @@ def bad_inputs(d):
         cases[case] = (f"evolution.{next(iter(sec))}", [
             "--config", write_config(d, {"evolution": sec}, f"{case}.json"),
             "evolve", "--profile", str(cell)])
-    for s in ("-1", "1e-300", "nan", "inf"):
+    for s in ("-1", "1e-300", "1e-320", "nan", "inf"):
         cases[f"rational_{s}"] = ("problem.symbol",
                                   ["validate-symbol", "--name", f"rational:{s}"])
     typed = {  # id: (config document, command); the field is section.key
@@ -173,6 +174,17 @@ def bad_inputs(d):
         cases[case] = ("stability.scales", ["--config", write_config(
             d, {"stability": {"scales": scales}}, f"{case}.json"), "stability",
             "--profile", str(cell)])
+    # a config file that cannot be read, or is not a JSON object of objects
+    (d / "config_bytes.json").write_bytes(b"\xff\xfe{}")
+    for case, path in (("config_missing", d / "nope.json"), ("config_directory", d),
+                       ("config_bytes", d / "config_bytes.json"),
+                       ("config_array", write_config(d, [], "config_array.json"))):
+        cases[case] = ("config", ["--config", str(path), "solve"])
+    cases["section_not_object"] = ("solver", ["--config", write_config(
+        d, {"solver": 1e-3}, "section_not_object.json"), "solve"])
+    (d / "empty_sweep").mkdir()
+    cases["sweep_without_profiles"] = ("sweep-dir", ["compare-kdv", "--sweep-dir",
+                                                     str(d / "empty_sweep")])
     # retired keys: unknown at any value
     cases["ball_radius"] = ("problem.ball_radius", ["--config", write_config(
         d, {"problem": {"ball_radius": 1.0}}), "solve"])
@@ -228,7 +240,9 @@ def bad_inputs(d):
 @pytest.mark.parametrize("case", [
     "ball_radius", "penalized", "penalized_flag", "profile", "meta_keys", "meta_json",
     "profile_cell", "profile_nodes", "steps_fraction", "dt_nan", "t_final_inf", "stride_fraction",
-    "rational_-1", "rational_1e-300", "rational_nan", "rational_inf", "mu_null",
+    "rational_-1", "rational_1e-300", "rational_1e-320", "rational_nan", "rational_inf",
+    "config_missing", "config_directory", "config_bytes", "config_array",
+    "section_not_object", "sweep_without_profiles", "mu_null",
     "points_text", "dt_text", "tau_above_1", "scales_text", "points_range", "mu_list_text",
     "seed_negative", "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu",
     "band_negative", "scale_0", "scale_nan", "scale_0.1", "scales_empty",
@@ -292,8 +306,8 @@ def test_profile_problem_compares_normalised_names(tmp_path):
     write_field_csv(tmp_path / "profile.csv",
                     SpectralField.from_values(g, np.exp(-g.nodes ** 2)))
     (tmp_path / "meta.json").write_text(json.dumps({
-        "mu": 1.0, "nu": 1.0, "residual": 0.0, "energy": -1.0, "symbol": "rational:2",
-        "nonlinearity": "modulus:2.5,1", "iterations": 0, "supercritical": True,
+        "mu": 1.0, "nu": 1.01, "residual": 0.0, "energy": -1.0, "symbol": "rational:2",
+        "nonlinearity": "modulus:2.5,1", "iterations": 0,
         "P": 40.0, "N": 64, "convention": "unitary-sqrtP"}))
     cfg = load_config(write_config(tmp_path, {"problem": {
         "symbol": "rational:2.0", "nonlinearity": "modulus:2.50,1.0"}}))
@@ -330,6 +344,16 @@ def test_profile_round_trips_through_its_files(tmp_path):
     for f in fields(prof):
         if f.name != "field":
             assert getattr(back, f.name) == getattr(prof, f.name), f.name
+    # a key no longer written, such as the retired "supercritical", is ignored;
+    # a speed at m(0) is one no solve certifies
+    meta_path = tmp_path / "meta_007.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "supercritical": True}))
+    assert read_profile(tmp_path / "profile_007.csv", prob).speed == prof.speed
+    meta_path.write_text(json.dumps({**meta, "nu": prob.symbol.m_zero}))
+    with pytest.raises(ConfigError) as err:
+        read_profile(tmp_path / "profile_007.csv", prob)
+    assert err.value.info["field"] == "meta"
 
 
 def test_unresolved_solve_is_resolution_loss(tmp_path, capsys):
@@ -401,6 +425,13 @@ def test_readme_layout_names_every_module():
     listed = re.findall(r"^- `src/solwave/(\w+\.py)`", layout, flags=re.M)
     modules = {p.name for p in (CONFIGS.parent / "src" / "solwave").glob("*.py")}
     assert sorted(listed) == sorted(modules - {"__init__.py"})
+
+
+def test_readme_lists_every_meta_key():
+    # a key added to or dropped from fileio's meta.json table without its README entry fails here
+    readme = (CONFIGS.parent / "README.md").read_text()
+    listed = re.search(r"^- `meta\.json`: `\{([^}]*)\}`", readme, flags=re.M).group(1)
+    assert sorted(key.strip() for key in listed.split(",")) == sorted(_META)
 
 
 def test_readme_names_every_kind_the_parser_reads():
@@ -585,8 +616,8 @@ def nan_evolve_argv(tmp_path):
     write_field_csv(tmp_path / "profile.csv",
                     SpectralField.from_values(g, 0.8 / np.cosh(1.5 * g.nodes) ** 2))
     (tmp_path / "meta.json").write_text(json.dumps({
-        "mu": 1.0, "nu": 1.0, "residual": 0.0, "energy": -1.0, "symbol": "whitham",
-        "nonlinearity": "quadratic", "iterations": 0, "supercritical": True,
+        "mu": 1.0, "nu": 1.01, "residual": 0.0, "energy": -1.0, "symbol": "whitham",
+        "nonlinearity": "quadratic", "iterations": 0,
         "P": 40.0, "N": 512, "convention": "unitary-sqrtP"}))
     cfg = write_config(tmp_path, {"evolution": {"dt": 5.0, "t_final": 50.0, "stride": 5}})
     return ["--config", cfg, "evolve", "--profile", str(tmp_path / "profile.csv"),
@@ -728,7 +759,7 @@ fuzz_profiles = st.tuples(
     st.sampled_from([16, 64, 128]), st.sampled_from([40.0, 80.0]), st.floats(-1.5, 1.5),
     st.none() | st.sampled_from([("n", 100), ("amp", NAN), ("amp", 1e200)] + [
         (key, v) for key in ("mu", "nu", "residual", "energy", "symbol", "nonlinearity",
-                             "iterations", "supercritical", "P", "N", "convention")
+                             "iterations", "P", "N", "convention")
         for v in ("x", None, NAN, -1.0, True, "drop")]))
 
 fuzz_commands = st.one_of(
@@ -763,7 +794,7 @@ def test_cli_fails_closed_on_generated_input(config, profile, command):
     problem = {"symbol": "whitham", "nonlinearity": "quadratic", **doc.get("problem", {})}
     meta = {"mu": 1e-2, "nu": 1.01, "residual": 0.0, "energy": -1e-2,
             "symbol": problem["symbol"], "nonlinearity": problem["nonlinearity"],
-            "iterations": 0, "supercritical": True, "P": period, "N": n,
+            "iterations": 0, "P": period, "N": n,
             "convention": "unitary-sqrtP"}
     if bad_profile is not None:
         key, value = bad_profile

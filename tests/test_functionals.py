@@ -13,9 +13,8 @@ from pytest import approx
 from solwave.analysis import weighted_norm
 from solwave.errors import OutOfDomain
 from solwave.functionals import (Penalization, Problem, discretize, energy,
-                                 energy_gradient, inner_l2, momentum,
-                                 reduced_energy, reduced_gradient, reduced_problem)
-from solwave.grid import PeriodicGrid, SpectralField, band_noise, sobolev_norm
+                                 energy_gradient, momentum, reduced_problem)
+from solwave.grid import PeriodicGrid, SpectralField, band_noise, inner_l2, sobolev_norm
 from solwave.longwave import exponents, kdv_soliton
 from solwave.nonlinearity import nonlinearity_from_name, quadratic, signed_modulus
 from solwave.symbols import multiplier_values, whitham
@@ -23,6 +22,7 @@ from solwave.symbols import multiplier_values, whitham
 KDV_REDUCED_ENERGY = -0.5241482788417793
 
 PROB = Problem(whitham(), quadratic())
+KDV = reduced_problem(1, -1.0 / 3.0, quadratic())  # the reduced problem of PROB
 
 
 def field(seed, grid=None, scale=1.0):
@@ -140,11 +140,9 @@ def test_penalized_energy_is_infinite_outside_the_barrier_domain():
 
 
 def test_reduced_energy_closed_form():
-    assert reduced_energy(1, -1.0 / 3.0, quadratic(),
-                          SpectralField.from_values(PeriodicGrid(10.0, 32), np.zeros(32))) == 0.0
+    assert energy(KDV, SpectralField.from_values(PeriodicGrid(10.0, 32), np.zeros(32))) == 0.0
     w = kdv_soliton(PeriodicGrid(80.0, 1024))
-    assert reduced_energy(1, -1.0 / 3.0, quadratic(), w) == approx(
-        KDV_REDUCED_ENERGY, abs=1e-12)
+    assert energy(KDV, w) == approx(KDV_REDUCED_ENERGY, abs=1e-12)
 
 
 def test_reduced_energy_matches_direct_integrand():
@@ -156,14 +154,14 @@ def test_reduced_energy_matches_direct_integrand():
     w_dealiased = g.to_values(g.dealias_mask * w.coeffs)
     direct = (inner_l2(wp, wp) / 12.0
               - (g.period / g.n) * float(np.sum(w_dealiased ** 3)) / 3.0)
-    assert reduced_energy(1, -1.0 / 3.0, quadratic(), w) == approx(direct, rel=1e-10)
+    assert energy(KDV, w) == approx(direct, rel=1e-10)
 
 
 def test_reduced_gradient_finite_differences():
     h = 1e-5
     u, v = field(21, scale=0.5), field(22)
-    g = reduced_gradient(1, -1.0 / 3.0, quadratic(), u)
-    e = lambda w: reduced_energy(1, -1.0 / 3.0, quadratic(), w)
+    g = energy_gradient(KDV, u)
+    e = lambda w: energy(KDV, w)
     fd = (e(u + h * v) - e(u - h * v)) / (2 * h)
     assert fd == approx(inner_l2(g, v), rel=1e-6)
 
@@ -181,8 +179,9 @@ def test_reduced_functional_drops_the_remainder():
     # the reduced problem keeps n_p alone: x^2 + 0.5 x^3 reduces to x^2
     u = field(23, scale=0.5)
     poly = nonlinearity_from_name("poly:1,0.5")
-    assert reduced_energy(1, -1.0 / 3.0, poly, u) == reduced_energy(1, -1.0 / 3.0, quadratic(), u)
-    got, want = (reduced_gradient(1, -1.0 / 3.0, nl, u).coeffs for nl in (poly, quadratic()))
+    red = reduced_problem(1, -1.0 / 3.0, poly)
+    assert energy(red, u) == energy(KDV, u)
+    got, want = (energy_gradient(prob, u).coeffs for prob in (red, KDV))
     assert got.tobytes() == want.tobytes()
 
 

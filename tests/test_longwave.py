@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from solwave.errors import ExponentWindow, GridMismatch, TailTooLarge
-from solwave.functionals import momentum, reduced_energy
+from solwave.functionals import energy, momentum, reduced_problem
 from solwave.grid import (PeriodicGrid, SpectralField, band_noise, l2_norm,
                           sobolev_norm, sup_norm)
 from solwave.longwave import (exponents, kdv_energy, kdv_soliton, kdv_speed,
@@ -104,7 +104,7 @@ def test_minimize_reduced_recovers_kdv():
     w = kdv_soliton(red.field.grid)
     d, _ = orbit_distance(red.field, w, s_norm=1.0)
     assert d <= 1e-6
-    assert reduced_energy(1, -1.0 / 3.0, quadratic(), red.field) == approx(
+    assert energy(reduced_problem(1, -1.0 / 3.0, quadratic()), red.field) == approx(
         kdv_energy(), abs=1e-8)
     assert red.residual <= 1e-10
 

@@ -35,21 +35,21 @@ def wave():
 
 def test_converged_wave_certificate(wave):
     assert wave.residual <= 1e-11
-    assert wave.supercritical and wave.speed > 1.0
+    assert wave.speed > PROB.symbol.m_zero == 1.0
     assert momentum(wave.field) == approx(wave.mu, rel=1e-12)
     assert tail_max(wave.field) < 1e-10
 
 
 def test_one_gate_certifies_the_speed(wave):
     # _finish, which every solve ends in, refuses nu <= m(0) before the
-    # resolution rule, so a stored wave is always supercritical
+    # resolution rule, so every wave it returns is supercritical
     eng = discretize(PROB, wave.field.grid)
     unresolved = wave.field.coeffs.copy()
     unresolved[wave.field.grid.n // 2] = 1.0
     with pytest.raises(MuTooLarge):
         _finish(PROB, eng, wave.mu, unresolved, 1.0, 0.0, 0)
     done = _finish(PROB, eng, wave.mu, wave.field.coeffs, wave.speed, wave.residual, 0)
-    assert done.supercritical is True
+    assert done.speed == wave.speed > PROB.symbol.m_zero
     assert (done.symbol, done.nonlinearity) == ("whitham", "quadratic")
     # the reduced problem's gate reads its m(0) = 0 off the same problem
     red = reduced_problem(1, -1.0 / 3.0, quadratic())
@@ -152,7 +152,7 @@ def test_preconditioned_cold_solve(symbol, nl, mu, pen):
     prob = Problem(symbol_from_name(symbol), nl)
     wave = minimize_constrained(prob, SolveConfig(mu=mu, tol_residual=1e-10,
                                                   penalization=pen))
-    assert wave.residual <= 1e-10 and wave.supercritical
+    assert wave.residual <= 1e-10 and wave.speed > prob.symbol.m_zero
     assert momentum(wave.field) == approx(mu, rel=1e-12)
     assert wave.iterations < 100
 
@@ -197,8 +197,8 @@ def test_max_iter_carries_history():
 
 
 def test_petviashvili_self_consistency():
-    cfg = SolveConfig(mu=1e-3)
-    pet = petviashvili(PROB, 1.01, cfg, tol=1e-10)
+    cfg = SolveConfig(mu=1e-3, tol_residual=1e-10)
+    pet = petviashvili(PROB, 1.01, cfg)
     assert pet.residual <= 1e-10
     assert pet.speed == 1.01
     assert pet.mu > 0
@@ -206,8 +206,8 @@ def test_petviashvili_self_consistency():
 
 def test_petviashvili_fixed_point_invariance(wave):
     cfg = SolveConfig(mu=wave.mu, period=wave.field.grid.period,
-                      points=wave.field.grid.n)
-    pet = petviashvili(PROB, wave.speed, cfg, guess=wave.field, tol=1e-10)
+                      points=wave.field.grid.n, tol_residual=1e-10)
+    pet = petviashvili(PROB, wave.speed, cfg, guess=wave.field)
     assert pet.iterations <= 3
     d, _ = orbit_distance(wave.field, pet.field)
     assert d <= 1e-8
@@ -220,8 +220,8 @@ def test_petviashvili_subcritical_raises():
 
 def test_oracle_equivalence(wave):
     cfg = SolveConfig(mu=wave.mu, period=wave.field.grid.period,
-                      points=wave.field.grid.n)
-    pet = petviashvili(PROB, wave.speed, cfg, tol=1e-11)
+                      points=wave.field.grid.n, tol_residual=1e-11)
+    pet = petviashvili(PROB, wave.speed, cfg)
     d, _ = orbit_distance(wave.field, pet.field)
     assert d <= 1e-7
     assert pet.mu == approx(wave.mu, rel=1e-6)
@@ -230,7 +230,7 @@ def test_oracle_equivalence(wave):
 def test_continuation_sweep_table():
     profiles = continuation_sweep(PROB, [1e-3, 2e-3, 4e-3],
                                   SolveConfig(tol_residual=1e-10))
-    assert all(p.supercritical for p in profiles)
+    assert all(p.speed > PROB.symbol.m_zero for p in profiles)
     energies = {p.mu: p.energy for p in profiles}
     vals = [energies[m] for m in (1e-3, 2e-3, 4e-3)]
     assert vals[0] > vals[1] > vals[2]  # infimum curve decreasing in mu
@@ -272,11 +272,6 @@ def test_solve_config_validation():
     assert err.value.info["field"] == "grid.points"
 
 
-def test_petviashvili_rejects_zero_max_iter():
-    with pytest.raises(ConfigError):
-        petviashvili(PROB, 1.01, SolveConfig(mu=1e-3), max_iter=0)
-
-
 def test_petviashvili_rejects_a_remainder():
     with pytest.raises(ConfigError) as err:
         petviashvili(Problem(whitham(), polynomial({2: 1.0, 3: 0.5})), 1.01, SolveConfig())
@@ -293,7 +288,7 @@ def test_petviashvili_failures_carry_iterations_and_residual(case):
         "negative": (SpectralField.from_values(grid, -0.01 * bump), 5),
         "max_iter": (None, 1)}[case]
     with pytest.raises(NoConvergence) as err:
-        petviashvili(PROB, 1.01, SolveConfig(mu=1e-3), guess=guess, max_iter=max_iter)
+        petviashvili(PROB, 1.01, SolveConfig(mu=1e-3, max_iter=max_iter), guess=guess)
     info = err.value.info
     assert info["iterations"] == (1 if case == "max_iter" else 0)
     assert (math.isnan if case == "degenerate" else math.isfinite)(info["residual"])

@@ -66,7 +66,7 @@ def test_bundled_cutoff_is_scanned_once():
     # the cached value is the double a fresh scan gives
     w, g = whitham(), gaussian()
     assert w.k_cut == cutoff_wavenumber(w.eval)
-    assert g.k_cut == cutoff_wavenumber(g.eval, k_max=10.0)
+    assert g.k_cut == cutoff_wavenumber(g.eval) == 0.8325546111576978
     misses = _bundled_cutoff.cache_info().misses
     assert whitham().k_cut == w.k_cut and gaussian().k_cut == g.k_cut
     assert _bundled_cutoff.cache_info().misses == misses
@@ -191,6 +191,10 @@ def test_constructor_rejects_bad_data():
     # nor declared: NO_STRICT_MAX and CUTOFF would measure against a wrong one
     with pytest.raises(ValueError):
         dataclasses.replace(whitham(), m_zero=1.1)
+    # the cut-off wavenumber must be finite and positive: CUTOFF samples beyond it
+    for k_cut in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="cut-off"):
+            dataclasses.replace(whitham(), k_cut=k_cut)
 
 
 def test_symbol_from_name():
@@ -205,8 +209,8 @@ def test_symbol_from_name():
     with pytest.raises(ConfigError):
         symbol_from_name("nosuch")
     for bad in ("rational:abc", "rational:-1", "rational:0", "rational:1e-300",
-                "rational:nan", "rational:inf", "rational:1e308", "rational",
-                "rational:1,2", "whitham:1"):
+                "rational:1e-320", "rational:nan", "rational:inf", "rational:1e308",
+                "rational", "rational:1,2", "whitham:1"):
         with pytest.raises(ConfigError) as err:
             symbol_from_name(bad)
         assert err.value.info["field"] == "problem.symbol"
