@@ -25,6 +25,8 @@ from .longwave import orbit_distance, scale_down
 from .solver import SolveConfig, WaveProfile, minimize_reduced
 from .symbols import DispersionSymbol
 
+TAU = 0.9  # the weight exponent tau < 1 of the scaling diagnostics' norms
+
 
 @dataclass(frozen=True)
 class LongWaveComparison:
@@ -39,7 +41,6 @@ class LongWaveComparison:
 @dataclass(frozen=True)
 class ScalingRecord:
     mu: float
-    tau: float
     low_band_ratio: float      # |||u1|||^2_{tau,mu} / mu; two-sided O(1)
     high_band_ratio: float     # ||u2||_1^2 / mu^(tau beta (p-1) + p); bounded above
     sup_ratio: float           # ||u||_inf / mu^alpha; two-sided O(1)
@@ -99,9 +100,8 @@ def weighted_norm(u: SpectralField, tau: float, mu: float, j_star: int,
     return float(np.sqrt(np.sum(c2) + mu ** (-4.0 * j_star * tau * beta) * deriv))
 
 
-def scaling_diagnostics(prob: Problem, prof: WaveProfile,
-                        tau: float = 0.9) -> ScalingRecord:
-    """Band-split scaling ratios of a wave of the long-wave family.
+def scaling_diagnostics(prob: Problem, prof: WaveProfile) -> ScalingRecord:
+    """Band-split scaling ratios of a wave of the long-wave family, at tau = TAU.
 
     The low-band and sup-norm ratios stay within constant factors of 1 as mu
     decreases; the high-band ratio has only an upper bound, independent of mu.
@@ -109,21 +109,17 @@ def scaling_diagnostics(prob: Problem, prof: WaveProfile,
     in every coefficient, so the high band cannot be measured below
     `high_band_floor`; a ratio near that floor is noise.  Recorded, not
     asserted: the constants are free."""
-    if tau >= 1:
-        raise ValueError("tau must be below 1")
-    sym = prob.symbol
+    sym, mu = prob.symbol, prof.mu
     p, exps = prob.nonlinearity.p, prob.scaling
     u1, u2 = band_split(sym, prof.field)
-    mu = prof.mu
-    scale = mu ** (tau * exps.beta * (p - 1.0) + p)
-    low = weighted_norm(u1, tau, mu, sym.j_star, exps.beta) ** 2 / mu
+    scale = mu ** (TAU * exps.beta * (p - 1.0) + p)
+    low = weighted_norm(u1, TAU, mu, sym.j_star, exps.beta) ** 2 / mu
     high = sobolev_norm(u2, 1.0) ** 2 / scale
     sup = sup_norm(prof.field) / mu**exps.alpha
-    k = prof.field.grid.wavenumbers
-    k_high = k[np.abs(k) > sym.k_cut]
+    g = prof.field.grid
     floor = float((np.finfo(float).eps * l2_norm(prof.field)) ** 2
-                  * np.sum(1.0 + k_high**2) / k.size / scale)
-    return ScalingRecord(mu, tau, low, high, sup, floor)
+                  * np.sum(g.h1_weight[np.abs(g.wavenumbers) > sym.k_cut]) / g.n / scale)
+    return ScalingRecord(mu, low, high, sup, floor)
 
 
 def convergence_rows(comparisons: list[LongWaveComparison],

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +34,11 @@ from .nonlinearity import nonlinearity_from_name
 from .solver import SolveConfig, continuation_sweep, minimize_constrained, sweep_rows
 from .symbols import symbol_from_name, validate_symbol
 
-DEFAULT_CONFIG = {
+DEFAULT_CONFIG = {  # the grid, solver and evolution defaults are the library configs'
     "problem": {"symbol": "whitham", "nonlinearity": "quadratic"},
-    "grid": {"period": None, "points": None},
-    "solver": {"mu": 1e-3, "tol_residual": 1e-9, "max_iter": 50_000},
-    "evolution": {"dt": 0.01, "t_final": 20.0, "stride": 50},
+    "grid": {key: getattr(SolveConfig(), key) for key in ("period", "points")},
+    "solver": {key: getattr(SolveConfig(), key) for key in ("mu", "tol_residual", "max_iter")},
+    "evolution": asdict(EvolutionConfig()),
     "sweep": {"mu_list": [1e-4, 3e-4, 1e-3, 3e-3, 1e-2]},
     "stability": {"scales": [0.005, 0.01, 0.02], "seed": 20260811},
 }

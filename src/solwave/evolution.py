@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Blowup, ConfigError, ResolutionLoss
-from .functionals import Problem, discretize
-from .grid import RESOLVED, PeriodicGrid, SpectralField, band_noise, high_mode_ratio, l2_norm
+from .functionals import Problem, discretize, momentum
+from .grid import (RESOLVED, PeriodicGrid, SpectralField, band_noise, high_mode_ratio,
+                   l2_norm, sup_norm)
 from .longwave import orbit_distance
 from .solver import WaveProfile, renormalize
 from .symbols import DispersionSymbol, multiplier_values
@@ -28,8 +29,8 @@ MAX_PERTURBATION = 0.1  # largest perturbation of a stability run, relative in L
 @dataclass
 class EvolutionConfig:
     dt: float = 0.01
-    t_final: float = 10.0
-    stride: int = 10              # record every stride steps
+    t_final: float = 20.0
+    stride: int = 50              # record every stride steps
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -101,9 +102,8 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
     n_steps = round(abs(cfg.t_final) / cfg.dt)  # whole, at least 1: see EvolutionConfig
 
     c = u0.coeffs[:half].copy()
-    c_full = grid.unfold(c)
-    sup0 = float(np.max(np.abs(u0.values)))
-    e0, q0 = energy_of(c_full), 0.5 * float(np.sum(np.abs(c_full) ** 2))
+    start = SpectralField.from_coeffs(grid, grid.unfold(c))
+    sup0, e0, q0 = sup_norm(u0), energy_of(start.coeffs), momentum(start)
     e_den = max(abs(e0), np.finfo(float).tiny)
 
     times, e_dr, q_dr, dists, shifts = [], [], [], [], []
@@ -112,11 +112,11 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
         u = SpectralField.from_coeffs(grid, grid.unfold(c))
         times.append(step * dt)
         e_dr.append((energy_of(u.coeffs) - e0) / e_den)
-        q_dr.append((0.5 * float(np.sum(np.abs(u.coeffs) ** 2)) - q0) / q0 if q0 else 0.0)
+        q_dr.append((momentum(u) - q0) / q0 if q0 else 0.0)
         d, y = orbit_distance(u, reference) if reference is not None else (0.0, 0.0)
         dists.append(d)
         shifts.append(y)
-        sup = float(np.max(np.abs(u.values)))
+        sup = sup_norm(u)
         # a field that is no longer finite says the step failed, not the model
         if not np.isfinite(sup):
             raise ResolutionLoss(f"sup |u| = {sup} at t = {step * dt:g}: the time "

@@ -4,18 +4,19 @@ All floats are written as %.17g so identical runs give byte-identical files.
 A table is formatted by one ``%``: its row template repeated once per row,
 applied to the cells in row order, which gives the bytes that one ``%`` per
 row gives; a row that does not fit the header is refused before anything is
-written.  Writes go through a temp file and an atomic rename.  A stored wave
-is a pair: ``profile<suffix>.csv`` holds its samples and ``meta<suffix>.json``
-beside it its certificate numbers, and ``read_profile`` is the one way from
-that pair back to a ``WaveProfile``.  meta.json is stated once, in ``_META``:
-each key with the attribute it holds, its kind and its range, which the
-writer, the check and the reader all read.  A table's header is the keys of
-its first row.
+written.  Writes go through a temp file and an atomic rename; a failed write
+leaves no temp file, and one the file system refuses is a ConfigError naming
+``out``.  A stored wave is a pair: ``profile<suffix>.csv`` holds its samples
+and ``meta<suffix>.json`` beside it its certificate numbers, and
+``read_profile`` is the one way from that pair back to a ``WaveProfile``.
+meta.json is stated once, in ``_META``: each key with the attribute it holds,
+its kind and its range, which the writer, the check and the reader all read.
+A table's header is the keys of its first row.
 
 A stored profile is parsed in one call to numpy's C reader, which rounds
-correctly and so gives the doubles ``float()`` gives; a row it cannot read,
-a node that is not where the grid puts it, and a non-finite sample are each a
-ConfigError naming ``profile``.
+correctly and so gives the doubles ``float()`` gives; a file it cannot open,
+a row it cannot read, a node that is not where the grid puts it, and a
+non-finite sample are each a ConfigError naming ``profile``.
 """
 
 from __future__ import annotations
@@ -49,16 +50,18 @@ _IN_RANGE = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 
 
 def atomic_write(path, text: str):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    path, tmp = Path(path), None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}", field="out") from exc
         raise
 
 
@@ -118,8 +121,8 @@ def read_field_csv(path) -> SpectralField:
                 raise ConfigError(f"{path}: expected header {_FIELD_HEADER!r}", field="profile")
             xs, vs = np.loadtxt(f, delimiter=",", comments=None, usecols=(0, 1),
                                 ndmin=2).T
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError
-        raise ConfigError(f"{path}: unreadable row: {exc}", field="profile")
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigError(f"{path}: unreadable: {exc}", field="profile")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
         raise ConfigError(f"{path}: non-finite sample", field="profile")
     n = len(xs)
@@ -189,12 +192,10 @@ def read_profile(path, prob: Problem) -> WaveProfile:
     solve certifies; anything else is a ConfigError.  Other keys are ignored."""
     u = read_field_csv(path)
     meta_path = _meta_path(Path(path))
-    if not meta_path.exists():
-        raise ConfigError(f"missing metadata {meta_path}", field="profile")
     try:
         meta = json.loads(meta_path.read_text())
         _check_meta(meta, u.grid)
-    except ValueError as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{meta_path}: unusable metadata: {exc}", field="meta")
     for key, wanted in (("symbol", prob.symbol.name),
                         ("nonlinearity", prob.nonlinearity.name)):

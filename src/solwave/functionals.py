@@ -91,14 +91,13 @@ class DiscreteFunctional:
         # real factors of complex products, cast once as numpy would per call
         self.mask = grid.dealias_mask.astype(complex)
         self.neg_mvals = (-self.mvals).astype(complex)
-        self.h1_weight = 1.0 + grid.wavenumbers**2
         self.quad_weight = grid.period / grid.n
 
     def values_dealiased(self, c: np.ndarray) -> np.ndarray:
         return self.grid.to_values(c * self.mask)
 
     def h1_sq(self, c: np.ndarray) -> float:
-        return float(np.sum(self.h1_weight * np.abs(c) ** 2))
+        return float(np.sum(self.grid.h1_weight * np.abs(c) ** 2))
 
     # ``v``, when given, is values_dealiased(c), which the caller already holds;
     # a penalized energy is +inf outside the barrier domain (2R)^2
@@ -115,17 +114,16 @@ class DiscreteFunctional:
         return e
 
     def gradient(self, c: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        if v is None:
-            v = self.values_dealiased(c)
-        g = self.neg_mvals * c - self.mask * self.grid.to_coeffs(self.nl.n(v))
+        g = self.neg_mvals * c - self.nonlinear_coeffs(c, v)
         if self.pen is not None:
-            g = g + (2.0 * self.pen.rho_prime(self.h1_sq(c))) * self.h1_weight * c
+            g = g + (2.0 * self.pen.rho_prime(self.h1_sq(c))) * self.grid.h1_weight * c
         return g
 
-    def nonlinear_coeffs(self, c: np.ndarray) -> np.ndarray:
+    def nonlinear_coeffs(self, c: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
         """Dealiased coefficients of n(u); the discrete travelling-wave
         equation solved here is nu*c = m*c + nonlinear_coeffs(c)."""
-        return self.mask * self.grid.to_coeffs(self.nl.n(self.values_dealiased(c)))
+        v = self.values_dealiased(c) if v is None else v
+        return self.mask * self.grid.to_coeffs(self.nl.n(v))
 
     def flux(self):
         """The flow's nonlinear flux on the half spectrum m = 0..N/2 of a real field.

@@ -84,6 +84,11 @@ class PeriodicGrid:
         k.setflags(write=False)
         return k
 
+    @cached_property
+    def h1_weight(self) -> np.ndarray:
+        """1 + k^2, the H^1 weight of each mode; its s-th power is the H^s weight."""
+        return _frozen(1.0 + self.wavenumbers**2)
+
     @property
     def scale(self) -> float:
         return self.n / np.sqrt(self.period)
@@ -201,8 +206,7 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
     """Discrete H^s norm, sqrt(sum (1+k^2)^s |c|^2)."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    w = (1.0 + u.grid.wavenumbers**2) ** s
-    return float(np.sqrt(np.sum(w * np.abs(u.coeffs) ** 2)))
+    return float(np.sqrt(np.sum(u.grid.h1_weight ** s * np.abs(u.coeffs) ** 2)))
 
 
 def sup_norm(u: SpectralField) -> float:

@@ -96,7 +96,7 @@ def orbit_distance(u: SpectralField, v: SpectralField,
     # half spectrum m = 0..N/2 in which the modes 1 <= m < N/2 stand for -m too
     half = g.n // 2 + 1
     k = g.wavenumbers[:half]
-    w = (1.0 + k**2) ** s_norm
+    w = g.h1_weight[:half] ** s_norm
     uc, vc = u.coeffs[:half], v.coeffs[:half]
     z = w * uc * np.conj(vc)
     # corr[l] = sum_m z_m exp(-2 pi i m l / N) over all N modes, real since

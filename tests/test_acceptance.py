@@ -259,7 +259,7 @@ def test_criterion_14_scaling_diagnostics(prob, sweep):
     # mu^(tau beta (p-1) + p): C is read off the largest mu, whose high band
     # must be resolved (10x above its round-off floor), and no mu may exceed
     # 3C, by its measured ratio or by the floor that ratio cannot go below.
-    records = [scaling_diagnostics(prob, p, tau=0.9) for p in sweep]
+    records = [scaling_diagnostics(prob, p) for p in sweep]
     base = next(r for r in records if r.mu == 1e-3)
     names = ("low-band", "sup-norm")
     ratios = {n: [] for n in names}

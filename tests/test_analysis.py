@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from solwave.analysis import (band_split, convergence_rows, convergence_study,
+from solwave.analysis import (TAU, band_split, convergence_rows, convergence_study,
                               reduced_reference, scaling_diagnostics, weighted_norm)
 from solwave.functionals import Problem, momentum
 from solwave.grid import (PeriodicGrid, SpectralField, band_noise, l2_norm,
@@ -41,7 +41,8 @@ def test_convergence_study_trends(mini_sweep, reference):
 def test_scaling_diagnostics_values(mini_sweep):
     exps = exponents(1, 2.0)
     prof = mini_sweep[0]
-    rec = scaling_diagnostics(PROB, prof, tau=0.9)
+    assert TAU == 0.9
+    rec = scaling_diagnostics(PROB, prof)
     u1, u2 = band_split(PROB.symbol, prof.field)
     assert rec.low_band_ratio == approx(
         weighted_norm(u1, 0.9, prof.mu, 1, exps.beta) ** 2 / prof.mu, rel=1e-12)
@@ -49,14 +50,16 @@ def test_scaling_diagnostics_values(mini_sweep):
     expo = 0.9 * exps.beta * 1.0 + 2.0
     assert rec.high_band_ratio == approx(
         sobolev_norm(u2, 1.0) ** 2 / prof.mu**expo, rel=1e-12)
-    with pytest.raises(ValueError):
-        scaling_diagnostics(PROB, prof, tau=1.0)
+    with pytest.raises(ValueError, match="tau"):
+        weighted_norm(u1, 1.0, prof.mu, 1, exps.beta)
+    with pytest.raises(ValueError, match="mu"):
+        weighted_norm(u1, 0.9, 0.0, 1, exps.beta)
 
 
 def test_high_band_floor(mini_sweep):
     # resolved waves: the high band stands far above coefficient round-off
     for prof in mini_sweep:
-        rec = scaling_diagnostics(PROB, prof, tau=0.9)
+        rec = scaling_diagnostics(PROB, prof)
         assert rec.high_band_ratio >= 1e6 * rec.high_band_floor
     # a field whose true high band (|k| > k_cut ~ 4) lies below 1e-25 of its
     # norm measures as round-off, within a small factor of the floor
@@ -64,7 +67,7 @@ def test_high_band_floor(mini_sweep):
     field = SpectralField.from_values(grid, 1e-2 / np.cosh(0.1 * grid.nodes) ** 2)
     prof = WaveProfile(field, momentum(field), 0.0, 0.0, 0.0,
                        "whitham", "quadratic", 0)
-    rec = scaling_diagnostics(PROB, prof, tau=0.9)
+    rec = scaling_diagnostics(PROB, prof)
     assert 0.3 * rec.high_band_floor <= rec.high_band_ratio <= 10.0 * rec.high_band_floor
 
 
@@ -73,13 +76,12 @@ def test_tau_zero_reduces_to_unweighted(mini_sweep):
     u1, _ = band_split(PROB.symbol, prof.field)
     k = u1.grid.wavenumbers
     unweighted = float(np.sum((1.0 + k**4) * np.abs(u1.coeffs) ** 2))
-    rec = scaling_diagnostics(PROB, prof, tau=0.0)
-    assert rec.low_band_ratio == approx(unweighted / prof.mu, rel=1e-12)
+    assert weighted_norm(u1, 0.0, prof.mu, 1, 1.0 / 3.0) ** 2 == approx(unweighted, rel=1e-12)
 
 
 def test_convergence_rows_schema(mini_sweep, reference):
     comps = convergence_study(PROB, mini_sweep, reference)
-    recs = [scaling_diagnostics(PROB, p, 0.9) for p in mini_sweep]
+    recs = [scaling_diagnostics(PROB, p) for p in mini_sweep]
     rows = convergence_rows(comps, recs)
     assert set(rows[0]) == {"mu", "dist_aligned", "speed_dev", "energy_dev",
                             "shift", "tau_ratio1", "tau_ratio2", "supnorm_ratio"}

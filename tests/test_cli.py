@@ -20,11 +20,13 @@ from solwave.analysis import (convergence_rows, convergence_study, reduced_refer
                               scaling_diagnostics)
 from solwave.cli import DEFAULT_CONFIG, Run, load_config, main
 from solwave.errors import ConfigError
+from solwave.evolution import EvolutionConfig
 from solwave.fileio import _META, read_profile
 from solwave.functionals import momentum
 from solwave.grid import PeriodicGrid, SpectralField
 from solwave.longwave import exponents
 from solwave.nonlinearity import NONLINEARITIES
+from solwave.solver import SolveConfig
 from solwave.symbols import SYMBOLS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -34,6 +36,10 @@ def write_config(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+def last_error_line(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +120,8 @@ def bad_inputs(d):
                        ("residual_negative", json.dumps({**full, "residual": -1.0})),
                        ("iterations_negative", json.dumps({**full, "iterations": -5})),
                        # a wave the speed gate refused is never stored: nu < m(0) = 1
-                       ("subcritical", json.dumps({**full, "nu": 0.99}))]:
+                       ("subcritical", json.dumps({**full, "nu": 0.99})),
+                       ("array", json.dumps([full]))]:
         (d / name).mkdir()
         (d / name / "profile.csv").write_text(good)
         (d / name / "meta.json").write_text(meta)
@@ -219,7 +226,7 @@ def bad_inputs(d):
         cases[case] = (f"problem.{key}", ["--config", write_config(
             d, {"problem": {key: name}}, f"{case}.json"), cmd])
     for name in ("mu_text", "mu_negative", "P", "N", "convention", "residual_negative",
-                 "iterations_negative", "subcritical"):
+                 "iterations_negative", "subcritical", "array"):
         cases[f"meta_{name}"] = ("meta", ["evolve", "--profile", str(d / name / "profile.csv")])
     cases["zero_profile"] = ("profile", ["stability", "--profile",
                                          str(d / "zero" / "profile.csv"), "--T", "0.1"])
@@ -252,7 +259,7 @@ def bad_inputs(d):
     "symbol_value_count", "nonlinearity_unknown", "nonlinearity_unparsed_solve",
     "nonlinearity_value_count", "meta_mu_text", "meta_mu_negative", "meta_P", "meta_N",
     "meta_convention", "meta_residual_negative", "meta_iterations_negative",
-    "meta_subcritical", "zero_profile",
+    "meta_subcritical", "meta_array", "zero_profile",
     "profile_other_symbol", "profile_other_nonlinearity",
     *(f"nonlinearity_{name}" for name in REFUSED_NONLINEARITIES)])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
@@ -410,6 +417,13 @@ def test_whole_float_stride_is_an_integer(tmp_path):
     cfg = load_config(write_config(tmp_path, {"evolution": {"stride": 50.0}}))
     stride = Run(cfg).evolution.stride
     assert stride == 50 and type(stride) is int
+
+
+def test_default_config_is_the_library_defaults():
+    run = Run(load_config(None))
+    assert run.solve == SolveConfig()
+    assert run.evolution == EvolutionConfig() == EvolutionConfig(dt=0.01, t_final=20.0,
+                                                                 stride=50)
 
 
 def test_readme_lists_the_default_config():
@@ -593,7 +607,9 @@ def test_compare_kdv_needs_every_meta(sweep_dir, tmp_path, capsys):
     (src / "profiles" / "meta_001.json").unlink()
     rc = main(["compare-kdv", "--sweep-dir", str(src), "--out", str(tmp_path / "cmp")])
     assert rc == 1
-    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "CONFIG"
+    line = last_error_line(capsys)
+    assert line["error"] == "CONFIG" and line["field"] == "meta"
+    assert "meta_001.json" in line["message"]
 
 
 def test_evolve_command(sweep_dir, tmp_path):
@@ -697,7 +713,36 @@ def test_manifest_echoes_every_flag_and_reruns(sweep_dir, tmp_path, command, fla
 def test_bad_profile_path(tmp_path, capsys):
     rc = main(["evolve", "--profile", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path / "o")])
-    assert rc != 0
+    assert rc == 1
+    line = last_error_line(capsys)
+    assert line["error"] == "CONFIG" and line["field"] == "profile"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case, field", [
+    ("profile_directory", "profile"), ("meta_directory", "meta"),
+    ("solve_out_under_file", "out"), ("validate_out_under_file", "out")])
+def test_file_failures_name_their_field(tmp_path, capsys, case, field):
+    # a file the system will not open or create is a config error on the
+    # flag or the file that named it, like every other bad input
+    (tmp_path / "file").write_text("")
+    under_file = str(tmp_path / "file" / "x")
+    wave = tmp_path / "wave"
+    wave.mkdir()
+    (wave / "profile.csv").write_text("x,u\n" + "".join(f"{j - 8.0!r},0.0\n"
+                                                       for j in range(16)))
+    (wave / "meta.json").mkdir()
+    argv = {"profile_directory": ["evolve", "--profile", str(tmp_path),
+                                  "--out", str(tmp_path / "o")],
+            "meta_directory": ["evolve", "--profile", str(wave / "profile.csv"),
+                               "--out", str(tmp_path / "o")],
+            "solve_out_under_file": ["solve", "--mu", "1e-2", "--out", under_file],
+            "validate_out_under_file": ["validate-symbol", "--out", under_file]}[case]
+    assert main(argv) == 1
+    line = last_error_line(capsys)
+    assert line["error"] == "CONFIG" and line["field"] == field
+    assert not (tmp_path / "o").exists()
+    assert (tmp_path / "file").read_text() == ""
 
 
 NAN, INF = float("nan"), float("inf")
@@ -775,12 +820,16 @@ fuzz_commands = st.one_of(
     st.tuples(st.just("validate-symbol"), st.lists(st.sampled_from(
         [["--name", "gaussian"], ["--name", "rational:1.5"]]), max_size=1)))
 
+# a file the system refuses: a missing --profile, or an --out under a regular file
+fuzz_files = st.sampled_from([None, "missing_profile", "out_under_file"])
+
 
 @settings(max_examples=100, deadline=None)
-@given(fuzz_configs, fuzz_profiles, fuzz_commands)
-def test_cli_fails_closed_on_generated_input(config, profile, command):
-    # whatever the config, profile and command: a documented exit code, no
-    # traceback, and a failure ends stderr with one strict-JSON line
+@given(fuzz_configs, fuzz_profiles, fuzz_commands, fuzz_files)
+def test_cli_fails_closed_on_generated_input(config, profile, command, files):
+    # whatever the config, profile, command and files: a documented exit code,
+    # no traceback, and a failure ends stderr with one strict-JSON line, which
+    # names the field of a config error
     doc, points, max_iter, t_final, bad = config
     doc.setdefault("grid", {})["points"] = points
     doc.setdefault("solver", {})["max_iter"] = max_iter
@@ -815,16 +864,22 @@ def test_cli_fails_closed_on_generated_input(config, profile, command):
         (d / "profiles" / "profile_000.csv").write_text(
             "x,u\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x, u)))
         (d / "profiles" / "meta_000.json").write_text(json.dumps(meta))
+        profile_path, out = d / "profiles" / "profile_000.csv", d / "out"
+        if files == "missing_profile":
+            profile_path = d / "nope.csv"
+        elif files == "out_under_file":
+            (d / "file").write_text("")
+            out = d / "file" / "out"
         argv = ["--config", write_config(d, doc), name, *(a for pair in extra for a in pair)]
         if name in ("evolve", "stability"):
-            argv += ["--profile", str(d / "profiles" / "profile_000.csv")]
+            argv += ["--profile", str(profile_path)]
         if name == "compare-kdv":
             argv += ["--sweep-dir", str(d)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the advisory dt warning
-            rc = main([*argv, "--out", str(d / "out")])
+            rc = main([*argv, "--out", str(out)])
     assert rc in (0, 1, 2, 3)
     text = err.getvalue()
     assert "Traceback" not in text
@@ -834,3 +889,5 @@ def test_cli_fails_closed_on_generated_input(config, profile, command):
 
         line = json.loads(text.strip().splitlines()[-1], parse_constant=reject)
         assert isinstance(line["error"], str)
+        if line["error"] == "CONFIG":
+            assert isinstance(line.get("field"), str), line

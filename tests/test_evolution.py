@@ -162,6 +162,11 @@ def test_non_finite_field_is_resolution_loss():
     assert list(err.value.info["trace"].times) == [0.0, 25.0]
 
 
+def test_evolve_needs_a_problem_or_a_symbol():
+    with pytest.raises(TypeError, match="Problem or a DispersionSymbol"):
+        evolve(quadratic(), smooth_pulse(), EvolutionConfig(dt=0.1, t_final=0.1))
+
+
 def test_dt_advisory_warns(wave):
     with pytest.warns(RuntimeWarning, match="advisory advective bound"):
         evolve(PROB, wave.field, EvolutionConfig(dt=2.0, t_final=2.0, stride=1))

@@ -9,7 +9,8 @@ import pytest
 
 from solwave.cli import main
 from solwave.errors import ConfigError
-from solwave.fileio import read_field_csv, write_csv, write_field_csv, write_rows_csv
+from solwave.fileio import (atomic_write, read_field_csv, write_csv, write_field_csv,
+                            write_rows_csv)
 from solwave.grid import PeriodicGrid, SpectralField
 
 NODES = [j - 8.0 for j in range(16)]  # the nodes of PeriodicGrid(16.0, 16)
@@ -166,6 +167,20 @@ def test_ragged_table_is_refused(tmp_path, rows):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", ["a", "b"], rows)
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    # a lone surrogate cannot be encoded: the write fails after the temp file
+    # is made, and nothing is left beside the target
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(tmp_path / "t.txt", "x\ud800")
+    assert list(tmp_path.iterdir()) == []
+    # a target under a regular file is refused as a bad --out
+    (tmp_path / "file").write_text("")
+    with pytest.raises(ConfigError) as err:
+        atomic_write(tmp_path / "file" / "t.txt", "x")
+    assert err.value.info["field"] == "out"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 @pytest.mark.parametrize("second", [{"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 1.0},

@@ -217,6 +217,13 @@ def test_field_arithmetic_and_immutability():
     assert sup_norm(-u) == sup_norm(u)
     with pytest.raises(ValueError):
         u.values[0] = 1.0
+    with pytest.raises(ValueError):
+        g.h1_weight[0] = 0.0
+    # a field has exactly one sample or coefficient per node
+    with pytest.raises(ValueError, match="expected 32 samples"):
+        SpectralField.from_values(g, np.zeros(31))
+    with pytest.raises(ValueError, match="expected 32 coefficients"):
+        SpectralField.from_coeffs(g, np.zeros(64, complex))
 
 
 def deriv(u):

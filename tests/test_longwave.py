@@ -81,6 +81,9 @@ def test_scale_down_checks_the_frame():
     for off in (w.grid.period * (1.0 + 2e-9), 2.0 * w.grid.period, float("nan")):
         with pytest.raises(GridMismatch):
             scale_down(mu, e, u, off)
+    for bad_mu in (0.0, -mu):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            scale_down(bad_mu, e, u, w.grid.period)
 
 
 def test_kdv_soliton_oracle():
@@ -144,6 +147,52 @@ def test_orbit_distance_is_the_full_spectrum_distance(s_norm):
     k = g.wavenumbers
     full = np.sum((1.0 + k**2) ** s_norm * np.abs(u.coeffs - v.coeffs * np.exp(1j * k * y)) ** 2)
     assert d == approx(np.sqrt(full), rel=1e-13)
+
+
+def l2_distances(u, v, shifts):
+    """||u - v(. + y)||_0 for each y of ``shifts``, summed over the full spectrum."""
+    k = u.grid.wavenumbers
+    diff = u.coeffs - v.coeffs * np.exp(1j * np.multiply.outer(shifts, k))
+    return np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1))
+
+
+def safeguard_pair(case):
+    """Two fields whose correlation, sampled on the nodes, peaks at y = 0 but
+    defeats Newton's quadratic model there: grid-scale content puts that
+    lattice argmax outside the basin of the correlation's continuous peak."""
+    if case == "step_clamp":
+        # cos x + cos(7x)/2 against its translate by 0.45 h: the first Newton
+        # step is longer than h and is cut to h
+        g = PeriodicGrid(2 * np.pi, 16)
+        u = SpectralField.from_values(g, np.cos(g.nodes) + 0.5 * np.cos(7 * g.nodes))
+        return u, SpectralField.from_coeffs(g, u.coeffs * np.exp(-0.45j * g.spacing
+                                                                  * g.wavenumbers))
+    # u's coefficients on seven of the modes 1..15, with v = 1 on the same
+    # modes, solve an integer linear program: the correlation is concave and
+    # rising at 0, h and 2h, steeply enough that each step is cut to h, so the
+    # iteration walks 3h > 2h away and falls back to the lattice argmax
+    g = PeriodicGrid(2 * np.pi, 32)
+    cu = {1: 186, 3: 196 + 125j, 5: 25, 11: -189j, 12: 50j, 14: -113 + 200j, 15: 87 - 113j}
+    half_u, half_v = np.zeros(17, complex), np.zeros(17, complex)
+    for m, c in cu.items():
+        half_u[m], half_v[m] = c, 1.0
+    return (SpectralField.from_coeffs(g, g.unfold(half_u)),
+            SpectralField.from_coeffs(g, g.unfold(half_v)))
+
+
+@pytest.mark.parametrize("case", ["step_clamp", "lattice_fallback"])
+def test_orbit_distance_newton_safeguards(case):
+    # the safeguards keep the answer a distance attained at the reported
+    # shift and no worse than the lattice argmax's; a scan of 2^16 shifts
+    # finds a smaller one on these unresolved pairs, so orbit_distance is
+    # the minimum only when the lattice argmax lies in the peak's basin
+    u, v = safeguard_pair(case)
+    d, y = orbit_distance(u, v)
+    at_y, at_lattice_argmax = l2_distances(u, v, np.array([y, 0.0]))
+    assert d == approx(at_y, rel=1e-13)
+    assert d <= at_lattice_argmax * (1 + 1e-13)
+    scan = l2_distances(u, v, np.linspace(-np.pi, np.pi, 2**16, endpoint=False))
+    assert d >= scan.min() - 1e-3 * l2_norm(u)
 
 
 def test_orbit_distance_sobolev_weight():

@@ -107,6 +107,8 @@ def test_construction_rejections():
         Nonlinearity("x", 1.5, 1.0, True)  # p >= 2
     with pytest.raises(ValueError):
         polynomial({1: 1.0, 2: 1.0})
+    with pytest.raises(ValueError, match="all coefficients vanish"):
+        polynomial({2: 0.0})
     for p in (4, 3.5):  # an odd power's exponent is an odd integer
         with pytest.raises(ValueError):
             odd_power(p, 1.0)

@@ -188,6 +188,8 @@ def test_constraint_exact_after_renormalize():
     seed = kdv_scaled_seed(grid, 1e-3, EXPS)  # wrong momentum on purpose
     u = renormalize(seed, cfg.mu)
     assert momentum(u) == approx(cfg.mu, rel=1e-14)
+    with pytest.raises(ValueError, match="zero field"):
+        renormalize(0.0 * seed, cfg.mu)
 
 
 def test_max_iter_carries_history():

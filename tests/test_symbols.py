@@ -62,6 +62,15 @@ def test_cutoff_is_first_double_at_half_height():
         assert sym.eval(np.nextafter(sym.k_cut, 0.0)) > sym.m_zero / 2
 
 
+def test_cutoff_wavenumber_outside_its_scan():
+    # still above m(0)/2 at the last sample k = 100: no crossing to bisect
+    with pytest.raises(ValueError, match="still exceeds"):
+        cutoff_wavenumber(lambda k: 1.0 / (1.0 + 1e-6 * np.asarray(k) ** 2))
+    # m(0) <= 0 and m <= m(0)/2 at every sample: there is no crossing at all
+    assert cutoff_wavenumber(lambda k: 0.0 * np.asarray(k)) == 0.0
+    assert cutoff_wavenumber(lambda k: -1.0 - np.asarray(k) ** 2) == 0.0
+
+
 def test_bundled_cutoff_is_scanned_once():
     # the cached value is the double a fresh scan gives
     w, g = whitham(), gaussian()
@@ -188,6 +197,8 @@ def test_constructor_rejects_bad_data():
                              d2j_star=-1.0, k_cut=1.0)
     assert DispersionSymbol("x", lambda k: 2.0 * np.cos(k), j_star=1, d2j_star=-2.0,
                             k_cut=1.0).m_zero == 2.0
+    with pytest.raises(ValueError, match="j_star"):
+        DispersionSymbol("x", np.cos, j_star=0, d2j_star=-1.0, k_cut=1.0)
     # nor declared: NO_STRICT_MAX and CUTOFF would measure against a wrong one
     with pytest.raises(ValueError):
         dataclasses.replace(whitham(), m_zero=1.1)
