@@ -55,8 +55,7 @@ def reduced_reference(prob: Problem, profiles: list[WaveProfile]) -> WaveProfile
     period = profiles[0].field.grid.period * profiles[0].mu**prob.scaling.beta
     points = max(p.field.grid.n for p in profiles)
     return minimize_reduced(sym.j_star, sym.d2j_star, prob.nonlinearity,
-                            SolveConfig(mu=1.0, tol_residual=1e-10,
-                                        period=period, points=points))
+                            SolveConfig(tol_residual=1e-10, period=period, points=points))
 
 
 def convergence_study(prob: Problem, profiles: list[WaveProfile],

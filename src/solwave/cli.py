@@ -130,8 +130,17 @@ class Run:
                 raise ConfigError(f"{field} must be {need}, got {v[field]!r}", field=field)
 
 
+def _out_dir(path: str) -> Path:
+    """``path``, refused before any work when its nearest existing ancestor is
+    no directory; ``fileio.atomic_write`` reports what fails later."""
+    out = Path(path)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise ConfigError(f"cannot write under {out}: not a directory", field="out")
+    return out
+
+
 def cmd_solve(args, run: Run) -> int:
-    out = Path(args.out)
+    out = _out_dir(args.out)
     t0 = time.time()
     prof = minimize_constrained(run.problem, run.solve)
     fileio.write_profile(out / "profile.csv", prof)
@@ -142,7 +151,7 @@ def cmd_solve(args, run: Run) -> int:
 
 
 def cmd_sweep(args, run: Run) -> int:
-    out = Path(args.out)
+    out = _out_dir(args.out)
     t0 = time.time()
     profiles = continuation_sweep(run.problem, run.mu_list, run.solve)
     for i, prof in enumerate(profiles):
@@ -155,12 +164,12 @@ def cmd_sweep(args, run: Run) -> int:
 
 def cmd_compare_kdv(args, run: Run) -> int:
     src = Path(args.sweep_dir)
+    out = _out_dir(args.out) if args.out else src  # a sweep-dir with profiles is a directory
     paths = sorted(src.glob("profiles/profile_*.csv"))
     if not paths:
         raise ConfigError(f"no sweep profiles under {src}", field="sweep-dir")
     prob = run.problem
     profiles = [fileio.read_profile(p, prob) for p in paths]
-    out = Path(args.out or args.sweep_dir)
     t0 = time.time()
     comparisons = convergence_study(prob, profiles, reduced_reference(prob, profiles))
     records = [scaling_diagnostics(prob, p) for p in profiles]
@@ -176,8 +185,8 @@ def cmd_compare_kdv(args, run: Run) -> int:
 
 
 def cmd_evolve(args, run: Run) -> int:
+    out = _out_dir(args.out)
     prof = fileio.read_profile(args.profile, run.problem)
-    out = Path(args.out)
     t0 = time.time()
     report = travel_test(run.problem, prof, run.evolution)
     fileio.write_rows_csv(out / "trace.csv", report.trace.rows())
@@ -192,8 +201,8 @@ def cmd_evolve(args, run: Run) -> int:
 
 
 def cmd_stability(args, run: Run) -> int:
+    out = _out_dir(args.out)
     prof = fileio.read_profile(args.profile, run.problem)
-    out = Path(args.out)
     t0 = time.time()
     summaries = []
     for i, scale in enumerate(run.scales):
@@ -211,11 +220,12 @@ def cmd_stability(args, run: Run) -> int:
 
 
 def cmd_validate_symbol(args, run: Run) -> int:
+    out = args.out and _out_dir(args.out)
     report = validate_symbol(run.problem.symbol)
     for line in report.lines():
         print(line)
-    if args.out:
-        fileio.write_json(Path(args.out) / "symbol_report.json", {
+    if out:
+        fileio.write_json(out / "symbol_report.json", {
             "symbol": report.symbol,
             "passed": report.passed,
             "checks": [{"name": c.name, "passed": c.passed, "worst_k": c.worst_k,
@@ -287,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg[section][key] = value
         # the gates turn an overflowing or non-finite field into a typed error;
         # numpy's own warnings would only print internal source lines first
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args, Run(cfg))
     except SolwaveError as exc:
         err = {"error": exc.code, "message": str(exc)}

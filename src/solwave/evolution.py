@@ -102,17 +102,14 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
     n_steps = round(abs(cfg.t_final) / cfg.dt)  # whole, at least 1: see EvolutionConfig
 
     c = u0.coeffs[:half].copy()
-    start = SpectralField.from_coeffs(grid, grid.unfold(c))
-    sup0, e0, q0 = sup_norm(u0), energy_of(start.coeffs), momentum(start)
-    e_den = max(abs(e0), np.finfo(float).tiny)
-
-    times, e_dr, q_dr, dists, shifts = [], [], [], [], []
+    sup0 = sup_norm(u0)
+    times, es, qs, dists, shifts = [], [], [], [], []
 
     def record(step):
         u = SpectralField.from_coeffs(grid, grid.unfold(c))
         times.append(step * dt)
-        e_dr.append((energy_of(u.coeffs) - e0) / e_den)
-        q_dr.append((momentum(u) - q0) / q0 if q0 else 0.0)
+        es.append(energy_of(u.coeffs))
+        qs.append(momentum(u))
         d, y = orbit_distance(u, reference) if reference is not None else (0.0, 0.0)
         dists.append(d)
         shifts.append(y)
@@ -132,8 +129,10 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
                                  ratio=ratio, trace=_pack(u))
         return u
 
-    def _pack(final):
-        return EvolutionTrace(np.array(times), np.array(e_dr), np.array(q_dr),
+    def _pack(final):  # E and Q drift against the first sample, at t = 0
+        e, q = np.array(es), np.array(qs)
+        return EvolutionTrace(np.array(times), (e - e[0]) / max(abs(e[0]), np.finfo(float).tiny),
+                              (q - q[0]) / q[0] if q[0] else np.zeros_like(q),
                               np.array(dists), np.array(shifts), final)
 
     # every step advances c in place through work arrays made once per call

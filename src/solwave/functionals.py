@@ -53,20 +53,18 @@ class Penalization:
     radius: float = 1.0
 
     def _s(self, t: float) -> float:
+        if t >= (2.0 * self.radius) ** 2:
+            raise OutOfDomain(f"||u||_H1^2 = {t:g} outside [0, (2R)^2)")
         r2 = self.radius**2
         return (t - r2) / (3.0 * r2)
 
     def rho(self, t: float) -> float:
-        if t >= (2.0 * self.radius) ** 2:
-            raise OutOfDomain(f"||u||_H1^2 = {t:g} outside [0, (2R)^2)")
         s = self._s(t)
         if s <= 0.0:
             return 0.0
         return math.exp(-1.0 / s) / (1.0 - s)
 
     def rho_prime(self, t: float) -> float:
-        if t >= (2.0 * self.radius) ** 2:
-            raise OutOfDomain(f"||u||_H1^2 = {t:g} outside [0, (2R)^2)")
         s = self._s(t)
         if s <= 0.0:
             return 0.0
@@ -75,18 +73,18 @@ class Penalization:
 
 
 class DiscreteFunctional:
-    """Energy/gradient engine for one (multiplier values, nonlinearity, grid)
-    triple, working directly on coefficient arrays.  Shared by the public
-    functional evaluations, the minimizer, the fixed-point iteration and the
-    time stepper.  ``gamma``, the long-wave speed exponent, sets the
-    minimizer's preconditioner shift."""
+    """Energy/gradient engine of one problem on one grid, working directly on
+    coefficient arrays; ``discretize`` is its public name.  Shared by the
+    public functional evaluations, the minimizer, the fixed-point iteration
+    and the time stepper.  ``gamma``, the problem's long-wave speed exponent,
+    sets the minimizer's preconditioner shift."""
 
-    def __init__(self, grid: PeriodicGrid, mvals: np.ndarray, nl: Nonlinearity,
-                 gamma: float, penalization: Penalization | None = None):
+    def __init__(self, prob: Problem, grid: PeriodicGrid,
+                 penalization: Penalization | None = None):
         self.grid = grid
-        self.mvals = np.asarray(mvals, dtype=float)
-        self.nl = nl
-        self.gamma = gamma
+        self.mvals = multiplier_values(prob.symbol, grid)
+        self.nl = prob.nonlinearity
+        self.gamma = prob.scaling.gamma
         self.pen = penalization
         # real factors of complex products, cast once as numpy would per call
         self.mask = grid.dealias_mask.astype(complex)
@@ -155,10 +153,7 @@ class DiscreteFunctional:
         return f
 
 
-def discretize(prob: Problem, grid: PeriodicGrid,
-               penalization: Penalization | None = None) -> DiscreteFunctional:
-    return DiscreteFunctional(grid, multiplier_values(prob.symbol, grid),
-                              prob.nonlinearity, prob.scaling.gamma, penalization)
+discretize = DiscreteFunctional
 
 
 def reduced_problem(j_star: int, d2j_star: float, nl: Nonlinearity) -> Problem:

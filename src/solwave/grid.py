@@ -68,21 +68,15 @@ class PeriodicGrid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        x = -0.5 * self.period + self.spacing * np.arange(self.n)
-        x.setflags(write=False)
-        return x
+        return _frozen(-0.5 * self.period + self.spacing * np.arange(self.n))
 
     @cached_property
     def modes(self) -> np.ndarray:
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
-        m.setflags(write=False)
-        return m
+        return _frozen(np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64))
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        k = (2.0 * np.pi / self.period) * self.modes
-        k.setflags(write=False)
-        return k
+        return _frozen((2.0 * np.pi / self.period) * self.modes)
 
     @cached_property
     def h1_weight(self) -> np.ndarray:
@@ -96,24 +90,19 @@ class PeriodicGrid:
     @cached_property
     def node_phase(self) -> np.ndarray:
         # exp(-i k_m x_0) with x_0 = -P/2 is exactly (-1)^m, on m = 0..N/2
-        p = 1.0 - 2.0 * (np.arange(self.n // 2 + 1) % 2)
-        p.setflags(write=False)
-        return p
+        return _frozen(1.0 - 2.0 * (np.arange(self.n // 2 + 1) % 2))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         # 2/3 rule: keep |m| <= N/3
-        mask = (np.abs(self.modes) <= self.n // 3).astype(float)
-        mask.setflags(write=False)
-        return mask
+        return _frozen((np.abs(self.modes) <= self.n // 3).astype(float))
 
     @cached_property
     def ik(self) -> np.ndarray:
         # Nyquist mode of an odd multiplier breaks realness, zero it
         v = 1j * self.wavenumbers.copy()
         v[self.modes == -self.n // 2] = 0.0
-        v.setflags(write=False)
-        return v
+        return _frozen(v)
 
     def unfold(self, half: np.ndarray) -> np.ndarray:
         """FFT-order coefficients of the real field whose half spectrum is ``half``."""

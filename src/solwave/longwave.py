@@ -89,6 +89,8 @@ def orbit_distance(u: SpectralField, v: SpectralField,
     The correlation is scanned on the node lattice spectrally, then the shift
     is refined by minimizing the distance itself, so exact translates come out
     at round-off rather than at the cancellation floor of the correlation form.
+    The domain is fields that meet the resolution rule (``high_mode_ratio``):
+    with grid-scale content the lattice peak may miss the continuous one's basin.
     """
     require_same_grid(u, v)
     g = u.grid

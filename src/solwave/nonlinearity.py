@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -72,9 +72,6 @@ class Nonlinearity:
     # is np.square itself.  The products and their order do not depend on
     # ``out``, so each value is the same bit for bit, buffered or not.
     nodewise: Callable = field(init=False, repr=False, compare=False)
-    # x -> n'(x) and x -> N(x) of a float array, composed alongside
-    _prime: Callable = field(init=False, repr=False, compare=False)
-    _primitive: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, cp, rem = self.p, self.cp, self.remainder
@@ -95,12 +92,6 @@ class Nonlinearity:
                 v = np.abs(x, out=out)
                 v **= p  # in place on an array, with numpy's fast path for p = 2
                 return v
-
-            def prime(x):
-                return cp * p * x * np.abs(x) ** (p - 2.0)
-
-            def prim(x):  # 1.0 * x == x bit for bit
-                return (x if cp == 1.0 else cp * x) * np.abs(x) ** p / (p + 1.0)
         else:
             k = int(p)
             if k == 2:
@@ -108,37 +99,24 @@ class Nonlinearity:
             else:
                 def power(x, out):
                     return _ipow(x, k, out)
-
-            def prime(x):
-                return cp * p * _ipow(x, k - 1)
-
-            def prim(x):
-                v = _ipow(x, k + 1)
-                return (v if cp == 1.0 else cp * v) / (p + 1.0)
         if cp == 1.0:  # 1.0 * v == v bit for bit, so the quadratic skips a pass
             n = power
         else:
             def n(x, out):
                 return np.multiply(cp, power(x, out), out=out)
         if rem:
-            lead, lead_prime, lead_prim = n, prime, prim
-            # Horner evaluation: x**d with integer d takes libm's slow pow on
-            # negative bases
-            c = np.array(rem)
-            r, r_prim, r_prime = (partial(P.polyval, c=a)
-                                  for a in (c, P.polyint(c), P.polyder(c)))
+            lead, r = n, self._remainder[0]
 
             def n(x, out):
                 return np.add(lead(x, out), r(x), out=out)
-
-            def prime(x):
-                return lead_prime(x) + r_prime(x)
-
-            def prim(x):
-                return lead_prim(x) + r_prim(x)
         object.__setattr__(self, "nodewise", n)
-        object.__setattr__(self, "_prime", prime)
-        object.__setattr__(self, "_primitive", prim)
+
+    @cached_property
+    def _remainder(self) -> tuple[Callable, Callable, Callable]:
+        """n_r, n_r' and its primitive by Horner's rule: x**d with integer d
+        takes libm's slow pow on negative bases."""
+        c = np.array(self.remainder)
+        return tuple(partial(P.polyval, c=a) for a in (c, P.polyder(c), P.polyint(c)))
 
     def leading(self) -> Nonlinearity:
         """n_p alone, the nonlinearity of the reduced long-wave functional,
@@ -152,11 +130,22 @@ class Nonlinearity:
         return self.nodewise(np.asarray(x, dtype=float), None)
 
     def n_prime(self, x):
-        return self._prime(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        p, cp = self.p, self.cp
+        v = (cp * p * x * np.abs(x) ** (p - 2.0) if self.modulus
+             else cp * p * _ipow(x, int(p) - 1))
+        return v + self._remainder[1](x) if self.remainder else v
 
     def primitive(self, x):
         """N(x) = int_0^x n, vanishing at the origin."""
-        return self._primitive(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        p, cp = self.p, self.cp
+        if self.modulus:  # 1.0 * x == x bit for bit
+            v = (x if cp == 1.0 else cp * x) * np.abs(x) ** p / (p + 1.0)
+        else:
+            v = _ipow(x, int(p) + 1)
+            v = (v if cp == 1.0 else cp * v) / (p + 1.0)
+        return v + self._remainder[2](x) if self.remainder else v
 
 
 # bundled constructors -------------------------------------------------------

@@ -38,6 +38,7 @@ _MIN_PERIOD = 64.0
 _NYQUIST_FACTOR = 2.2  # times the band-split cutoff
 _SEED_BAND = 45.0      # scaled Nyquist demand of the seed spectrum
 MAX_POINTS = 2**20     # largest grid a solve may ask for
+_SPEED_ULPS = 1e3      # least long-wave speed gap nu_lw mu^gamma, in ulps eps m(0)
 
 
 @dataclass
@@ -139,13 +140,14 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
-def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
+def _descend(eng: DiscreteFunctional, cfg: SolveConfig,
              c0: np.ndarray) -> tuple[np.ndarray, float, float, int, dict]:
-    """Preconditioned projected-gradient core on coefficient arrays.
+    """Preconditioned projected-gradient core on coefficient arrays, on Q = cfg.mu.
 
     The preconditioner (c_ref - L)^-1 takes c_ref = m(0) + nu_lw mu^gamma from
     the long-wave speed law (accelerated imaginary-time evolution): it is
     positive definite, and the rate no longer degrades with the gap nu - m(0).
+    It refuses a gap within _SPEED_ULPS ulps of m(0), where no speed is apart from m(0).
 
     Returns (coeffs, nu, residual, iterations, history) with history holding
     the residual and the accepted energy per iteration.  The line search
@@ -154,13 +156,18 @@ def _descend(eng: DiscreteFunctional, mu: float, cfg: SolveConfig,
     one rfft, in the gradient, and one irfft per line-search trial: the
     accepted trial's dealiased samples feed the next gradient.
     """
+    mu, m_top = cfg.mu, np.max(eng.mvals)
+    gap = kdv_speed() * mu ** eng.gamma
+    if not gap > _SPEED_ULPS * np.finfo(float).eps * m_top:
+        raise ConfigError(f"mu = {mu:g}: the long-wave speed gap {gap:.3g} is within "
+                          f"{_SPEED_ULPS:g} ulps of m(0)", field="solver.mu", value=mu)
     scale = math.sqrt(2.0 * mu)
     c = c0 * (scale / np.sqrt(np.sum(np.abs(c0) ** 2)))
     if eng.pen is not None and eng.h1_sq(c) >= (2.0 * eng.pen.radius) ** 2:
         raise BallExit(f"initial iterate has ||u||_H1^2 = {eng.h1_sq(c):.3e}, "
                        f"outside the barrier domain (2R)^2 = "
                        f"{(2.0 * eng.pen.radius) ** 2:.3e}")
-    c_ref = np.max(eng.mvals) + kdv_speed() * mu ** eng.gamma
+    c_ref = m_top + gap
     precond = 1.0 / (c_ref - eng.mvals)
     neg_precond = (-precond).astype(complex)  # cast once, not per product
     two_mu = 2.0 * mu
@@ -232,7 +239,7 @@ def _finish(prob: Problem, eng: DiscreteFunctional, mu: float, c: np.ndarray,
 def _minimize(prob: Problem, cfg: SolveConfig, guess: SpectralField) -> WaveProfile:
     """Descend from ``guess`` on Q = cfg.mu and certify the result."""
     eng = discretize(prob, guess.grid, cfg.penalization)
-    c, nu, res, its, _ = _descend(eng, cfg.mu, cfg, guess.coeffs)
+    c, nu, res, its, _ = _descend(eng, cfg, guess.coeffs)
     return _finish(prob, eng, cfg.mu, c, nu, res, its)
 
 

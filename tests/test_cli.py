@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from solwave.analysis import (convergence_rows, convergence_study, reduced_reference,
                               scaling_diagnostics)
@@ -170,6 +170,12 @@ def bad_inputs(d):
     cases["grid_overflow_mu"] = ("solver.mu", ["--config", write_config(
         d, {"problem": {"nonlinearity": "modulus:4.9,1"}}, "grid_overflow_mu.json"),
         "solve", "--mu", "1e-30"])
+    # configs/stability.json's grid, where the long-wave speed gap nu_lw mu^gamma
+    # is within round-off of m(0) = 1: no speed there is apart from m(0)
+    for mu in ("1e-24", "1e-30", "1e-300"):
+        cases[f"speed_gap_{mu}"] = ("solver.mu", ["--config", write_config(
+            d, {"grid": {"period": 800.0, "points": 1024}}, "speed_gap.json"),
+            "solve", "--mu", mu])
     cases["seed_negative"] = ("stability.seed", ["stability", "--profile", str(cell),
                                                  "--seed", "-1"])
     # rejected before the profile, which is unreadable here, is read: so no
@@ -252,6 +258,7 @@ def bad_inputs(d):
     "section_not_object", "sweep_without_profiles", "mu_null",
     "points_text", "dt_text", "tau_above_1", "scales_text", "points_range", "mu_list_text",
     "seed_negative", "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu",
+    "speed_gap_1e-24", "speed_gap_1e-30", "speed_gap_1e-300",
     "band_negative", "scale_0", "scale_nan", "scale_0.1", "scales_empty",
     "scales_oversized", "period_scale_zero",
     "step_init_nan", "polarity_default", "integrator_default", "symbol_number",
@@ -273,8 +280,9 @@ def test_bad_input_fails_closed(tmp_path, capsys, case):
     def reject(name):
         raise ValueError(f"non-finite number {name} in the error line")
 
-    # strict JSON: a non-finite value is written as null
-    line = json.loads(err.strip().splitlines()[-1], parse_constant=reject)
+    # one strict-JSON line and nothing before it: a non-finite value is null
+    [line] = err.strip().splitlines()
+    line = json.loads(line, parse_constant=reject)
     assert line["error"] == "CONFIG" and line["field"] == field
     if case == "dt_nan":
         assert line["value"] is None
@@ -719,12 +727,21 @@ def test_bad_profile_path(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# the library call that does each command's work
+WORK = {"solve": "minimize_constrained", "sweep": "continuation_sweep",
+        "compare-kdv": "convergence_study", "evolve": "travel_test",
+        "stability": "stability_experiment", "validate-symbol": "validate_symbol"}
+
+
 @pytest.mark.parametrize("case, field", [
     ("profile_directory", "profile"), ("meta_directory", "meta"),
-    ("solve_out_under_file", "out"), ("validate_out_under_file", "out")])
-def test_file_failures_name_their_field(tmp_path, capsys, case, field):
+    ("solve_out_under_file", "out"), ("sweep_out_under_file", "out"),
+    ("compare_out_under_file", "out"), ("evolve_out_under_file", "out"),
+    ("stability_out_under_file", "out"), ("validate_out_under_file", "out")])
+def test_file_failures_name_their_field(sweep_dir, tmp_path, capsys, monkeypatch, case, field):
     # a file the system will not open or create is a config error on the
-    # flag or the file that named it, like every other bad input
+    # flag or the file that named it, like every other bad input, found
+    # before the command's work starts
     (tmp_path / "file").write_text("")
     under_file = str(tmp_path / "file" / "x")
     wave = tmp_path / "wave"
@@ -732,12 +749,20 @@ def test_file_failures_name_their_field(tmp_path, capsys, case, field):
     (wave / "profile.csv").write_text("x,u\n" + "".join(f"{j - 8.0!r},0.0\n"
                                                        for j in range(16)))
     (wave / "meta.json").mkdir()
+    good = str(sweep_dir / "profiles" / "profile_001.csv")
     argv = {"profile_directory": ["evolve", "--profile", str(tmp_path),
                                   "--out", str(tmp_path / "o")],
             "meta_directory": ["evolve", "--profile", str(wave / "profile.csv"),
                                "--out", str(tmp_path / "o")],
             "solve_out_under_file": ["solve", "--mu", "1e-2", "--out", under_file],
+            "sweep_out_under_file": ["sweep", "--out", under_file],
+            "compare_out_under_file": ["compare-kdv", "--sweep-dir", str(sweep_dir),
+                                       "--out", under_file],
+            "evolve_out_under_file": ["evolve", "--profile", good, "--out", under_file],
+            "stability_out_under_file": ["stability", "--profile", good, "--out", under_file],
             "validate_out_under_file": ["validate-symbol", "--out", under_file]}[case]
+    work = WORK[argv[0]]
+    monkeypatch.setattr(f"solwave.cli.{work}", lambda *a, **k: pytest.fail(f"{work} ran"))
     assert main(argv) == 1
     line = last_error_line(capsys)
     assert line["error"] == "CONFIG" and line["field"] == field
@@ -826,10 +851,13 @@ fuzz_files = st.sampled_from([None, "missing_profile", "out_under_file"])
 
 @settings(max_examples=100, deadline=None)
 @given(fuzz_configs, fuzz_profiles, fuzz_commands, fuzz_files)
+# a long-wave speed gap below round-off of m(0), on configs/stability.json's grid
+@example(({"grid": {"period": 800.0}}, 1024, 20, 1.0, ("solver", "mu", 1e-30)),
+         (16, 40.0, 1.0, None), ("solve", []), None)
 def test_cli_fails_closed_on_generated_input(config, profile, command, files):
     # whatever the config, profile, command and files: a documented exit code,
-    # no traceback, and a failure ends stderr with one strict-JSON line, which
-    # names the field of a config error
+    # no traceback, no warning but the advisory dt one, and a failure ends
+    # stderr with one strict-JSON line, which names the field of a config error
     doc, points, max_iter, t_final, bad = config
     doc.setdefault("grid", {})["points"] = points
     doc.setdefault("solver", {})["max_iter"] = max_iter
@@ -877,10 +905,12 @@ def test_cli_fails_closed_on_generated_input(config, profile, command, files):
             argv += ["--sweep-dir", str(d)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the advisory dt warning
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main([*argv, "--out", str(out)])
     assert rc in (0, 1, 2, 3)
+    assert all("advisory advective bound" in str(w.message) for w in caught), \
+        [str(w.message) for w in caught]
     text = err.getvalue()
     assert "Traceback" not in text
     if rc != 0:
@@ -891,3 +921,5 @@ def test_cli_fails_closed_on_generated_input(config, profile, command, files):
         assert isinstance(line["error"], str)
         if line["error"] == "CONFIG":
             assert isinstance(line.get("field"), str), line
+    if (name, bad, files) == ("solve", ("solver", "mu", 1e-30), None):
+        assert rc == 1 and line["field"] == "solver.mu"

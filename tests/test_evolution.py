@@ -130,6 +130,13 @@ def test_under_resolved_start_rejected():
         evolve(PROB, u0, EvolutionConfig(dt=0.01, t_final=1.0))
 
 
+def assert_drifts_from_zero(trace):
+    # a failing run's packed trace has one E and one Q drift per sample,
+    # each against the sample at t = 0
+    for drift in (trace.e_drift, trace.q_drift):
+        assert len(drift) == len(trace.times) and drift[0] == 0.0
+
+
 def test_run_that_leaves_the_grid_is_resolution_loss():
     # the amp-0.5 pulse steepens out of the grid that resolves it at t = 0:
     # its ratio passes the bound by t = 0.2 and would reach 1.6e-2 at T = 1
@@ -140,6 +147,7 @@ def test_run_that_leaves_the_grid_is_resolution_loss():
     info = err.value.info
     assert 0 < info["t"] <= 1.0 and info["ratio"] > RESOLVED
     assert info["trace"].times[-1] == info["t"]
+    assert_drifts_from_zero(info["trace"])
 
 
 def test_blowup_detected():
@@ -147,7 +155,7 @@ def test_blowup_detected():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.warns(RuntimeWarning), pytest.raises(Blowup) as err:
         evolve(PROB, u0, EvolutionConfig(dt=5.0, t_final=50.0, stride=1))
-    assert err.value.info["trace"] is not None
+    assert_drifts_from_zero(err.value.info["trace"])
 
 
 def test_non_finite_field_is_resolution_loss():
@@ -160,6 +168,7 @@ def test_non_finite_field_is_resolution_loss():
     assert "nan" in str(err.value)
     assert err.value.info["t"] == 25.0
     assert list(err.value.info["trace"].times) == [0.0, 25.0]
+    assert_drifts_from_zero(err.value.info["trace"])
 
 
 def test_evolve_needs_a_problem_or_a_symbol():

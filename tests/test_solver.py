@@ -106,7 +106,7 @@ def test_descent_is_monotone():
     eng = discretize(PROB, grid)
     seed = kdv_scaled_seed(grid, cfg.mu, EXPS)
     from solwave.solver import _descend
-    *_, history = _descend(eng, cfg.mu, cfg, seed.coeffs)
+    *_, history = _descend(eng, cfg, seed.coeffs)
     es = np.array(history["energies"])
     assert len(es) > 10
     assert np.all(np.diff(es) <= 1e-14 * np.abs(es[:-1]))
@@ -272,6 +272,15 @@ def test_solve_config_validation():
     with pytest.raises(ConfigError) as err:
         SolveConfig(points=2 * MAX_POINTS)
     assert err.value.info["field"] == "grid.points"
+
+
+def test_speed_gap_below_round_off_is_refused():
+    # configs/stability.json's grid at mu = 1e-30: the long-wave gap 8.7e-21 is
+    # below round-off of m(0) = 1, so no speed is representable apart from it,
+    # and the preconditioner 1/(c_ref - m) would divide by zero at k = 0
+    with pytest.raises(ConfigError) as err:
+        minimize_constrained(PROB, SolveConfig(mu=1e-30, period=800.0, points=1024))
+    assert (err.value.info["field"], err.value.info["value"]) == ("solver.mu", 1e-30)
 
 
 def test_petviashvili_rejects_a_remainder():
