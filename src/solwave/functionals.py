@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfDomain
-from .grid import PeriodicGrid, SpectralField, irfft, rfft
+from .grid import PeriodicGrid, SpectralField, aligned, irfft, rfft
 from .longwave import ScalingExponents, exponents
 from .nonlinearity import Nonlinearity
 from .symbols import DispersionSymbol, LongWaveSymbol, multiplier_values
@@ -52,8 +52,13 @@ class Penalization:
 
     radius: float = 1.0
 
+    @property
+    def limit(self) -> float:
+        """(2R)^2: the barrier's domain is ||u||_H1^2 < limit."""
+        return (2.0 * self.radius) ** 2
+
     def _s(self, t: float) -> float:
-        if t >= (2.0 * self.radius) ** 2:
+        if t >= self.limit:
             raise OutOfDomain(f"||u||_H1^2 = {t:g} outside [0, (2R)^2)")
         r2 = self.radius**2
         return (t - r2) / (3.0 * r2)
@@ -106,7 +111,7 @@ class DiscreteFunctional:
         e = quad - self.quad_weight * float(np.sum(self.nl.primitive(v)))
         if self.pen is not None:
             t = self.h1_sq(c)
-            if t >= (2.0 * self.pen.radius) ** 2:
+            if t >= self.pen.limit:
                 return math.inf
             e += self.pen.rho(t)
         return e
@@ -133,22 +138,25 @@ class DiscreteFunctional:
         products, one irfft, the nonlinearity's ``nodewise`` and one rfft, all
         into work buffers that belong to this f: it casts nothing, allocates
         nothing (but a polynomial remainder's own terms) and calls no Python
-        function of the package.  The grid module's ``irfft``/``rfft`` are
+        function of the package but the grid's transform pair, which is
         numpy.fft's bit for bit, without its Python wrappers' cost at each of
-        the eight flux transforms of a step.
+        the eight flux transforms of a step.  The constants and buffers start
+        on 64-byte boundaries (``aligned``) and every output is positional.
         """
         grid, nodewise = self.grid, self.nl.nodewise
         n, half = grid.n, grid.n // 2 + 1
         phase = grid.dealias_mask[:half] * grid.node_phase
         # cast here rather than by np.multiply on every evaluation: same bits
-        to_vals = (phase * grid.scale).astype(complex)
-        to_flux = -grid.ik[:half] * phase / grid.scale
-        spec, vals, nvals = np.empty(half, complex), np.empty(n), np.empty(n)
+        to_vals = aligned((phase * grid.scale).astype(complex))
+        to_flux = aligned(-grid.ik[:half] * phase / grid.scale)
+        spec = aligned(np.empty(half, complex))
+        vals, nvals = aligned(np.empty(n)), aligned(np.empty(n))
+        mul = np.multiply
 
         def f(c, out):
-            irfft(np.multiply(c, to_vals, out=spec), n, out=vals)
-            rfft(nodewise(vals, nvals), out=out)
-            return np.multiply(to_flux, out, out=out)
+            irfft(mul(c, to_vals, spec), n, vals)
+            rfft(nodewise(vals, nvals), out)
+            return mul(to_flux, out, out)
 
         return f
 

@@ -17,14 +17,22 @@ the two pocketfft gufuncs that ``numpy.fft.rfft``/``irfft`` wrap,
 ``rfft_n_even`` and ``irfft``, with the normalisation factors the wrappers
 pass (1 forward, 1/n backward), so each result is bit for bit numpy's.  They
 skip the wrappers' argument handling, a quarter to a third of a call at
-N = 1024, which the time step pays at each of its eight transforms.
+N = 1024, which the time step pays at each of its eight transforms.  The
+factors are the same doubles as 0-d arrays, made once (1/n once per length),
+and the output is passed positionally: a Python float or an ``out=`` keyword
+costs each call a conversion that the gufunc would otherwise skip.
+
+``aligned`` copies an array onto a 64-byte boundary.  The time step and the
+flow's flux keep their work arrays and constants there: off that boundary
+the same pocketfft and elementwise loops ran up to a fifth slower, so the
+step's cost would depend on where malloc happened to put them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
@@ -32,12 +40,20 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 from .errors import GridMismatch, ResolutionLoss
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+_ONE = _frozen(np.array(1.0))  # the forward transform's normalisation
+
+
 def rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``numpy.fft.rfft(x)`` of a real float array of even length n, into ``out``
     (n//2 + 1 complex) when given."""
     if out is None:
         out = np.empty(x.shape[-1] // 2 + 1, complex)
-    return _pocketfft.rfft_n_even(x, 1.0, out=out)
+    return _pocketfft.rfft_n_even(x, _ONE, out)
 
 
 def irfft(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -45,7 +61,22 @@ def irfft(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     ``out`` (n real) when given."""
     if out is None:
         out = np.empty(n)
-    return _pocketfft.irfft(c, 1.0 / n, out=out)
+    return _pocketfft.irfft(c, _inverse_norm(n), out)
+
+
+@cache
+def _inverse_norm(n: int) -> np.ndarray:
+    return _frozen(np.array(1.0 / n))
+
+
+def aligned(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``a`` whose data starts on a 64-byte boundary."""
+    a = np.asarray(a)
+    buf = np.empty(a.nbytes + 64, np.uint8)
+    start = -buf.ctypes.data % 64
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
 
 
 @dataclass(frozen=True)
@@ -124,11 +155,6 @@ class PeriodicGrid:
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         return irfft(coeffs[:self.n // 2 + 1] * self._values_factor, self.n)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

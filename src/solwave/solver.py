@@ -163,10 +163,9 @@ def _descend(eng: DiscreteFunctional, cfg: SolveConfig,
                           f"{_SPEED_ULPS:g} ulps of m(0)", field="solver.mu", value=mu)
     scale = math.sqrt(2.0 * mu)
     c = c0 * (scale / np.sqrt(np.sum(np.abs(c0) ** 2)))
-    if eng.pen is not None and eng.h1_sq(c) >= (2.0 * eng.pen.radius) ** 2:
+    if eng.pen is not None and eng.h1_sq(c) >= eng.pen.limit:
         raise BallExit(f"initial iterate has ||u||_H1^2 = {eng.h1_sq(c):.3e}, "
-                       f"outside the barrier domain (2R)^2 = "
-                       f"{(2.0 * eng.pen.radius) ** 2:.3e}")
+                       f"outside the barrier domain (2R)^2 = {eng.pen.limit:.3e}")
     c_ref = m_top + gap
     precond = 1.0 / (c_ref - eng.mvals)
     neg_precond = (-precond).astype(complex)  # cast once, not per product

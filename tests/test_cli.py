@@ -777,7 +777,7 @@ NAN, INF = float("nan"), float("inf")
 FUZZ_VALID = {
     "problem": {"symbol": ["whitham", "gaussian", "rational:2", "rational:0.6"],
                 "nonlinearity": ["quadratic", "poly:1,0.5", "modulus:2.5,1",
-                                 "oddpower:3,1", "modulus:4.9,1", "poly:-1",
+                                 "oddpower:3,1", "modulus:3.5,1", "poly:-1",
                                  "modulus:2.5,-1"]},
     "grid": {"period": [None, 20.0, 80.0, 400.0]},
     "solver": {"mu": [1e-2, 5e-2, 0.3, 1e-3], "tol_residual": [1e-6, 1e-10]},

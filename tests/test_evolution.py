@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from solwave import evolution
 from solwave.errors import Blowup, ConfigError, ResolutionLoss
 from solwave.evolution import (EvolutionConfig, evolve, perturbation, stability_experiment,
                                travel_test)
 from solwave.functionals import Problem, discretize, momentum
-from solwave.grid import RESOLVED, PeriodicGrid, SpectralField, high_mode_ratio, l2_norm
+from solwave.grid import (RESOLVED, PeriodicGrid, SpectralField, aligned, high_mode_ratio,
+                          l2_norm)
 from solwave.longwave import kdv_profile
 from solwave.nonlinearity import nonlinearity_from_name, quadratic
 from solwave.solver import SolveConfig, minimize_constrained
@@ -330,6 +333,85 @@ def test_flux_allocates_nothing(name):
     finally:
         tracemalloc.stop()
     assert peak < 8 * g.n
+
+
+@pytest.mark.parametrize("name", ["quadratic", "modulus:2.5,1", "poly:1,0.5"])
+def test_flux_bits_do_not_depend_on_alignment(name):
+    # numpy's vector loops may take another path off a 64-byte boundary; the
+    # flux of c into out gives the same bits with both at offsets 0 to 48
+    g = PeriodicGrid(800.0, 1024)
+    f = discretize(Problem(whitham(), nonlinearity_from_name(name)), g).flux()
+    rng = np.random.Generator(np.random.Philox(5))
+    half = g.n // 2 + 1
+    c0 = 0.01 * (rng.standard_normal(half) + 1j * rng.standard_normal(half))
+    want = f(aligned(c0), aligned(np.empty_like(c0))).copy()
+    size = 64 * (c0.nbytes // 64 + 1)
+    buf = aligned(np.empty(2 * size, np.uint8))
+    for off in (0, 16, 32, 48):
+        c = buf[off:off + c0.nbytes].view(complex)
+        out = buf[size + off:size + off + c0.nbytes].view(complex)
+        assert c.ctypes.data % 64 == off and out.ctypes.data % 64 == off
+        c[...] = c0
+        assert f(c, out).tobytes() == want.tobytes()
+
+
+def _steps_only(name):
+    """steps -> evolve over that many steps, recording only t = 0 and the end."""
+    prob = Problem(whitham(), nonlinearity_from_name(name))
+    u0 = smooth_pulse(n=512, amp=0.1, decay=0.5)
+    return lambda steps: evolve(prob, u0, EvolutionConfig(dt=0.005, t_final=0.005 * steps,
+                                                          stride=10**9))
+
+
+@pytest.mark.parametrize("name", ["quadratic", "modulus:2.5,1"])
+def test_run_peak_does_not_grow_with_steps(name):
+    # a run's peak jitters by a few hundred bytes with the interpreter's free
+    # lists, so each side takes the least of three interleaved runs
+    run = _steps_only(name)
+    run(10)  # the grid's and the transforms' caches are made
+
+    def peak(steps):
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            run(steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    short, long = zip(*((peak(10), peak(1000)) for _ in range(3)))
+    assert abs(min(long) - min(short)) <= 1024
+
+
+@pytest.mark.parametrize("name", ["quadratic", "modulus:2.5,1"])
+def test_steps_allocate_nothing(name, monkeypatch):
+    # the peak is reset as the first record ends (its last call is the
+    # resolution ratio) and read as the last one starts (its first call
+    # unfolds c): in between, the steps never held more than a few hundred
+    # bytes above what was live, less than any work array of N = 512
+    run, excess = _steps_only(name), []
+    ratio, unfold = evolution.high_mode_ratio, PeriodicGrid.unfold
+
+    def resetting_ratio(u):
+        r = ratio(u)
+        tracemalloc.reset_peak()
+        return r
+
+    def marking_unfold(grid, half):
+        current, peak = tracemalloc.get_traced_memory()
+        excess.append(peak - current)
+        return unfold(grid, half)
+
+    monkeypatch.setattr(evolution, "high_mode_ratio", resetting_ratio)
+    monkeypatch.setattr(PeriodicGrid, "unfold", marking_unfold)
+    tracemalloc.start()
+    try:
+        run(1000)
+    finally:
+        tracemalloc.stop()
+    assert len(excess) == 2 and excess[1] < 1024
 
 
 def _moved(u, shift):

@@ -8,7 +8,7 @@ from pytest import approx
 
 import solwave
 from solwave.errors import GridMismatch, ResolutionLoss, TailTooLarge
-from solwave.grid import (RESOLVED, PeriodicGrid, SpectralField, band_noise,
+from solwave.grid import (RESOLVED, PeriodicGrid, SpectralField, aligned, band_noise,
                           change_points, high_mode_ratio, inner_l2, irfft, l2_norm,
                           rfft, sobolev_norm, sup_norm, tail_max)
 from solwave.longwave import KDV_DECAY, kdv_profile, kdv_soliton
@@ -85,6 +85,27 @@ def test_transform_pair_is_numpy_fft_bit_for_bit():
             out_c, out_x = np.empty(n // 2 + 1, complex), np.empty(n)
             assert rfft(x, out=out_c) is out_c and same_bits(out_c, np.fft.rfft(x))
             assert irfft(c, n, out=out_x) is out_x and same_bits(out_x, np.fft.irfft(c, n))
+    # the 1/n factor is made once per length: the shortest after the longest
+    c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    assert same_bits(irfft(c, 16), np.fft.irfft(c, 16))
+
+
+@pytest.mark.parametrize("n", [16, 1024, 8192])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_aligned_copies_onto_a_64_byte_boundary(n, dtype):
+    rng = np.random.Generator(np.random.Philox(n))
+    for shape in [(n,), (3, n)]:
+        a = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal(shape)
+        # the source itself 8 bytes off a boundary
+        raw = np.empty(a.nbytes + 72, np.uint8)
+        start = -raw.ctypes.data % 64 + 8
+        src = raw[start:start + a.nbytes].view(dtype).reshape(shape)
+        src[...] = a
+        b = aligned(src)
+        assert b.ctypes.data % 64 == 0 and b.flags.c_contiguous and b.flags.writeable
+        assert same_bits(b, a) and not np.shares_memory(b, src)
 
 
 def test_only_the_grid_module_touches_the_transform_kernels():
