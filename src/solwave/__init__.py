@@ -15,8 +15,8 @@ from .evolution import (EvolutionConfig, EvolutionTrace, StabilityReport,
                         stability_experiment, travel_test)
 from .functionals import (Penalization, Problem, energy, energy_gradient, momentum,
                           reduced_problem)
-from .grid import (PeriodicGrid, SpectralField, inner_l2, l2_norm, sobolev_norm,
-                   sup_norm, tail_max)
+from .grid import (PeriodicGrid, SpectralField, h1_norm, inner_l2, l2_norm, sup_norm,
+                   tail_max)
 from .longwave import (ScalingExponents, exponents, kdv_energy, kdv_soliton,
                        kdv_speed, orbit_distance, scale_down)
 from .nonlinearity import (Nonlinearity, nonlinearity_from_name, odd_power,

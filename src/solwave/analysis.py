@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import Problem
-from .grid import SpectralField, change_points, l2_norm, sobolev_norm, sup_norm
+from .grid import SpectralField, change_points, h1_norm, l2_norm, sup_norm
 from .longwave import orbit_distance, scale_down
 from .solver import SolveConfig, WaveProfile, minimize_reduced
 from .symbols import DispersionSymbol
@@ -86,17 +86,15 @@ def band_split(sym: DispersionSymbol, u: SpectralField) -> tuple[SpectralField, 
     return u1, u2
 
 
-def weighted_norm(u: SpectralField, tau: float, mu: float, j_star: int,
-                  beta: float) -> float:
-    """|||u|||_{tau,mu} = sqrt( int u^2 + mu^(-4 j_star tau beta) int (u^(2 j_star))^2 )."""
-    if tau >= 1:
-        raise ValueError("tau must be below 1")
+def weighted_norm(u: SpectralField, mu: float, j_star: int, beta: float) -> float:
+    """|||u|||_{tau,mu} = sqrt( int u^2 + mu^(-4 j_star tau beta) int (u^(2 j_star))^2 )
+    at tau = TAU."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     k = u.grid.wavenumbers
     c2 = np.abs(u.coeffs) ** 2
     deriv = float(np.sum(k ** (4 * j_star) * c2))
-    return float(np.sqrt(np.sum(c2) + mu ** (-4.0 * j_star * tau * beta) * deriv))
+    return float(np.sqrt(np.sum(c2) + mu ** (-4.0 * j_star * TAU * beta) * deriv))
 
 
 def scaling_diagnostics(prob: Problem, prof: WaveProfile) -> ScalingRecord:
@@ -112,8 +110,8 @@ def scaling_diagnostics(prob: Problem, prof: WaveProfile) -> ScalingRecord:
     p, exps = prob.nonlinearity.p, prob.scaling
     u1, u2 = band_split(sym, prof.field)
     scale = mu ** (TAU * exps.beta * (p - 1.0) + p)
-    low = weighted_norm(u1, TAU, mu, sym.j_star, exps.beta) ** 2 / mu
-    high = sobolev_norm(u2, 1.0) ** 2 / scale
+    low = weighted_norm(u1, mu, sym.j_star, exps.beta) ** 2 / mu
+    high = h1_norm(u2) ** 2 / scale
     sup = sup_norm(prof.field) / mu**exps.alpha
     g = prof.field.grid
     floor = float((np.finfo(float).eps * l2_norm(prof.field)) ** 2

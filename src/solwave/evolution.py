@@ -246,9 +246,9 @@ def stability_experiment(prob: Problem, profile: WaveProfile,
     base = profile.field
     if l2_norm(base) == 0:
         raise ConfigError("the profile is the zero field", field="profile")
-    if l2_norm(pert) > MAX_PERTURBATION * l2_norm(base):
-        raise ConfigError(f"perturbation exceeds {MAX_PERTURBATION:g} of the profile in L2",
-                          field="perturbation")
+    if not l2_norm(pert) <= MAX_PERTURBATION * l2_norm(base):  # true on NaN
+        raise ConfigError(f"perturbation is not finite or exceeds {MAX_PERTURBATION:g} "
+                          "of the profile in L2", field="perturbation")
     u0 = renormalize(base + pert, profile.mu)
     trace = evolve(prob, u0, cfg, reference=base)
     d0 = float(trace.orbit_dist[0])

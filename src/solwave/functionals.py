@@ -99,9 +99,6 @@ class DiscreteFunctional:
     def values_dealiased(self, c: np.ndarray) -> np.ndarray:
         return self.grid.to_values(c * self.mask)
 
-    def h1_sq(self, c: np.ndarray) -> float:
-        return float(np.sum(self.grid.h1_weight * np.abs(c) ** 2))
-
     # ``v``, when given, is values_dealiased(c), which the caller already holds;
     # a penalized energy is +inf outside the barrier domain (2R)^2
     def energy(self, c: np.ndarray, v: np.ndarray | None = None) -> float:
@@ -110,7 +107,7 @@ class DiscreteFunctional:
             v = self.values_dealiased(c)
         e = quad - self.quad_weight * float(np.sum(self.nl.primitive(v)))
         if self.pen is not None:
-            t = self.h1_sq(c)
+            t = self.grid.h1_sum(c)
             if t >= self.pen.limit:
                 return math.inf
             e += self.pen.rho(t)
@@ -119,7 +116,7 @@ class DiscreteFunctional:
     def gradient(self, c: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
         g = self.neg_mvals * c - self.nonlinear_coeffs(c, v)
         if self.pen is not None:
-            g = g + (2.0 * self.pen.rho_prime(self.h1_sq(c))) * self.grid.h1_weight * c
+            g = g + (2.0 * self.pen.rho_prime(self.grid.h1_sum(c))) * self.grid.h1_weight * c
         return g
 
     def nonlinear_coeffs(self, c: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:

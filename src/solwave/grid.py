@@ -114,6 +114,10 @@ class PeriodicGrid:
         """1 + k^2, the H^1 weight of each mode; its s-th power is the H^s weight."""
         return _frozen(1.0 + self.wavenumbers**2)
 
+    def h1_sum(self, c: np.ndarray) -> float:
+        """sum (1 + k^2)|c|^2, the squared H^1 norm of coefficients ``c``."""
+        return float(np.sum(self.h1_weight * np.abs(c) ** 2))
+
     @property
     def scale(self) -> float:
         return self.n / np.sqrt(self.period)
@@ -217,11 +221,9 @@ def l2_norm(u: SpectralField) -> float:
     return float(np.sqrt(np.sum(np.abs(u.coeffs) ** 2)))
 
 
-def sobolev_norm(u: SpectralField, s: float) -> float:
-    """Discrete H^s norm, sqrt(sum (1+k^2)^s |c|^2)."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    return float(np.sqrt(np.sum(u.grid.h1_weight ** s * np.abs(u.coeffs) ** 2)))
+def h1_norm(u: SpectralField) -> float:
+    """Discrete H^1 norm, sqrt(sum (1+k^2) |c|^2)."""
+    return float(np.sqrt(u.grid.h1_sum(u.coeffs)))
 
 
 def sup_norm(u: SpectralField) -> float:

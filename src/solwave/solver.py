@@ -163,8 +163,8 @@ def _descend(eng: DiscreteFunctional, cfg: SolveConfig,
                           f"{_SPEED_ULPS:g} ulps of m(0)", field="solver.mu", value=mu)
     scale = math.sqrt(2.0 * mu)
     c = c0 * (scale / np.sqrt(np.sum(np.abs(c0) ** 2)))
-    if eng.pen is not None and eng.h1_sq(c) >= eng.pen.limit:
-        raise BallExit(f"initial iterate has ||u||_H1^2 = {eng.h1_sq(c):.3e}, "
+    if eng.pen is not None and (t := eng.grid.h1_sum(c)) >= eng.pen.limit:
+        raise BallExit(f"initial iterate has ||u||_H1^2 = {t:.3e}, "
                        f"outside the barrier domain (2R)^2 = {eng.pen.limit:.3e}")
     c_ref = m_top + gap
     precond = 1.0 / (c_ref - eng.mvals)
@@ -320,8 +320,10 @@ def continuation_sweep(prob: Problem, mu_list: list[float],
     exact relabeling on the automatically chosen grids)."""
     if not mu_list:
         raise ConfigError("mu_list is empty", field="sweep.mu_list")
-    if any(b <= a for a, b in zip(mu_list, mu_list[1:])):
-        raise ConfigError("mu_list must be strictly ascending", field="sweep.mu_list")
+    # fails closed: a NaN anywhere, or an infinite last mu, is refused
+    if any(not a < b for a, b in zip(mu_list, [*mu_list[1:], math.inf])):
+        raise ConfigError("mu_list must be strictly ascending and finite",
+                          field="sweep.mu_list")
     profiles: list[WaveProfile] = []
     for mu in mu_list:
         cfg = replace(base_cfg, mu=mu)

@@ -15,8 +15,8 @@ from solwave.evolution import (EvolutionConfig, evolve, perturbation,
                                stability_experiment, travel_test)
 from solwave.functionals import (Penalization, Problem, energy,
                                  energy_gradient, momentum, reduced_problem)
-from solwave.grid import (PeriodicGrid, SpectralField, band_noise, inner_l2,
-                          l2_norm, sobolev_norm, tail_max)
+from solwave.grid import (PeriodicGrid, SpectralField, band_noise, h1_norm, inner_l2,
+                          l2_norm, tail_max)
 from solwave.longwave import (exponents, kdv_energy, kdv_soliton, kdv_speed,
                               orbit_distance)
 from solwave.nonlinearity import quadratic
@@ -247,7 +247,7 @@ def test_criterion_13_penalization_fidelity(prob, wave_low):
                       penalization=pen)
     pwave = minimize_constrained(prob, cfg)
     d, _ = orbit_distance(wave_low.field, pwave.field)
-    rho = pen.rho(sobolev_norm(pwave.field, 1.0) ** 2)
+    rho = pen.rho(h1_norm(pwave.field) ** 2)
     ok = d <= 1e-7 and rho == 0.0
     check(13, "penalization fidelity", ok,
           f"orbit distance={d:.2e}, rho at solution={rho:g}")

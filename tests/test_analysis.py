@@ -5,8 +5,7 @@ from pytest import approx
 from solwave.analysis import (TAU, band_split, convergence_rows, convergence_study,
                               reduced_reference, scaling_diagnostics, weighted_norm)
 from solwave.functionals import Problem, momentum
-from solwave.grid import (PeriodicGrid, SpectralField, band_noise, l2_norm,
-                          sobolev_norm, sup_norm)
+from solwave.grid import PeriodicGrid, SpectralField, band_noise, h1_norm, l2_norm, sup_norm
 from solwave.longwave import exponents
 from solwave.nonlinearity import quadratic
 from solwave.solver import SolveConfig, WaveProfile, continuation_sweep
@@ -45,15 +44,13 @@ def test_scaling_diagnostics_values(mini_sweep):
     rec = scaling_diagnostics(PROB, prof)
     u1, u2 = band_split(PROB.symbol, prof.field)
     assert rec.low_band_ratio == approx(
-        weighted_norm(u1, 0.9, prof.mu, 1, exps.beta) ** 2 / prof.mu, rel=1e-12)
+        weighted_norm(u1, prof.mu, 1, exps.beta) ** 2 / prof.mu, rel=1e-12)
     assert rec.sup_ratio == approx(sup_norm(prof.field) / prof.mu**exps.alpha, rel=1e-12)
     expo = 0.9 * exps.beta * 1.0 + 2.0
     assert rec.high_band_ratio == approx(
-        sobolev_norm(u2, 1.0) ** 2 / prof.mu**expo, rel=1e-12)
-    with pytest.raises(ValueError, match="tau"):
-        weighted_norm(u1, 1.0, prof.mu, 1, exps.beta)
+        h1_norm(u2) ** 2 / prof.mu**expo, rel=1e-12)
     with pytest.raises(ValueError, match="mu"):
-        weighted_norm(u1, 0.9, 0.0, 1, exps.beta)
+        weighted_norm(u1, 0.0, 1, exps.beta)
 
 
 def test_high_band_floor(mini_sweep):
@@ -71,12 +68,12 @@ def test_high_band_floor(mini_sweep):
     assert 0.3 * rec.high_band_floor <= rec.high_band_ratio <= 10.0 * rec.high_band_floor
 
 
-def test_tau_zero_reduces_to_unweighted(mini_sweep):
-    prof = mini_sweep[0]
-    u1, _ = band_split(PROB.symbol, prof.field)
-    k = u1.grid.wavenumbers
-    unweighted = float(np.sum((1.0 + k**4) * np.abs(u1.coeffs) ** 2))
-    assert weighted_norm(u1, 0.0, prof.mu, 1, 1.0 / 3.0) ** 2 == approx(unweighted, rel=1e-12)
+def test_weighted_norm_at_tau():
+    u = noise(30, PeriodicGrid(30.0, 256), band=80)
+    mu, beta = 1e-3, 1.0 / 3.0
+    k, c2 = u.grid.wavenumbers, np.abs(u.coeffs) ** 2
+    want = np.sum(c2) + mu ** (-4.0 * TAU * beta) * np.sum(k**4 * c2)
+    assert weighted_norm(u, mu, 1, beta) ** 2 == approx(want, rel=1e-13)
 
 
 def test_convergence_rows_schema(mini_sweep, reference):

@@ -117,6 +117,15 @@ def test_perturbation_size_gate(wave):
         stability_experiment(PROB, wave, big, EvolutionConfig())
 
 
+@pytest.mark.parametrize("size", [math.nan, math.inf])
+def test_non_finite_perturbation_is_refused(wave, size):
+    with np.errstate(invalid="ignore"):  # inf times the modes outside the band
+        pert = perturbation(wave.field.grid, l2_norm(wave.field), size, seed=1)
+    with pytest.raises(ConfigError) as err:
+        stability_experiment(PROB, wave, pert, EvolutionConfig())
+    assert err.value.info["field"] == "perturbation"
+
+
 def test_distances_invariant_under_initial_translation(wave):
     cfg = EvolutionConfig(dt=0.02, t_final=2.0, stride=25)
     a = evolve(PROB, wave.field, cfg, reference=wave.field)

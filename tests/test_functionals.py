@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from solwave.analysis import weighted_norm
 from solwave.errors import OutOfDomain
 from solwave.functionals import (Penalization, Problem, discretize, energy,
                                  energy_gradient, momentum, reduced_problem)
-from solwave.grid import PeriodicGrid, SpectralField, band_noise, inner_l2, sobolev_norm
+from solwave.grid import PeriodicGrid, SpectralField, band_noise, h1_norm, inner_l2
 from solwave.longwave import exponents, kdv_soliton
 from solwave.nonlinearity import nonlinearity_from_name, quadratic, signed_modulus
 from solwave.symbols import multiplier_values, whitham
@@ -109,7 +108,7 @@ def test_penalization_shape():
 def test_penalized_equals_plain_inside_ball():
     pen = Penalization(1.0)
     u = field(3, scale=0.2)
-    assert sobolev_norm(u, 1.0) ** 2 < 1.0
+    assert h1_norm(u) ** 2 < 1.0
     eng = discretize(PROB, u.grid, pen)
     assert eng.energy(u.coeffs) == energy(PROB, u)
     assert np.array_equal(eng.gradient(u.coeffs), energy_gradient(PROB, u).coeffs)
@@ -119,8 +118,8 @@ def test_penalized_gradient_finite_differences():
     pen = Penalization(0.25)  # small radius so rho is active at test scale
     h = 1e-6
     u = field(8)
-    u = u * np.sqrt(0.15 / sobolev_norm(u, 1.0) ** 2)
-    t = sobolev_norm(u, 1.0) ** 2
+    u = u * np.sqrt(0.15 / h1_norm(u) ** 2)
+    t = h1_norm(u) ** 2
     assert 0.0625 < t < 0.25  # inside the active band (R^2, (2R)^2)
     v = field(9)
     eng = discretize(PROB, u.grid, pen)
@@ -132,7 +131,7 @@ def test_penalized_gradient_finite_differences():
 def test_penalized_energy_is_infinite_outside_the_barrier_domain():
     pen = Penalization(0.25)
     u = field(8)
-    u = u * np.sqrt(0.3 / sobolev_norm(u, 1.0) ** 2)  # beyond (2R)^2 = 0.25
+    u = u * np.sqrt(0.3 / h1_norm(u) ** 2)  # beyond (2R)^2 = 0.25
     eng = discretize(PROB, u.grid, pen)
     assert eng.energy(u.coeffs) == np.inf
     with pytest.raises(OutOfDomain):
@@ -183,23 +182,6 @@ def test_reduced_functional_drops_the_remainder():
     assert energy(red, u) == energy(KDV, u)
     got, want = (energy_gradient(prob, u).coeffs for prob in (red, KDV))
     assert got.tobytes() == want.tobytes()
-
-
-def test_weighted_norm_tau_zero():
-    u = field(30)
-    k = u.grid.wavenumbers
-    direct = np.sqrt(np.sum((1.0 + k**4) * np.abs(u.coeffs) ** 2))
-    assert weighted_norm(u, 0.0, 0.5, 1, 1.0 / 3.0) == approx(direct, rel=1e-13)
-
-
-def test_weighted_norm_monotone_in_tau():
-    u = field(31)
-    mu = 1e-3
-    taus = [0.0, 0.3, 0.6, 0.9]
-    vals = [weighted_norm(u, t, mu, 1, 1.0 / 3.0) for t in taus]
-    assert all(a <= b * (1 + 1e-14) for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        weighted_norm(u, 1.0, mu, 1, 1.0 / 3.0)
 
 
 def test_amplitude_scaling_of_energy_parts():

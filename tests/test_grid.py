@@ -9,8 +9,8 @@ from pytest import approx
 import solwave
 from solwave.errors import GridMismatch, ResolutionLoss, TailTooLarge
 from solwave.grid import (RESOLVED, PeriodicGrid, SpectralField, aligned, band_noise,
-                          change_points, high_mode_ratio, inner_l2, irfft, l2_norm,
-                          rfft, sobolev_norm, sup_norm, tail_max)
+                          change_points, h1_norm, high_mode_ratio, inner_l2, irfft,
+                          l2_norm, rfft, sup_norm, tail_max)
 from solwave.longwave import KDV_DECAY, kdv_profile, kdv_soliton
 
 
@@ -159,16 +159,11 @@ def test_inner_l2_matches_spectral_sum(seed):
     assert inner_l2(u, v) == approx(spectral, abs=1e-10)
 
 
-def test_sobolev_norm():
+def test_h1_norm():
     g = PeriodicGrid(11.0, 64)
-    u = random_field(g, 3)
-    assert sobolev_norm(u, 0.0) == approx(l2_norm(u), rel=1e-14)
     k1 = 2 * np.pi / g.period
     mode = SpectralField.from_values(g, np.cos(k1 * g.nodes))
-    assert sobolev_norm(mode, 1.0) ** 2 == approx((1 + k1**2) * l2_norm(mode) ** 2, rel=1e-13)
-    assert sobolev_norm(u, 0.5) <= sobolev_norm(u, 1.0) <= sobolev_norm(u, 2.0)
-    with pytest.raises(ValueError):
-        sobolev_norm(u, -1.0)
+    assert h1_norm(mode) ** 2 == approx((1 + k1**2) * l2_norm(mode) ** 2, rel=1e-13)
 
 
 def test_dealias():

@@ -252,6 +252,17 @@ def test_sweep_input_validation():
         continuation_sweep(PROB, [1e-3, 1e-4], SolveConfig())
 
 
+def test_sweep_refuses_non_finite_mu_before_any_solve(monkeypatch):
+    def solve(*args):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr("solwave.solver.minimize_constrained", solve)
+    for mus in ([1e-2, math.nan, 1e-3], [math.nan], [1e-3, math.nan], [1e-3, math.inf]):
+        with pytest.raises(ConfigError) as err:
+            continuation_sweep(PROB, mus, SolveConfig())
+        assert err.value.info["field"] == "sweep.mu_list"
+
+
 def test_solve_config_validation():
     with pytest.raises(ConfigError):
         SolveConfig(mu=-1.0)
