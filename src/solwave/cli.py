@@ -31,7 +31,8 @@ from .evolution import (MAX_PERTURBATION, EvolutionConfig, StabilityReport, pert
 from .functionals import Problem
 from .grid import l2_norm
 from .nonlinearity import nonlinearity_from_name
-from .solver import SolveConfig, continuation_sweep, minimize_constrained, sweep_rows
+from .solver import (SolveConfig, check_mu_list, continuation_sweep, minimize_constrained,
+                     sweep_rows)
 from .symbols import symbol_from_name, validate_symbol
 
 DEFAULT_CONFIG = {  # the grid, solver and evolution defaults are the library configs'
@@ -115,13 +116,11 @@ class Run:
                                          stride=v["evolution.stride"])
         self.mu_list, self.scales, self.seed = (
             v["sweep.mu_list"], v["stability.scales"], v["stability.seed"])
+        check_mu_list(self.mu_list)
         # every test is false on NaN; the stability scales stay below the
         # library's own bound, which compares norms and fires through
         # round-off at scale = MAX_PERTURBATION itself
         for field, ok, need in (
-                ("sweep.mu_list", self.mu_list and all(
-                    0 < a < b for a, b in zip(self.mu_list, [*self.mu_list[1:], math.inf])),
-                 "a nonempty, strictly ascending list of finite positive numbers"),
                 ("stability.scales", self.scales and all(
                     0 < s < MAX_PERTURBATION for s in self.scales),
                  f"a nonempty list of positive numbers below {MAX_PERTURBATION:g}"),
@@ -228,8 +227,7 @@ def cmd_validate_symbol(args, run: Run) -> int:
         fileio.write_json(out / "symbol_report.json", {
             "symbol": report.symbol,
             "passed": report.passed,
-            "checks": [{"name": c.name, "passed": c.passed, "worst_k": c.worst_k,
-                        "detail": c.detail} for c in report.checks],
+            "checks": [asdict(c) for c in report.checks],
         })
     report.raise_if_failed()
     print(f"symbol {run.config['problem']['symbol']!r} passed all checks")

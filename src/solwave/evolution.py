@@ -90,8 +90,12 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
             warnings.warn(f"dt = {cfg.dt:g} exceeds the advisory advective bound "
                           f"{bound:.3g}", RuntimeWarning, stacklevel=2)
     elif isinstance(system, DispersionSymbol):
-        # the purely dispersive flow is exact for every dt: no advisory
-        mvals, f = multiplier_values(system, grid), None
+        # the same step with a zero flux, exact for every dt: no advisory
+        mvals = multiplier_values(system, grid)
+
+        def f(c, out):
+            out.fill(0.0)
+            return out
 
         def energy_of(full):
             return -0.5 * float(np.sum(mvals * np.abs(full) ** 2))
@@ -149,9 +153,6 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
     mul, add = np.multiply, np.add
 
     def step_once(c):
-        if f is None:
-            mul(e_full, c, c)
-            return
         f(c, f1)
         mul(h2, f1, s)                    # a = e_half (c + dt/2 f1)
         add(c, s, s)
@@ -221,10 +222,14 @@ def perturbation(grid: PeriodicGrid, profile_norm: float, rel_size: float,
     """Band-limited random field with ||p||_0 = rel_size * profile_norm.
 
     Uses the counter-based Philox generator: the stream is reproducible from
-    the 64-bit seed alone.
+    the 64-bit seed alone.  A size that is negative or not finite is refused.
     """
+    size = rel_size * profile_norm
+    if not 0 <= size < math.inf:  # true on NaN
+        raise ConfigError(f"perturbation size must be finite and nonnegative, got {size!r}",
+                          field="perturbation", value=size)
     rng = np.random.Generator(np.random.Philox(seed))
-    return band_noise(grid, band, rng) * (rel_size * profile_norm)
+    return band_noise(grid, band, rng) * size
 
 
 @dataclass

@@ -94,7 +94,6 @@ class DiscreteFunctional:
         # real factors of complex products, cast once as numpy would per call
         self.mask = grid.dealias_mask.astype(complex)
         self.neg_mvals = (-self.mvals).astype(complex)
-        self.quad_weight = grid.period / grid.n
 
     def values_dealiased(self, c: np.ndarray) -> np.ndarray:
         return self.grid.to_values(c * self.mask)
@@ -105,7 +104,7 @@ class DiscreteFunctional:
         quad = -0.5 * float(np.sum(self.mvals * np.abs(c) ** 2))
         if v is None:
             v = self.values_dealiased(c)
-        e = quad - self.quad_weight * float(np.sum(self.nl.primitive(v)))
+        e = quad - self.grid.spacing * float(np.sum(self.nl.primitive(v)))
         if self.pen is not None:
             t = self.grid.h1_sum(c)
             if t >= self.pen.limit:

@@ -213,8 +213,7 @@ def require_same_grid(u: SpectralField, v: SpectralField):
 def inner_l2(u: SpectralField, v: SpectralField) -> float:
     """(P/N) sum_j u_j v_j; trapezoid is exact for band-limited integrands."""
     require_same_grid(u, v)
-    g = u.grid
-    return float((g.period / g.n) * np.dot(u.values, v.values))
+    return float(u.grid.spacing * np.dot(u.values, v.values))
 
 
 def l2_norm(u: SpectralField) -> float:

@@ -170,14 +170,12 @@ def polynomial(coeffs: dict[int, float]) -> Nonlinearity:
     """n(x) = sum_d coeffs[d] x^d: the lowest degree is the leading part and
     the others the remainder.
 
-    Degrees below 2 are rejected (n must vanish to second order at 0), and
-    non-finite coefficients by ``Nonlinearity``.
+    ``Nonlinearity`` rejects a lowest degree below 2 (n must vanish to second
+    order at 0) and non-finite coefficients.
     """
     degs = sorted(d for d, c in coeffs.items() if c != 0.0)
     if not degs:
         raise ValueError("all coefficients vanish")
-    if degs[0] < 2:
-        raise ValueError("polynomial nonlinearity needs degree >= 2 terms only")
     p, rest = degs[0], degs[1:]
     remainder = tuple(float(coeffs[d]) if d in rest else 0.0
                       for d in range(degs[-1] + 1)) if rest else ()

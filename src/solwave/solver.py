@@ -313,17 +313,19 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
                         iterations=cfg.max_iter, residual=res)
 
 
+def check_mu_list(mu_list: list[float]):
+    """Refuse a mu list unless nonempty, strictly ascending, finite and positive (NaN fails)."""
+    if not (mu_list and all(0 < a < b for a, b in zip(mu_list, [*mu_list[1:], math.inf]))):
+        raise ConfigError("sweep.mu_list must be a nonempty, strictly ascending list of "
+                          f"finite positive numbers, got {mu_list!r}", field="sweep.mu_list")
+
+
 def continuation_sweep(prob: Problem, mu_list: list[float],
                        base_cfg: SolveConfig) -> list[WaveProfile]:
     """Solve an ascending mu family, warm-starting each solve after the
     first from the previous wave rescaled through the long-wave frame (an
     exact relabeling on the automatically chosen grids)."""
-    if not mu_list:
-        raise ConfigError("mu_list is empty", field="sweep.mu_list")
-    # fails closed: a NaN anywhere, or an infinite last mu, is refused
-    if any(not a < b for a, b in zip(mu_list, [*mu_list[1:], math.inf])):
-        raise ConfigError("mu_list must be strictly ascending and finite",
-                          field="sweep.mu_list")
+    check_mu_list(mu_list)
     profiles: list[WaveProfile] = []
     for mu in mu_list:
         cfg = replace(base_cfg, mu=mu)

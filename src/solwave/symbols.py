@@ -69,16 +69,13 @@ _CUTOFF_K_MAX = 100.0
 def cutoff_wavenumber(eval_m) -> float:
     """Smallest k beyond which m stays at or below m(0)/2: sample, then
     bisect the last crossing until the bracket holds two adjacent doubles
-    and return its upper end, where m <= m(0)/2."""
+    and return its upper end, where m <= m(0)/2.
+
+    Its domain is the bundled symbols' multipliers: m(0) > 0, and m falls
+    below m(0)/2 for the last time inside the scan, before k = 100."""
     m_zero = float(eval_m(0.0))
     ks = np.linspace(0.0, _CUTOFF_K_MAX, _CUTOFF_SAMPLES)
-    vals = np.asarray(eval_m(ks), dtype=float)
-    above = np.nonzero(vals > 0.5 * m_zero)[0]
-    if len(above) == 0:
-        return 0.0
-    i = int(above[-1])
-    if i + 1 >= len(ks):
-        raise ValueError(f"m(k) still exceeds m(0)/2 at k = {_CUTOFF_K_MAX:g}")
+    i = int(np.nonzero(np.asarray(eval_m(ks), dtype=float) > 0.5 * m_zero)[0][-1])
     lo, hi = float(ks[i]), float(ks[i + 1])
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if float(eval_m(mid)) > 0.5 * m_zero:

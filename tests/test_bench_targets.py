@@ -4,13 +4,16 @@ timings call package functions directly.
 ``bench/tracer.py`` wraps each of its ``TARGETS`` in every solwave module that
 holds it; a name that no longer exists fails the benchmark before it measures
 anything.  ``bench/micro.py`` calls ``default_grid``, ``kdv_scaled_seed`` and
-``discretize`` by position.  Both are loaded by path, as the benchmark runs them.
+``discretize`` by position.  Both are loaded by path, as the benchmark runs them,
+and so is ``bench/workloads.py``, whose smoke rounds run here untimed.
 """
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -67,3 +70,17 @@ def test_layer_timings_run_on_the_current_signatures(monkeypatch):
     from solwave.symbols import whitham
     timings = micro.layer_timings(Problem(whitham(), quadratic()))
     assert len(timings) == 8 * len(micro.SIZES)
+
+
+@pytest.mark.parametrize("name", ["stability", "pipeline"])
+def test_workload_smoke_round_passes_its_gates(name, tmp_path, monkeypatch):
+    # bench/workloads.py drives perturbation, the sweep and the CLI as the
+    # benchmark does; one untimed smoke round of each passes every gate
+    monkeypatch.syspath_prepend(str(TRACER.parent))  # workloads imports calib
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  TRACER.with_name("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    session = workloads.Session()
+    workloads.WORKLOADS[name](7, 0, True, tmp_path).round(session)
+    assert session.attempted > 0 and session.failed == 0, session.ops

@@ -682,11 +682,28 @@ def test_stability_command(sweep_dir, tmp_path):
     out = tmp_path / "st"
     rc = main(["stability", "--profile", str(sweep_dir / "profiles" / "profile_001.csv"),
                "--scale", "0.01", "--T", "1.0", "--dt", "0.02",
-               "--seed", "42", "--out", str(out)])
-    assert rc == 0
+               "--seed", "0", "--out", str(out)])
+    assert rc == 0  # a seed is nonnegative, so 0 is a seed like any other
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["runs"][0]["seed"] == 42
+    assert summary["runs"][0]["seed"] == 0
     assert summary["runs"][0]["ratio"] >= 0
+
+
+class _ClosedPipe(io.TextIOBase):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_failing_stdout_is_one_json_error_line(capsys):
+    # an OSError outside the commands' own checks, here a reader that went
+    # away, still ends in exit 1 and one strict-JSON line on stderr
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        rc = main(["validate-symbol"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0], parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+    assert err == {"error": "CONFIG", "message": "[Errno 32] Broken pipe"}
 
 
 @pytest.mark.parametrize("command, flags, echoed, outputs", [

@@ -12,7 +12,7 @@ from solwave.evolution import (EvolutionConfig, evolve, perturbation, stability_
                                travel_test)
 from solwave.functionals import Problem, discretize, momentum
 from solwave.grid import (RESOLVED, PeriodicGrid, SpectralField, aligned, high_mode_ratio,
-                          l2_norm)
+                          l2_norm, sup_norm)
 from solwave.longwave import kdv_profile
 from solwave.nonlinearity import nonlinearity_from_name, quadratic
 from solwave.solver import SolveConfig, minimize_constrained
@@ -97,7 +97,8 @@ def test_travel_test(wave):
 def test_zero_perturbation_reduces_to_travel(wave):
     # without a perturbation the distance stays at the travel shape error
     cfg = EvolutionConfig(dt=0.02, t_final=5.0, stride=50)
-    pert = SpectralField.from_values(wave.field.grid, np.zeros(wave.field.grid.n))
+    pert = perturbation(wave.field.grid, l2_norm(wave.field), 0.0, seed=1)
+    assert l2_norm(pert) == 0.0
     rep = stability_experiment(PROB, wave, pert, cfg)
     assert rep.max_dist <= 1e-9
 
@@ -117,12 +118,11 @@ def test_perturbation_size_gate(wave):
         stability_experiment(PROB, wave, big, EvolutionConfig())
 
 
-@pytest.mark.parametrize("size", [math.nan, math.inf])
+@pytest.mark.parametrize("size", [math.nan, math.inf, -0.05])
 def test_non_finite_perturbation_is_refused(wave, size):
-    with np.errstate(invalid="ignore"):  # inf times the modes outside the band
-        pert = perturbation(wave.field.grid, l2_norm(wave.field), size, seed=1)
+    # refused where the size is given, before any noise is drawn or scaled
     with pytest.raises(ConfigError) as err:
-        stability_experiment(PROB, wave, pert, EvolutionConfig())
+        perturbation(wave.field.grid, l2_norm(wave.field), size, seed=1)
     assert err.value.info["field"] == "perturbation"
 
 
@@ -168,6 +168,19 @@ def test_blowup_detected():
             pytest.warns(RuntimeWarning), pytest.raises(Blowup) as err:
         evolve(PROB, u0, EvolutionConfig(dt=5.0, t_final=50.0, stride=1))
     assert_drifts_from_zero(err.value.info["trace"])
+
+
+def test_blowup_threshold_scales_with_initial_sup():
+    # the linear Whitham flow refocuses a pulse dispersed backward by T = 100:
+    # at sup |u0| = 20 the run climbs 3.8-fold to 76.6, far below 1e3 times
+    # the initial sup (2e4), though past 1e3 divided by it (50)
+    g = PeriodicGrid(400.0, 2048)
+    pulse = SpectralField.from_values(g, np.exp(-g.nodes ** 2))
+    spread = evolve(whitham(), pulse, EvolutionConfig(dt=0.5, t_final=-100.0, stride=200)).final
+    u0 = spread * (20.0 / sup_norm(spread))
+    trace = evolve(whitham(), u0, EvolutionConfig(dt=0.5, t_final=100.0, stride=20))
+    assert sup_norm(trace.final) == approx(76.6, rel=1e-3)
+    assert l2_norm(trace.final - pulse * (20.0 / sup_norm(spread))) <= 1e-10 * l2_norm(u0)
 
 
 def test_non_finite_field_is_resolution_loss():

@@ -209,6 +209,13 @@ def test_tail_max_gate():
     assert tail_max(cos) == approx(0.3, rel=1e-2)
     with pytest.raises(TailTooLarge):
         kdv_soliton(PeriodicGrid(8.0, 64))
+    # the gate is tail_max <= 1e-12: on 512 points the sampled tail is 8.6e-13
+    # at P = 28.5, which passes, and 1.11e-12 at P = 28.25, which is refused
+    assert tail_max(kdv_soliton(PeriodicGrid(28.5, 512))) < 1e-12
+    g = PeriodicGrid(28.25, 512)
+    assert 1e-12 < tail_max(SpectralField.from_values(g, kdv_profile(g.nodes))) < 1.5e-12
+    with pytest.raises(TailTooLarge):
+        kdv_soliton(g)
 
 
 def test_high_mode_ratio_is_the_resolution_rule():

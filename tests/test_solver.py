@@ -6,6 +6,7 @@ the acceptance suite exercises the production mu range.
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,7 +204,11 @@ def test_petviashvili_self_consistency():
     pet = petviashvili(PROB, 1.01, cfg)
     assert pet.residual <= 1e-10
     assert pet.speed == 1.01
-    assert pet.mu > 0
+    # with no guess, the seed's momentum inverts nu = m(0) + kdv_speed() mu^gamma,
+    # and the wave stays on that momentum's automatic grid
+    mu_lw = ((1.01 - PROB.symbol.m_zero) / kdv_speed()) ** (1.0 / EXPS.gamma)
+    assert pet.field.grid == default_grid(replace(cfg, mu=mu_lw), PROB.symbol.k_cut, EXPS)
+    assert pet.mu == approx(mu_lw, rel=0.02)
 
 
 def test_petviashvili_fixed_point_invariance(wave):
@@ -246,10 +251,11 @@ def test_continuation_sweep_table():
 
 
 def test_sweep_input_validation():
-    with pytest.raises(ConfigError):
-        continuation_sweep(PROB, [], SolveConfig())
-    with pytest.raises(ConfigError):
-        continuation_sweep(PROB, [1e-3, 1e-4], SolveConfig())
+    # the CLI's rule: a zero or negative mu fails on the list, not on one solve
+    for mus in ([], [1e-3, 1e-4], [0.0], [-1e-3, 1e-3], [1e-3, 1e-3]):
+        with pytest.raises(ConfigError) as err:
+            continuation_sweep(PROB, mus, SolveConfig())
+        assert err.value.info["field"] == "sweep.mu_list", mus
 
 
 def test_sweep_refuses_non_finite_mu_before_any_solve(monkeypatch):

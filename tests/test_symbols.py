@@ -62,15 +62,6 @@ def test_cutoff_is_first_double_at_half_height():
         assert sym.eval(np.nextafter(sym.k_cut, 0.0)) > sym.m_zero / 2
 
 
-def test_cutoff_wavenumber_outside_its_scan():
-    # still above m(0)/2 at the last sample k = 100: no crossing to bisect
-    with pytest.raises(ValueError, match="still exceeds"):
-        cutoff_wavenumber(lambda k: 1.0 / (1.0 + 1e-6 * np.asarray(k) ** 2))
-    # m(0) <= 0 and m <= m(0)/2 at every sample: there is no crossing at all
-    assert cutoff_wavenumber(lambda k: 0.0 * np.asarray(k)) == 0.0
-    assert cutoff_wavenumber(lambda k: -1.0 - np.asarray(k) ** 2) == 0.0
-
-
 def test_bundled_cutoff_is_scanned_once():
     # the cached value is the double a fresh scan gives
     w, g = whitham(), gaussian()
