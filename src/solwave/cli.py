@@ -138,38 +138,32 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def cmd_solve(args, run: Run) -> int:
-    out = _out_dir(args.out)
-    t0 = time.time()
+# A command computes, writes its files into ``out`` and prints its lines;
+# ``main`` checks ``out`` first and writes the manifest last, with what it returns.
+def cmd_solve(args, run: Run, out: Path) -> dict:
     prof = minimize_constrained(run.problem, run.solve)
     fileio.write_profile(out / "profile.csv", prof)
-    fileio.write_manifest(out / "manifest.json", "solve", run.config, t0)
     print(f"solved mu={prof.mu:g}: nu={prof.speed:.12g} residual={prof.residual:.3e} "
           f"iterations={prof.iterations}")
-    return 0
+    return {}
 
 
-def cmd_sweep(args, run: Run) -> int:
-    out = _out_dir(args.out)
-    t0 = time.time()
+def cmd_sweep(args, run: Run, out: Path) -> dict:
     profiles = continuation_sweep(run.problem, run.mu_list, run.solve)
     for i, prof in enumerate(profiles):
         fileio.write_profile(out / "profiles" / f"profile_{i:03d}.csv", prof)
     fileio.write_rows_csv(out / "sweep.csv", sweep_rows(profiles))
-    fileio.write_manifest(out / "manifest.json", "sweep", run.config, t0)
     print(f"sweep of {len(profiles)} waves written to {out}")
-    return 0
+    return {}
 
 
-def cmd_compare_kdv(args, run: Run) -> int:
+def cmd_compare_kdv(args, run: Run, out: Path) -> dict:
     src = Path(args.sweep_dir)
-    out = _out_dir(args.out) if args.out else src  # a sweep-dir with profiles is a directory
     paths = sorted(src.glob("profiles/profile_*.csv"))
     if not paths:
         raise ConfigError(f"no sweep profiles under {src}", field="sweep-dir")
     prob = run.problem
     profiles = [fileio.read_profile(p, prob) for p in paths]
-    t0 = time.time()
     comparisons = convergence_study(prob, profiles, reduced_reference(prob, profiles))
     records = [scaling_diagnostics(prob, p) for p in profiles]
     fileio.write_rows_csv(out / "convergence.csv", convergence_rows(comparisons, records))
@@ -178,31 +172,23 @@ def cmd_compare_kdv(args, run: Run) -> int:
                      [(r.mu, r.high_band_ratio, r.high_band_floor) for r in records])
     for i, c in enumerate(comparisons):
         fileio.write_field_csv(out / "scaled" / f"scaled_{i:03d}.csv", c.scaled)
-    fileio.write_manifest(out / "manifest_compare.json", "compare-kdv", run.config, t0)
     print(f"convergence study over {len(profiles)} waves written to {out}")
-    return 0
+    return {}
 
 
-def cmd_evolve(args, run: Run) -> int:
-    out = _out_dir(args.out)
+def cmd_evolve(args, run: Run, out: Path) -> dict:
     prof = fileio.read_profile(args.profile, run.problem)
-    t0 = time.time()
     report = travel_test(run.problem, prof, run.evolution)
     fileio.write_rows_csv(out / "trace.csv", report.trace.rows())
     fileio.write_field_csv(out / "final.csv", report.trace.final)
-    fileio.write_manifest(out / "manifest.json", "evolve", run.config, t0,
-                          shape_error=report.shape_error,
-                          measured_speed=report.measured_speed,
-                          speed_error=report.speed_error)
     print(f"travelled T={run.evolution.t_final:g}: shape_error={report.shape_error:.3e} "
           f"speed_error={report.speed_error:.3e}")
-    return 0
+    return {"shape_error": report.shape_error, "measured_speed": report.measured_speed,
+            "speed_error": report.speed_error}
 
 
-def cmd_stability(args, run: Run) -> int:
-    out = _out_dir(args.out)
+def cmd_stability(args, run: Run, out: Path) -> dict:
     prof = fileio.read_profile(args.profile, run.problem)
-    t0 = time.time()
     summaries = []
     for i, scale in enumerate(run.scales):
         pert = perturbation(prof.field.grid, l2_norm(prof.field), scale, run.seed + i)
@@ -214,24 +200,18 @@ def cmd_stability(args, run: Run) -> int:
         print(f"scale={scale:g}: initial={rep.initial_dist:.3e} "
               f"max={rep.max_dist:.3e} ratio={rep.ratio:.2f}")
     fileio.write_json(out / "summary.json", {"runs": summaries})
-    fileio.write_manifest(out / "manifest.json", "stability", run.config, t0)
-    return 0
+    return {}
 
 
-def cmd_validate_symbol(args, run: Run) -> int:
-    out = args.out and _out_dir(args.out)
+def cmd_validate_symbol(args, run: Run, out: Path | None) -> dict:
     report = validate_symbol(run.problem.symbol)
     for line in report.lines():
         print(line)
     if out:
-        fileio.write_json(out / "symbol_report.json", {
-            "symbol": report.symbol,
-            "passed": report.passed,
-            "checks": [asdict(c) for c in report.checks],
-        })
+        fileio.write_json(out / "symbol_report.json", {**asdict(report), "passed": report.passed})
     report.raise_if_failed()
     print(f"symbol {run.config['problem']['symbol']!r} passed all checks")
-    return 0
+    return {}
 
 
 def _float_list(text: str) -> list[float]:
@@ -253,24 +233,24 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("solve", help="compute one constrained minimizer")
     p.add_argument("--mu", dest="solver.mu", type=float)
     p.add_argument("--out", default="out-solve")
-    p.set_defaults(fn=cmd_solve)
+    p.set_defaults(fn=cmd_solve, manifest="manifest.json")
 
     p = sub.add_parser("sweep", help="continuation over a mu list")
     p.add_argument("--mu-list", dest="sweep.mu_list", type=_float_list)
     p.add_argument("--out", default="out-sweep")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, manifest="manifest.json")
 
     p = sub.add_parser("compare-kdv", help="long-wave comparison of an existing sweep")
     p.add_argument("--sweep-dir", required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_compare_kdv)
+    p.set_defaults(fn=cmd_compare_kdv, manifest="manifest_compare.json")
 
     p = sub.add_parser("evolve", help="travel test of a stored profile")
     p.add_argument("--profile", required=True)
     p.add_argument("--T", dest="evolution.t_final", type=float)
     p.add_argument("--dt", dest="evolution.dt", type=float)
     p.add_argument("--out", default="out-evolve")
-    p.set_defaults(fn=cmd_evolve)
+    p.set_defaults(fn=cmd_evolve, manifest="manifest.json")
 
     p = sub.add_parser("stability", help="perturb a stored profile and evolve")
     p.add_argument("--profile", required=True)
@@ -279,12 +259,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--T", dest="evolution.t_final", type=float)
     p.add_argument("--dt", dest="evolution.dt", type=float)
     p.add_argument("--out", default="out-stability")
-    p.set_defaults(fn=cmd_stability)
+    p.set_defaults(fn=cmd_stability, manifest="manifest.json")
 
     p = sub.add_parser("validate-symbol", help="run the multiplier checks")
     p.add_argument("--name", dest="problem.symbol")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_validate_symbol)
+    p.set_defaults(fn=cmd_validate_symbol, manifest=None)
 
     try:
         args = parser.parse_args(argv)
@@ -296,7 +276,14 @@ def main(argv: list[str] | None = None) -> int:
         # the gates turn an overflowing or non-finite field into a typed error;
         # numpy's own warnings would only print internal source lines first
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.fn(args, Run(cfg))
+            run = Run(cfg)
+            out = (_out_dir(args.out) if args.out
+                   else Path(args.sweep_dir) if args.command == "compare-kdv" else None)
+            t0 = time.time()
+            extra = args.fn(args, run, out)
+            if args.manifest:  # the last file, and only of a command that succeeded
+                fileio.write_manifest(out / args.manifest, args.command, cfg, t0, **extra)
+        return 0
     except SolwaveError as exc:
         err = {"error": exc.code, "message": str(exc)}
         err.update({k: None if isinstance(v, float) and not math.isfinite(v) else v

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import Blowup, ConfigError, ResolutionLoss
-from .functionals import Problem, discretize, momentum
+from .functionals import Problem, discretize, momentum, quadratic_energy
 from .grid import (RESOLVED, PeriodicGrid, SpectralField, aligned, band_noise,
                    high_mode_ratio, l2_norm, sup_norm)
 from .longwave import orbit_distance
@@ -92,13 +93,11 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
     elif isinstance(system, DispersionSymbol):
         # the same step with a zero flux, exact for every dt: no advisory
         mvals = multiplier_values(system, grid)
+        energy_of = partial(quadratic_energy, mvals)
 
         def f(c, out):
             out.fill(0.0)
             return out
-
-        def energy_of(full):
-            return -0.5 * float(np.sum(mvals * np.abs(full) ** 2))
     else:
         raise TypeError("system must be a Problem or a DispersionSymbol")
     lam = -grid.ik[:half] * mvals[:half]
@@ -111,7 +110,8 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
 
     def record(step):
         u = SpectralField.from_coeffs(grid, grid.unfold(c))
-        times.append(step * dt)
+        t = step * dt + 0.0  # + 0.0 turns the -0 of a backward run's start into 0
+        times.append(t)
         es.append(energy_of(u.coeffs))
         qs.append(momentum(u))
         d, y = orbit_distance(u, reference) if reference is not None else (0.0, 0.0)
@@ -120,16 +120,16 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
         sup = sup_norm(u)
         # a field that is no longer finite says the step failed, not the model
         if not np.isfinite(sup):
-            raise ResolutionLoss(f"sup |u| = {sup} at t = {step * dt:g}: the time "
-                                 "step does not resolve the flux", t=step * dt,
+            raise ResolutionLoss(f"sup |u| = {sup} at t = {t:g}: the time "
+                                 "step does not resolve the flux", t=t,
                                  trace=_pack(u))
         if sup > _BLOWUP_FACTOR * max(sup0, np.finfo(float).tiny):
-            raise Blowup(f"sup |u| = {sup:.3e} at t = {step * dt:g} "
-                         f"(initial {sup0:.3e})", t=step * dt, trace=_pack(u))
+            raise Blowup(f"sup |u| = {sup:.3e} at t = {t:g} "
+                         f"(initial {sup0:.3e})", t=t, trace=_pack(u))
         ratio = high_mode_ratio(u)
         if ratio > RESOLVED:
             raise ResolutionLoss(f"{ratio:.2e} of the peak coefficient above |m| = 0.3N "
-                                 f"at t = {step * dt:g}; refine the grid", t=step * dt,
+                                 f"at t = {t:g}; refine the grid", t=t,
                                  ratio=ratio, trace=_pack(u))
         return u
 

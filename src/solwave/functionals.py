@@ -101,10 +101,10 @@ class DiscreteFunctional:
     # ``v``, when given, is values_dealiased(c), which the caller already holds;
     # a penalized energy is +inf outside the barrier domain (2R)^2
     def energy(self, c: np.ndarray, v: np.ndarray | None = None) -> float:
-        quad = -0.5 * float(np.sum(self.mvals * np.abs(c) ** 2))
         if v is None:
             v = self.values_dealiased(c)
-        e = quad - self.grid.spacing * float(np.sum(self.nl.primitive(v)))
+        e = (quadratic_energy(self.mvals, c)
+             - self.grid.spacing * float(np.sum(self.nl.primitive(v))))
         if self.pen is not None:
             t = self.grid.h1_sum(c)
             if t >= self.pen.limit:
@@ -168,6 +168,12 @@ def reduced_problem(j_star: int, d2j_star: float, nl: Nonlinearity) -> Problem:
 
 
 # public evaluations ----------------------------------------------------------
+
+
+def quadratic_energy(mvals: np.ndarray, c: np.ndarray) -> float:
+    """-1/2 <u, Lu> from the coefficients ``c`` of u and the multiplier ``mvals``
+    on their grid: the dispersive part of E, and all of the linear flow's."""
+    return -0.5 * float(np.sum(mvals * np.abs(c) ** 2))
 
 
 def momentum(u: SpectralField) -> float:

@@ -201,9 +201,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return self * -1.0
-
 
 def require_same_grid(u: SpectralField, v: SpectralField):
     if u.grid != v.grid:

@@ -83,6 +83,8 @@ def test_unknown_config_key_fails_closed(tmp_path, capsys):
 def test_validate_symbol_command(tmp_path, capsys):
     rc = main(["validate-symbol", "--name", "whitham", "--out", str(tmp_path)])
     assert rc == 0
+    # the report is all it writes: validate-symbol has no manifest
+    assert [p.name for p in tmp_path.iterdir()] == ["symbol_report.json"]
     report = json.loads((tmp_path / "symbol_report.json").read_text())
     assert report["passed"] is True
     assert any(c["name"] == "NO_STRICT_MAX" for c in report["checks"])
@@ -378,7 +380,9 @@ def test_unresolved_solve_is_resolution_loss(tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "RESOLUTION_LOSS"
-    assert not (tmp_path / "o" / "profile.csv").exists()
+    # a failed command writes no manifest
+    for name in ("profile.csv", "manifest.json"):
+        assert not (tmp_path / "o" / name).exists(), name
 
 
 @pytest.mark.parametrize("doc, mu, code, rc, iterations", [
@@ -591,6 +595,11 @@ def test_compare_kdv_on_sweep(sweep_dir, compare_dir):
         assert np.array_equal(w, prof.mu ** -alpha * prof.field.values)
         field = SpectralField.from_values(grid, w)
         assert momentum(field) == pytest.approx(momentum(prof.field) / prof.mu, rel=1e-12)
+    # the manifest goes into --out, and the sweep directory keeps only its own
+    manifest = json.loads((compare_dir / "manifest_compare.json").read_text())
+    assert manifest["command"] == "compare-kdv"
+    assert not (sweep_dir / "manifest_compare.json").exists()
+    assert json.loads((sweep_dir / "manifest.json").read_text())["command"] == "sweep"
 
 
 def test_compare_kdv_writes_into_the_sweep_by_default(sweep_dir, tmp_path):

@@ -59,6 +59,8 @@ def test_linear_flow_time_reversal():
     back = evolve(whitham(), fwd.final,
                   EvolutionConfig(dt=0.01, t_final=-4.0, stride=100))
     assert l2_norm(back.final - u0) <= 1e-10 * l2_norm(u0)
+    # a backward run starts at t = +0, as a forward one does
+    assert math.copysign(1.0, back.times[0]) == 1.0
 
 
 def test_conservation_on_solitary_wave(wave):

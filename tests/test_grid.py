@@ -237,7 +237,7 @@ def test_field_arithmetic_and_immutability():
     assert np.allclose(s.values, u.values + v.values)
     d = (2.0 * u) - v
     assert np.allclose(d.coeffs, 2.0 * u.coeffs - v.coeffs)
-    assert sup_norm(-u) == sup_norm(u)
+    assert sup_norm(u * -1.0) == sup_norm(u)
     with pytest.raises(ValueError):
         u.values[0] = 1.0
     with pytest.raises(ValueError):
