@@ -78,7 +78,7 @@ _NULLABLE = {"grid.period": float, "grid.points": int}
 def _checked(value, default, field: str):
     """``value`` converted to the kind of ``default``, the key's default; a
     value of another kind is a config error naming ``field``.  A list
-    default means a list of numbers.  Booleans are not numbers; an integer
+    default means a list of numbers, each a ``fileio.is_number``; an integer
     may be written as a whole float."""
     if isinstance(default, list):
         if not isinstance(value, list):
@@ -90,8 +90,7 @@ def _checked(value, default, field: str):
     if kind is str:
         ok = isinstance(value, str)
     else:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and (kind is float or float(value).is_integer()))
+        ok = fileio.is_number(value) and (kind is float or float(value).is_integer())
     if not ok:
         raise ConfigError(f"{field} must be {_KINDS[kind]}, got {value!r}", field=field)
     return kind(value)

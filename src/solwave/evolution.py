@@ -127,7 +127,7 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
             raise Blowup(f"sup |u| = {sup:.3e} at t = {t:g} "
                          f"(initial {sup0:.3e})", t=t, trace=_pack(u))
         ratio = high_mode_ratio(u)
-        if ratio > RESOLVED:
+        if not ratio <= RESOLVED:  # also true on NaN
             raise ResolutionLoss(f"{ratio:.2e} of the peak coefficient above |m| = 0.3N "
                                  f"at t = {t:g}; refine the grid", t=t,
                                  ratio=ratio, trace=_pack(u))

@@ -16,7 +16,9 @@ A table's header is the keys of its first row.
 A stored profile is parsed in one call to numpy's C reader, which rounds
 correctly and so gives the doubles ``float()`` gives; a file it cannot open,
 a row it cannot read, a node that is not where the grid puts it, and a
-non-finite sample are each a ConfigError naming ``profile``.
+non-finite sample are each a ConfigError naming ``profile``.  A stored wave
+then meets a solved one's gates, ``solver.certify``: a ConfigError naming
+``meta`` for its speed and one naming ``profile`` for its resolution.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 import time
 import warnings
@@ -32,10 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, MuTooLarge, ResolutionLoss
 from .functionals import Problem
 from .grid import PeriodicGrid, SpectralField
-from .solver import WaveProfile
+from .solver import WaveProfile, certify
 
 _CONVENTION = "unitary-sqrtP"  # the grid's coefficient convention
 _FIELD_HEADER = "x,u"
@@ -47,6 +50,13 @@ _META = {"mu": ("mu", float, "positive"), "nu": ("speed", float, None),
          "nonlinearity": ("nonlinearity", str, None),
          "P": (None, float, None), "N": (None, int, None), "convention": (None, str, None)}
 _IN_RANGE = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
+
+
+def is_number(v) -> bool:
+    """An int or float, not a bool, that a double holds: what a JSON number
+    must be wherever solwave reads one."""
+    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
+                                    and abs(v) <= sys.float_info.max)
 
 
 def atomic_write(path, text: str):
@@ -170,8 +180,7 @@ def _check_meta(meta, grid: PeriodicGrid) -> None:
             raise ValueError(f"no {key!r}")
         v = meta[key]
         if kind is float:
-            ok = (isinstance(v, (int, float)) and not isinstance(v, bool)
-                  and math.isfinite(v))
+            ok = is_number(v) and math.isfinite(v)
         else:
             ok = isinstance(v, kind) and not isinstance(v, bool)
         if not ok:
@@ -188,8 +197,8 @@ def read_profile(path, prob: Problem) -> WaveProfile:
 
     Its meta must hold every entry that ``write_profile`` writes, with the
     grid of the samples, the package's convention, the symbol and
-    nonlinearity of ``prob``, and a speed nu above ``prob``'s m(0), as every
-    solve certifies; anything else is a ConfigError.  Other keys are ignored."""
+    nonlinearity of ``prob``, and pass ``certify`` with meta's nu and mu, as
+    every solve does: anything else is a ConfigError.  Other keys are ignored."""
     u = read_field_csv(path)
     meta_path = _meta_path(Path(path))
     try:
@@ -202,8 +211,11 @@ def read_profile(path, prob: Problem) -> WaveProfile:
         if meta[key] != wanted:
             raise ConfigError(f"{meta_path} was computed with {key} {meta[key]!r}, "
                               f"not {wanted!r}", field=f"problem.{key}")
-    if not meta["nu"] > prob.symbol.m_zero:
-        raise ConfigError(f"{meta_path}: nu = {meta['nu']!r} does not exceed "
-                          f"m(0) = {prob.symbol.m_zero!r}", field="meta")
+    try:
+        certify(prob, u, meta["nu"], meta["mu"])
+    except MuTooLarge as exc:
+        raise ConfigError(f"{meta_path}: {exc}", field="meta")
+    except ResolutionLoss as exc:
+        raise ConfigError(f"{path}: {exc}", field="profile")
     return WaveProfile(field=u, **{attr: meta[key] for key, (attr, _, _) in _META.items()
                                    if attr})

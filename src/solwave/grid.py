@@ -243,12 +243,13 @@ def high_mode_ratio(u: SpectralField) -> float:
     """max |c_m| over |m| > 0.3 N relative to max |c_m|; 0.0 for the zero field.
 
     The band holds the top of the 2/3 rule's kept band |m| <= N/3 and the
-    modes above it: the one resolution rule, which every solved wave and
-    every sample of a run must meet with a ratio of at most ``RESOLVED``.
+    modes above it: the one resolution rule, which every solved or read wave
+    and every sample of a run meets with a ratio of at most ``RESOLVED``; NaN,
+    which a spectrum that overflowed gives, fails it.
     """
     a = np.abs(u.coeffs)
     peak, high = float(np.max(a)), float(np.max(a[np.abs(u.grid.modes) > 0.3 * u.grid.n]))
-    return high / peak if peak > 0 else 0.0
+    return 0.0 if peak == 0 else high / peak
 
 
 def change_points(u: SpectralField, n: int, drop_tol: float = 1e-8) -> SpectralField:

@@ -8,7 +8,8 @@ residual drops below tolerance.  An independent Petviashvili fixed-point
 iteration at given speed serves as a cross-check oracle: the two methods
 meet on the same discrete travelling-wave equation from different sides.
 The reduced long-wave problem is a ``Problem`` too: both minimizers take one
-path (discretize, descend, ``_finish``), and ``_finish`` ends all three solvers.
+path (discretize, descend, ``_finish``), and ``_finish`` ends all three solvers
+with ``certify``, which also gates every wave ``fileio.read_profile`` reads.
 """
 
 from __future__ import annotations
@@ -217,19 +218,23 @@ def _descend(eng: DiscreteFunctional, cfg: SolveConfig,
         residual=history["residuals"][-1], history=history["residuals"])
 
 
+def certify(prob: Problem, u: SpectralField, nu: float, mu: float) -> SpectralField:
+    """``u``, once its speed exceeds m(0) (MU_TOO_LARGE otherwise) and its grid
+    resolves it (RESOLUTION_LOSS otherwise); both tests fail on NaN."""
+    if not nu > prob.symbol.m_zero:
+        raise MuTooLarge(f"nu = {nu!r} is subcritical (m(0) = {prob.symbol.m_zero:.17g})",
+                         nu=nu)
+    ratio = high_mode_ratio(u)
+    if not ratio <= RESOLVED:
+        raise ResolutionLoss(f"mu = {mu:g}: {ratio:.2e} of the peak coefficient above "
+                             f"|m| = 0.3N on N = {u.grid.n}", mu=mu, ratio=ratio)
+    return u
+
+
 def _finish(prob: Problem, eng: DiscreteFunctional, mu: float, c: np.ndarray,
             nu: float, res: float, its: int) -> WaveProfile:
-    """The certified wave of ``prob``: its speed exceeds m(0) (MU_TOO_LARGE
-    otherwise, the one place this is decided) and its grid resolves it."""
-    if nu <= prob.symbol.m_zero:
-        raise MuTooLarge(f"converged multiplier nu = {nu:g} is subcritical "
-                         f"(m(0) = {prob.symbol.m_zero:g})", nu=nu)
-    u = SpectralField.from_coeffs(eng.grid, c)
-    ratio = high_mode_ratio(u)
-    if ratio > RESOLVED:
-        raise ResolutionLoss(f"mu = {mu:g}: {ratio:.2e} of the peak coefficient above "
-                             f"|m| = 0.3N on N = {eng.grid.n}", mu=mu, ratio=ratio)
-    u = center(u)
+    """The certified wave of ``prob``, centred."""
+    u = center(certify(prob, SpectralField.from_coeffs(eng.grid, c), nu, mu))
     return WaveProfile(field=u, mu=mu, speed=nu, residual=res,
                        energy=eng.energy(u.coeffs), symbol=prob.symbol.name,
                        nonlinearity=prob.nonlinearity.name, iterations=its)

@@ -21,7 +21,7 @@ from solwave.analysis import (convergence_rows, convergence_study, reduced_refer
 from solwave.cli import DEFAULT_CONFIG, Run, load_config, main
 from solwave.errors import ConfigError
 from solwave.evolution import EvolutionConfig
-from solwave.fileio import _META, read_profile
+from solwave.fileio import _META, read_profile, write_csv
 from solwave.functionals import momentum
 from solwave.grid import PeriodicGrid, SpectralField
 from solwave.longwave import exponents
@@ -123,6 +123,8 @@ def bad_inputs(d):
                        ("iterations_negative", json.dumps({**full, "iterations": -5})),
                        # a wave the speed gate refused is never stored: nu < m(0) = 1
                        ("subcritical", json.dumps({**full, "nu": 0.99})),
+                       # an integer beyond the double range
+                       ("nu_huge", json.dumps({**full, "nu": 10**400})),
                        ("array", json.dumps([full]))]:
         (d / name).mkdir()
         (d / name / "profile.csv").write_text(good)
@@ -145,6 +147,20 @@ def bad_inputs(d):
         "steps_fraction": ("evolution.t_final", ["evolve", "--profile", str(cell),
                                        "--T", "1", "--dt", "0.3"]),
     }
+    # well-formed pairs whose samples fail the resolution rule, which every
+    # reading command refuses: a bump with a grid-scale ripple, and a bump so
+    # tall that its spectrum overflows
+    g = PeriodicGrid(40.0, 64)
+    bump = np.exp(-(g.nodes / 4.0) ** 2)
+    for name, u in (("ripple", bump + 1e-5 * (-1.0) ** np.arange(g.n)),
+                    ("overflow", 1e308 * bump)):
+        stored = d / name / "profiles" / "profile_000.csv"
+        stored.parent.mkdir(parents=True)
+        write_csv(stored, ["x", "u"], zip(g.nodes, u))
+        (stored.parent / "meta_000.json").write_text(json.dumps({**full, "P": 40.0, "N": 64}))
+        for cmd in (["compare-kdv", "--sweep-dir", str(d / name)],
+                    ["evolve", "--profile", str(stored)], ["stability", "--profile", str(stored)]):
+            cases[f"{name}_{cmd[0]}"] = ("profile", cmd)
     for case, sec in evolution.items():
         cases[case] = (f"evolution.{next(iter(sec))}", [
             "--config", write_config(d, {"evolution": sec}, f"{case}.json"),
@@ -157,6 +173,11 @@ def bad_inputs(d):
         "points_text": ({"grid": {"points": "abc"}}, ["solve"]),
         "dt_text": ({"evolution": {"dt": "abc"}}, ["evolve", "--profile", str(cell)]),
         "scales_text": ({"stability": {"scales": "abc"}}, ["stability", "--profile", str(cell)]),
+        # integers beyond the double range
+        "mu_huge": ({"solver": {"mu": 10**400}}, ["solve"]),
+        "points_huge": ({"grid": {"points": 10**400}}, ["solve"]),
+        "seed_huge": ({"stability": {"seed": 10**400}}, ["stability", "--profile", str(cell)]),
+        "mu_list_huge": ({"sweep": {"mu_list": [1e-3, 10**400]}}, ["sweep"]),
     }
     for case, (doc, cmd) in typed.items():
         (section, sec), = doc.items()
@@ -178,8 +199,8 @@ def bad_inputs(d):
         cases[f"speed_gap_{mu}"] = ("solver.mu", ["--config", write_config(
             d, {"grid": {"period": 800.0, "points": 1024}}, "speed_gap.json"),
             "solve", "--mu", mu])
-    cases["seed_negative"] = ("stability.seed", ["stability", "--profile", str(cell),
-                                                 "--seed", "-1"])
+    for case, seed in (("seed_negative", "-1"), ("seed_flag_huge", "1" + "0" * 400)):
+        cases[case] = ("stability.seed", ["stability", "--profile", str(cell), "--seed", seed])
     # rejected before the profile, which is unreadable here, is read: so no
     # member runs, and a scale of 10 % or more is refused before the first
     for s in ("0", "nan", "0.1"):
@@ -234,7 +255,7 @@ def bad_inputs(d):
         cases[case] = (f"problem.{key}", ["--config", write_config(
             d, {"problem": {key: name}}, f"{case}.json"), cmd])
     for name in ("mu_text", "mu_negative", "P", "N", "convention", "residual_negative",
-                 "iterations_negative", "subcritical", "array"):
+                 "iterations_negative", "subcritical", "nu_huge", "array"):
         cases[f"meta_{name}"] = ("meta", ["evolve", "--profile", str(d / name / "profile.csv")])
     cases["zero_profile"] = ("profile", ["stability", "--profile",
                                          str(d / "zero" / "profile.csv"), "--T", "0.1"])
@@ -259,6 +280,7 @@ def bad_inputs(d):
     "config_missing", "config_directory", "config_bytes", "config_array",
     "section_not_object", "sweep_without_profiles", "mu_null",
     "points_text", "dt_text", "tau_above_1", "scales_text", "points_range", "mu_list_text",
+    "mu_huge", "points_huge", "seed_huge", "mu_list_huge", "seed_flag_huge",
     "seed_negative", "grid_huge_symbol", "grid_huge_mu", "grid_overflow_mu",
     "speed_gap_1e-24", "speed_gap_1e-30", "speed_gap_1e-300",
     "band_negative", "scale_0", "scale_nan", "scale_0.1", "scales_empty",
@@ -268,7 +290,9 @@ def bad_inputs(d):
     "symbol_value_count", "nonlinearity_unknown", "nonlinearity_unparsed_solve",
     "nonlinearity_value_count", "meta_mu_text", "meta_mu_negative", "meta_P", "meta_N",
     "meta_convention", "meta_residual_negative", "meta_iterations_negative",
-    "meta_subcritical", "meta_array", "zero_profile",
+    "meta_subcritical", "meta_nu_huge", "meta_array", "zero_profile",
+    *(f"{name}_{cmd}" for name in ("ripple", "overflow")
+      for cmd in ("compare-kdv", "evolve", "stability")),
     "profile_other_symbol", "profile_other_nonlinearity",
     *(f"nonlinearity_{name}" for name in REFUSED_NONLINEARITIES)])
 def test_bad_input_fails_closed(tmp_path, capsys, case):
@@ -321,7 +345,7 @@ def test_profile_problem_compares_normalised_names(tmp_path):
     from solwave.grid import PeriodicGrid, SpectralField
     g = PeriodicGrid(40.0, 64)
     write_field_csv(tmp_path / "profile.csv",
-                    SpectralField.from_values(g, np.exp(-g.nodes ** 2)))
+                    SpectralField.from_values(g, np.exp(-(g.nodes / 4.0) ** 2)))
     (tmp_path / "meta.json").write_text(json.dumps({
         "mu": 1.0, "nu": 1.01, "residual": 0.0, "energy": -1.0, "symbol": "rational:2",
         "nonlinearity": "modulus:2.5,1", "iterations": 0,
