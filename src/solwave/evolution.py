@@ -9,7 +9,6 @@ are the time stepping's honesty meter: both are conserved by the equation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -83,15 +82,8 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
     if isinstance(system, Problem):
         eng = discretize(system, grid)
         mvals, energy_of, f = eng.mvals, eng.energy, eng.flux()
-        # the multiplier part is integrated exactly, so this bound only flags
-        # a possibly under-resolved nonlinear flux
-        adv = float(np.max(np.abs(system.nonlinearity.n_prime(u0.values))))
-        bound = 0.5 * grid.spacing / (system.symbol.m_zero + adv)
-        if cfg.dt > bound:
-            warnings.warn(f"dt = {cfg.dt:g} exceeds the advisory advective bound "
-                          f"{bound:.3g}", RuntimeWarning, stacklevel=2)
     elif isinstance(system, DispersionSymbol):
-        # the same step with a zero flux, exact for every dt: no advisory
+        # the same step with a zero flux, exact for every dt
         mvals = multiplier_values(system, grid)
         energy_of = partial(quadratic_energy, mvals)
 

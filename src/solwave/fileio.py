@@ -18,7 +18,8 @@ correctly and so gives the doubles ``float()`` gives; a file it cannot open,
 a row it cannot read, a node that is not where the grid puts it, and a
 non-finite sample are each a ConfigError naming ``profile``.  A stored wave
 then meets a solved one's gates, ``solver.certify``: a ConfigError naming
-``meta`` for its speed and one naming ``profile`` for its resolution.
+``meta`` for its speed, and one naming ``profile`` for its resolution or for
+a momentum Q that is not meta's ``mu``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, MuTooLarge, ResolutionLoss
-from .functionals import Problem
+from .functionals import Problem, momentum
 from .grid import PeriodicGrid, SpectralField
 from .solver import WaveProfile, certify
 
@@ -50,6 +51,8 @@ _META = {"mu": ("mu", float, "positive"), "nu": ("speed", float, None),
          "nonlinearity": ("nonlinearity", str, None),
          "P": (None, float, None), "N": (None, int, None), "convention": (None, str, None)}
 _IN_RANGE = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
+_MU_TOL = 1e-12  # |Q/mu - 1| allowed: 1,031 solved waves give 6.7e-16 at most,
+# and the default sweep's, rounded to six digits, 6.9e-8 or more
 
 
 def is_number(v) -> bool:
@@ -196,9 +199,9 @@ def read_profile(path, prob: Problem) -> WaveProfile:
     """The wave stored at ``path`` by ``write_profile``.
 
     Its meta must hold every entry that ``write_profile`` writes, with the
-    grid of the samples, the package's convention, the symbol and
-    nonlinearity of ``prob``, and pass ``certify`` with meta's nu and mu, as
-    every solve does: anything else is a ConfigError.  Other keys are ignored."""
+    samples' grid, the package's convention, ``prob``'s symbol and nonlinearity,
+    pass ``certify`` with meta's nu and mu and have Q = mu, as every solve does:
+    anything else is a ConfigError.  Other keys are ignored."""
     u = read_field_csv(path)
     meta_path = _meta_path(Path(path))
     try:
@@ -217,5 +220,7 @@ def read_profile(path, prob: Problem) -> WaveProfile:
         raise ConfigError(f"{meta_path}: {exc}", field="meta")
     except ResolutionLoss as exc:
         raise ConfigError(f"{path}: {exc}", field="profile")
+    if not abs((q := momentum(u)) / meta["mu"] - 1.0) <= _MU_TOL:  # true on NaN
+        raise ConfigError(f"{path}: Q = {q!r} is not meta's mu", field="profile")
     return WaveProfile(field=u, **{attr: meta[key] for key, (attr, _, _) in _META.items()
                                    if attr})

@@ -13,14 +13,17 @@ coefficients about x, not about the array index.  Full coefficient arrays
 are mirrored back to FFT order (``unfold``).
 
 ``rfft`` and ``irfft`` below are the package's one transform pair.  They call
-the two pocketfft gufuncs that ``numpy.fft.rfft``/``irfft`` wrap,
-``rfft_n_even`` and ``irfft``, with the normalisation factors the wrappers
-pass (1 forward, 1/n backward), so each result is bit for bit numpy's.  They
-skip the wrappers' argument handling, a quarter to a third of a call at
-N = 1024, which the time step pays at each of its eight transforms.  The
-factors are the same doubles as 0-d arrays, made once (1/n once per length),
-and the output is passed positionally: a Python float or an ``out=`` keyword
-costs each call a conversion that the gufunc would otherwise skip.
+the two pocketfft gufuncs that ``numpy.fft.rfft``/``irfft`` wrap with the
+wrappers' factors (1 forward, 1/n backward), so each result is bit for bit
+numpy's, at a quarter to a third less per call at N = 1024: the factors are
+0-d arrays made once and the output is positional, as a Python float or an
+``out=`` keyword would cost a conversion.  Most of what is left is the plan,
+which numpy builds anew on every call (its module links ``sincos``, no lock).
+By ``timeit`` per row on 64-byte aligned arrays (numpy 2.4.6, 2-vCPU Xeon),
+an ``(N,)`` call against a ``(16, N)`` stack costs rfft 5.8 -> 2.5 us and
+irfft 6.6 -> 2.9 us at N = 1024, 23.4 -> 15.9 and 27.7 -> 18.8 us at N = 4096:
+a fixed 3-4 or 8 us a call, 40 % of the 66 us N = 1024 step and 26 % of the
+249 us N = 4096 one, which only a stacked ``(K, N)`` call amortises.
 
 ``aligned`` copies an array onto a 64-byte boundary.  The time step and the
 flow's flux keep their work arrays and constants there: off that boundary

@@ -105,18 +105,17 @@ class Nonlinearity:
             def n(x, out):
                 return np.multiply(cp, power(x, out), out=out)
         if rem:
-            lead, r = n, self._remainder[0]
+            lead, r = n, partial(P.polyval, c=np.array(rem))
 
             def n(x, out):
                 return np.add(lead(x, out), r(x), out=out)
         object.__setattr__(self, "nodewise", n)
 
     @cached_property
-    def _remainder(self) -> tuple[Callable, Callable, Callable]:
-        """n_r, n_r' and its primitive by Horner's rule: x**d with integer d
+    def _remainder_primitive(self) -> Callable:
+        """n_r's primitive by Horner's rule, as n_r is: x**d with integer d
         takes libm's slow pow on negative bases."""
-        c = np.array(self.remainder)
-        return tuple(partial(P.polyval, c=a) for a in (c, P.polyder(c), P.polyint(c)))
+        return partial(P.polyval, c=P.polyint(np.array(self.remainder)))
 
     def leading(self) -> Nonlinearity:
         """n_p alone, the nonlinearity of the reduced long-wave functional,
@@ -129,13 +128,6 @@ class Nonlinearity:
     def n(self, x):
         return self.nodewise(np.asarray(x, dtype=float), None)
 
-    def n_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        p, cp = self.p, self.cp
-        v = (cp * p * x * np.abs(x) ** (p - 2.0) if self.modulus
-             else cp * p * _ipow(x, int(p) - 1))
-        return v + self._remainder[1](x) if self.remainder else v
-
     def primitive(self, x):
         """N(x) = int_0^x n, vanishing at the origin."""
         x = np.asarray(x, dtype=float)
@@ -145,7 +137,7 @@ class Nonlinearity:
         else:
             v = _ipow(x, int(p) + 1)
             v = (v if cp == 1.0 else cp * v) / (p + 1.0)
-        return v + self._remainder[2](x) if self.remainder else v
+        return v + self._remainder_primitive(x) if self.remainder else v
 
 
 # bundled constructors -------------------------------------------------------

@@ -24,14 +24,6 @@ def test_quadratic_values():
     assert nl.n(0.5) == approx(0.25)
     assert nl.primitive(0.5) == approx(0.5**3 / 3.0)
     assert nl.n(0.0) == 0.0
-    assert nl.n_prime(0.0) == 0.0
-
-
-def test_quadratic_chain_rule_identity():
-    # 2 u u_x = (n(u))_x for n(u) = u^2: n'(u) = 2u
-    nl = quadratic()
-    xs = np.linspace(-1, 1, 11)
-    assert nl.n_prime(xs) == approx(2 * xs)
 
 
 def test_signed_modulus_negative_coefficient():
@@ -52,7 +44,6 @@ def test_polynomial_with_remainder():
     nl = polynomial({2: 1.0, 3: -0.5, 4: 1.0})
     xs = -np.geomspace(1e-3, 2.0, 40)
     assert nl.n(xs) == approx(xs**2 - 0.5 * xs**3 + xs**4, rel=1e-14, abs=0)
-    assert nl.n_prime(xs) == approx(2 * xs - 1.5 * xs**2 + 4 * xs**3, rel=1e-14, abs=0)
     assert nl.primitive(xs) == approx(xs**3 / 3 - xs**4 / 8 + xs**5 / 5, rel=1e-14, abs=0)
 
 
@@ -79,14 +70,11 @@ def test_leading_part_matches_closed_form(nl):
     p, cp = nl.p, nl.cp
     if nl.modulus:
         lead = [cp * abs(x) ** p for x in xs]
-        prime = [cp * p * x * abs(x) ** (p - 2.0) for x in xs]
         prim = [cp * x * abs(x) ** p / (p + 1.0) for x in xs]
     else:
         lead = [cp * x**p for x in xs]
-        prime = [cp * p * x ** (p - 1.0) for x in xs]
         prim = [cp * x ** (p + 1.0) / (p + 1.0) for x in xs]
     assert nl.n(xs) == approx(lead, rel=1e-15, abs=0)  # no case has a remainder
-    assert nl.n_prime(xs) == approx(prime, rel=1e-15, abs=0)
     assert nl.primitive(xs) == approx(prim, rel=1e-15, abs=0)
 
 
@@ -228,22 +216,19 @@ def _old_ipow(x, n):
 
 
 def _power_chain(nl, x):
-    """n, n' and N written out as evaluated with ** 2.0 squaring."""
+    """n and N written out as evaluated with ** 2.0 squaring."""
     cp, p = nl.cp, nl.p
     if nl.modulus:
         n = cp * np.abs(x) ** p
-        n_prime = cp * p * x * np.abs(x) ** (p - 2.0)
         prim = cp * x * np.abs(x) ** p / (p + 1.0)
     else:
         n = cp * _old_ipow(x, int(p))
-        n_prime = cp * p * _old_ipow(x, int(p) - 1)
         prim = cp * _old_ipow(x, int(p) + 1) / (p + 1.0)
     if nl.remainder:  # by Horner's rule, from the coefficients
         c = np.array(nl.remainder)
         n = n + P.polyval(x, c)
-        n_prime = n_prime + P.polyval(x, P.polyder(c))
         prim = prim + P.polyval(x, P.polyint(c))
-    return n, n_prime, prim
+    return n, prim
 
 
 @pytest.mark.parametrize("nl", [
@@ -253,7 +238,7 @@ def test_evaluations_bit_identical_to_power_chain(nl):
     x = np.concatenate([np.random.default_rng(9).standard_normal(997) * 2.0,
                         [0.0, -0.0, 1e-200, -1e-200, 1e200, -1e200]])
     with np.errstate(over="ignore", invalid="ignore"):  # +-1e200 overflows alike
-        got = nl.n(x), nl.n_prime(x), nl.primitive(x)
+        got = nl.n(x), nl.primitive(x)
         want = _power_chain(nl, x)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
