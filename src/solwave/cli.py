@@ -192,6 +192,10 @@ def cmd_stability(args, run: Run, out: Path) -> dict:
     for i, scale in enumerate(run.scales):
         pert = perturbation(prof.field.grid, l2_norm(prof.field), scale, run.seed + i)
         rep: StabilityReport = stability_experiment(run.problem, prof, pert, run.evolution)
+        if not rep.initial_dist > 0:  # its ratio would be NaN
+            raise ConfigError(f"stability.scales member {scale:g} is lost in the wave's "
+                              "round-off: the perturbed wave is the wave",
+                              field="stability.scales", value=scale)
         fileio.write_rows_csv(out / f"trace_{i:03d}.csv", rep.trace.rows())
         summaries.append({"scale": scale, "seed": run.seed + i,
                           "initial_dist": rep.initial_dist,

@@ -26,7 +26,7 @@ _BLOWUP_FACTOR = 1e3  # growth of sup |u| over its initial value that is blow-up
 MAX_PERTURBATION = 0.1  # largest perturbation of a stability run, relative in L2
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvolutionConfig:
     dt: float = 0.01
     t_final: float = 20.0
@@ -193,7 +193,7 @@ def travel_test(prob: Problem, profile: WaveProfile, cfg: EvolutionConfig) -> Tr
     ts = trace.times
     ys = _unwrap(trace.shifts, u0.grid.period)
     # u(t) matches u0(. + y) with y = -nu t, so the fitted slope is -speed
-    slope = float(np.polyfit(ts, ys, 1)[0]) if len(ts) > 1 else 0.0
+    slope = float(np.polyfit(ts, ys, 1)[0])
     measured = -slope
     return TravelReport(shape_error=float(np.max(trace.orbit_dist)),
                         measured_speed=measured,

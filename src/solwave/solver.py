@@ -42,7 +42,7 @@ MAX_POINTS = 2**20     # largest grid a solve may ask for
 _SPEED_ULPS = 1e3      # least long-wave speed gap nu_lw mu^gamma, in ulps eps m(0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveConfig:
     """Knobs for one constrained solve.
 

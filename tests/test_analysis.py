@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from conftest import PROB
 from solwave.analysis import (TAU, band_split, convergence_rows, convergence_study,
                               reduced_reference, scaling_diagnostics, weighted_norm)
-from solwave.functionals import Problem, momentum
+from solwave.functionals import momentum
 from solwave.grid import PeriodicGrid, SpectralField, band_noise, h1_norm, l2_norm, sup_norm
 from solwave.longwave import exponents
-from solwave.nonlinearity import quadratic
 from solwave.solver import SolveConfig, WaveProfile, continuation_sweep
-from solwave.symbols import whitham
-
-PROB = Problem(whitham(), quadratic())
 
 
 @pytest.fixture(scope="module")

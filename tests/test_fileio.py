@@ -1,12 +1,12 @@
 """Stored tables and profiles: the bytes written, the doubles read back, the
 accepted layouts, the refusals."""
 
-import json
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import error_line
 from solwave.cli import main
 from solwave.errors import ConfigError
 from solwave.fileio import (atomic_write, read_field_csv, write_csv, write_field_csv,
@@ -115,9 +115,7 @@ def test_unreadable_profile_is_one_json_line(tmp_path, capsys, text):
         warnings.simplefilter("always")
         rc = main(["evolve", "--profile", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1 and not caught
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    line = json.loads(err)
+    line = error_line(capsys.readouterr().err)
     assert line["error"] == "CONFIG" and line["field"] == "profile"
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from conftest import PROB
 from solwave.errors import OutOfDomain
 from solwave.functionals import (Penalization, Problem, discretize, energy,
                                  energy_gradient, momentum, reduced_problem)
@@ -20,7 +21,6 @@ from solwave.symbols import multiplier_values, whitham
 
 KDV_REDUCED_ENERGY = -0.5241482788417793
 
-PROB = Problem(whitham(), quadratic())
 KDV = reduced_problem(1, -1.0 / 3.0, quadratic())  # the reduced problem of PROB
 
 

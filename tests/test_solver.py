@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from conftest import PROB
 from solwave.errors import (ConfigError, MaxIterations, MuTooLarge, NoConvergence,
                             SubcriticalSpeed)
 from solwave.functionals import Penalization, Problem, discretize, momentum, reduced_problem
@@ -25,13 +26,7 @@ from solwave.solver import (MAX_POINTS, SolveConfig, continuation_sweep,
                             sweep_rows)
 from solwave.symbols import symbol_from_name, whitham
 
-PROB = Problem(whitham(), quadratic())
 EXPS = exponents(1, 2.0)
-
-
-@pytest.fixture(scope="module")
-def wave():
-    return minimize_constrained(PROB, SolveConfig(mu=3e-3, tol_residual=1e-11))
 
 
 def test_converged_wave_certificate(wave):
@@ -225,15 +220,6 @@ def test_petviashvili_subcritical_raises():
         petviashvili(PROB, 0.9, SolveConfig(mu=1e-3))
 
 
-def test_oracle_equivalence(wave):
-    cfg = SolveConfig(mu=wave.mu, period=wave.field.grid.period,
-                      points=wave.field.grid.n, tol_residual=1e-11)
-    pet = petviashvili(PROB, wave.speed, cfg)
-    d, _ = orbit_distance(wave.field, pet.field)
-    assert d <= 1e-7
-    assert pet.mu == approx(wave.mu, rel=1e-6)
-
-
 def test_continuation_sweep_table():
     profiles = continuation_sweep(PROB, [1e-3, 2e-3, 4e-3],
                                   SolveConfig(tol_residual=1e-10))
@@ -279,7 +265,7 @@ def test_solve_config_validation():
             ("solver.mu", math.nan), ("solver.mu", math.inf), ("solver.mu", 0.0),
             ("solver.tol_residual", math.nan), ("solver.tol_residual", math.inf),
             ("solver.max_iter", 0), ("solver.max_iter", -3),
-            ("grid.period", math.nan), ("grid.period", -5.0),
+            ("grid.period", math.nan), ("grid.period", math.inf), ("grid.period", -5.0),
             ("grid.points", 1000)]:
         with pytest.raises(ConfigError) as err:
             SolveConfig(**{field.split(".")[1]: value})

@@ -33,11 +33,6 @@ def test_whitham_taylor_data():
     assert sym.d2j_star == -1.0 / 3.0
 
 
-def test_whitham_evenness():
-    sym = whitham()
-    assert sym.eval(-0.7) == approx(sym.eval(0.7), abs=1e-15)
-
-
 def test_whitham_at_2pi():
     assert whitham().eval(2 * np.pi) == approx(M_AT_2PI, abs=1e-14)
 
