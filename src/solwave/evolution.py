@@ -17,7 +17,7 @@ import numpy as np
 from .errors import Blowup, ConfigError, ResolutionLoss
 from .functionals import Problem, discretize, momentum, quadratic_energy
 from .grid import (RESOLVED, PeriodicGrid, SpectralField, aligned, band_noise,
-                   high_mode_ratio, l2_norm, sup_norm)
+                   high_mode_ratio, irfft, l2_norm, rfft, sup_norm)
 from .longwave import orbit_distance
 from .solver import WaveProfile, renormalize
 from .symbols import DispersionSymbol, multiplier_values
@@ -67,36 +67,105 @@ class EvolutionTrace:
                                          self.orbit_dist, self.shifts)]
 
 
+class Stepper:
+    """IFRK4 at one time step ``dt`` (negative runs backward) of ``system``'s
+    flow: a Problem's, or a bare DispersionSymbol's, whose zero flux makes the
+    step exact for every dt.  ``energy`` is the flow's conserved energy of
+    FFT-order coefficients.
+
+    ``c`` is a real field's half spectrum m = 0..N/2, or a (K, N/2+1) stack of
+    them whose rows step bit for bit as alone.  Every constant and work buffer
+    is made here, on a 64-byte boundary (``aligned``) and in ``c``'s shape, as
+    numpy's loop for an operand broadcast over rows allocates on every call;
+    with every output positional, a step allocates nothing but a polynomial
+    remainder's terms.
+    """
+
+    def __init__(self, system, grid: PeriodicGrid, dt: float, c: np.ndarray):
+        half = grid.n // 2 + 1
+
+        def const(a):
+            return aligned(np.broadcast_to(a, c.shape))
+
+        if isinstance(system, Problem):
+            eng = discretize(system, grid)
+            mvals, self.energy = eng.mvals, eng.energy
+            self._n, self._nodewise = grid.n, system.nonlinearity.nodewise
+            # the node phase, scale, mask and -ik folded into two constants,
+            # cast here rather than by np.multiply on every evaluation: same bits
+            phase = grid.dealias_mask[:half] * grid.node_phase
+            self._to_vals = const((phase * grid.scale).astype(complex))
+            self._to_flux = const(-grid.ik[:half] * phase / grid.scale)
+            rows = c.shape[:-1] + (grid.n,)
+            self._vals, self._nvals = aligned(np.empty(rows)), aligned(np.empty(rows))
+        elif isinstance(system, DispersionSymbol):
+            mvals = multiplier_values(system, grid)
+            self.energy, self._nodewise = partial(quadratic_energy, mvals), None
+        else:
+            raise TypeError("system must be a Problem or a DispersionSymbol")
+        lam = -grid.ik[:half] * mvals[:half]
+        e_half = np.exp(0.5 * dt * lam)
+        self._factors = tuple(map(const, (e_half, np.exp(dt * lam), 2.0 * e_half,
+                                          complex(0.5 * dt), complex(dt / 6.0), complex(dt))))
+        self._work = tuple(aligned(np.empty(c.shape, complex)) for _ in range(6))
+
+    def flux(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """-ik mask to_coeffs(n(to_values(c mask))) at m >= 0 into ``out``, which
+        holds the spectrum on the way; ``c`` is only read and may not be ``out``."""
+        if self._nodewise is None:
+            out.fill(0.0)
+            return out
+        mul = np.multiply
+        irfft(mul(c, self._to_vals, out), self._n, self._vals)
+        rfft(self._nodewise(self._vals, self._nvals), out)
+        return mul(self._to_flux, out, out)
+
+    def step(self, c: np.ndarray):
+        """Advance ``c`` by one step, in place."""
+        f, mul, add = self.flux, np.multiply, np.add
+        e_half, e_full, e_half2, h2, h6, hf = self._factors
+        f1, f2, f3, f4, s, ec = self._work
+        # the operands keep their order in the formula: numpy's complex product
+        # is not bitwise commutative, and in this order the step is bit for bit
+        # the plain out-of-place one
+        f(c, f1)
+        mul(h2, f1, s)                    # a = e_half (c + dt/2 f1)
+        add(c, s, s)
+        mul(e_half, s, s)
+        f(s, f2)
+        mul(e_half, c, s)                 # b = e_half c + dt/2 f2
+        mul(h2, f2, f4)
+        add(s, f4, s)
+        f(s, f3)
+        mul(e_full, c, ec)                # cc = e_full c + dt e_half f3
+        mul(e_half, f3, s)
+        mul(hf, s, s)
+        add(ec, s, s)
+        f(s, f4)
+        mul(e_full, f1, f1)  # e_full c + dt/6 (e_full f1 + 2 e_half (f2 + f3) + f4)
+        add(f2, f3, s)
+        mul(e_half2, s, s)
+        add(f1, s, f1)
+        add(f1, f4, f1)
+        mul(h6, f1, f1)
+        add(ec, f1, c)
+
+
 def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
            reference: SpectralField | None = None) -> EvolutionTrace:
     """Integrate from u0 over [0, t_final] (negative horizons run backward).
 
-    ``system`` is a Problem, or a bare DispersionSymbol for the purely
-    dispersive flow.  When ``reference`` is given, the orbit L2 distance to it
-    (minimum over translates) is recorded at every sample.  Every sample, the
-    one at t = 0 included, must be finite, within the blow-up factor of the
-    initial sup |u|, and resolved by the grid's rule (``high_mode_ratio``).
+    ``system`` is a Problem or a bare DispersionSymbol, as for ``Stepper``.
+    When ``reference`` is given, the orbit L2 distance to it (minimum over
+    translates) is recorded at every sample.  Every sample, the one at t = 0
+    included, must be finite, within the blow-up factor of the initial sup
+    |u|, and resolved by the grid's rule (``high_mode_ratio``).
     """
     grid = u0.grid
-    half = grid.n // 2 + 1
-    if isinstance(system, Problem):
-        eng = discretize(system, grid)
-        mvals, energy_of, f = eng.mvals, eng.energy, eng.flux()
-    elif isinstance(system, DispersionSymbol):
-        # the same step with a zero flux, exact for every dt
-        mvals = multiplier_values(system, grid)
-        energy_of = partial(quadratic_energy, mvals)
-
-        def f(c, out):
-            out.fill(0.0)
-            return out
-    else:
-        raise TypeError("system must be a Problem or a DispersionSymbol")
-    lam = -grid.ik[:half] * mvals[:half]
     dt = math.copysign(cfg.dt, cfg.t_final)
     n_steps = round(abs(cfg.t_final) / cfg.dt)  # whole, at least 1: see EvolutionConfig
-
-    c = aligned(u0.coeffs[:half])
+    c = aligned(u0.coeffs[:grid.n // 2 + 1])
+    stepper = Stepper(system, grid, dt, c)
     sup0 = sup_norm(u0)
     times, es, qs, dists, shifts = [], [], [], [], []
 
@@ -104,7 +173,7 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
         u = SpectralField.from_coeffs(grid, grid.unfold(c))
         t = step * dt + 0.0  # + 0.0 turns the -0 of a backward run's start into 0
         times.append(t)
-        es.append(energy_of(u.coeffs))
+        es.append(stepper.energy(u.coeffs))
         qs.append(momentum(u))
         d, y = orbit_distance(u, reference) if reference is not None else (0.0, 0.0)
         dists.append(d)
@@ -131,50 +200,12 @@ def evolve(system, u0: SpectralField, cfg: EvolutionConfig,
                               (q - q[0]) / q[0] if q[0] else np.zeros_like(q),
                               np.array(dists), np.array(shifts), final)
 
-    # every step advances c in place through work arrays made once per call,
-    # each on a 64-byte boundary, with the step's scalars as complex arrays
-    # and every output positional: numpy's cheapest call on each product
-    e_half = aligned(np.exp(0.5 * dt * lam))
-    e_full = aligned(np.exp(dt * lam))
-    e_half2 = aligned(2.0 * e_half)
-    h2, h6, hf = (aligned(np.full_like(c, h)) for h in (0.5 * dt, dt / 6.0, dt))
-    f1, f2, f3, f4, s, ec = (aligned(np.empty_like(c)) for _ in range(6))
-    # the operands keep their order in the formula: numpy's complex product
-    # is not bitwise commutative, and in this order the step is bit for bit
-    # the plain out-of-place one
-    mul, add = np.multiply, np.add
-
-    def step_once(c):
-        f(c, f1)
-        mul(h2, f1, s)                    # a = e_half (c + dt/2 f1)
-        add(c, s, s)
-        mul(e_half, s, s)
-        f(s, f2)
-        mul(e_half, c, s)                 # b = e_half c + dt/2 f2
-        mul(h2, f2, f4)
-        add(s, f4, s)
-        f(s, f3)
-        mul(e_full, c, ec)                # cc = e_full c + dt e_half f3
-        mul(e_half, f3, s)
-        mul(hf, s, s)
-        add(ec, s, s)
-        f(s, f4)
-        mul(e_full, f1, f1)  # e_full c + dt/6 (e_full f1 + 2 e_half (f2 + f3) + f4)
-        add(f2, f3, s)
-        mul(e_half2, s, s)
-        add(f1, s, f1)
-        add(f1, f4, f1)
-        mul(h6, f1, f1)
-        add(ec, f1, c)
-
     u = record(0)
-    done = 0
-    while done < n_steps:  # a record every stride steps and at the last
-        k = min(cfg.stride, n_steps - done)
-        for _ in range(k):
-            step_once(c)
-        done += k
-        u = record(done)
+    for start in range(0, n_steps, cfg.stride):  # a record every stride steps and at the last
+        end = min(start + cfg.stride, n_steps)
+        for _ in range(start, end):
+            stepper.step(c)
+        u = record(end)
     return _pack(u)
 
 
@@ -190,11 +221,8 @@ def travel_test(prob: Problem, profile: WaveProfile, cfg: EvolutionConfig) -> Tr
     """Evolve a computed wave and verify it translates rigidly at its speed."""
     u0 = profile.field
     trace = evolve(prob, u0, cfg, reference=u0)
-    ts = trace.times
-    ys = _unwrap(trace.shifts, u0.grid.period)
     # u(t) matches u0(. + y) with y = -nu t, so the fitted slope is -speed
-    slope = float(np.polyfit(ts, ys, 1)[0])
-    measured = -slope
+    measured = -float(np.polyfit(trace.times, _unwrap(trace.shifts, u0.grid.period), 1)[0])
     return TravelReport(shape_error=float(np.max(trace.orbit_dist)),
                         measured_speed=measured,
                         speed_error=abs(measured - profile.speed),
@@ -204,8 +232,7 @@ def travel_test(prob: Problem, profile: WaveProfile, cfg: EvolutionConfig) -> Tr
 def _unwrap(shifts: np.ndarray, period: float) -> np.ndarray:
     out = np.array(shifts, dtype=float)
     for i in range(1, len(out)):
-        jump = out[i] - out[i - 1]
-        out[i] -= period * round(jump / period)
+        out[i] -= period * round((out[i] - out[i - 1]) / period)
     return out
 
 

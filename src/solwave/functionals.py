@@ -1,4 +1,4 @@
-"""Energy, momentum, gradients, the flow's flux, penalization, and the reduced problem.
+"""Energy, momentum, gradients, penalization, and the reduced problem.
 
 Sign conventions: E(u) = -1/2 <u, Lu> - int N(u) and Q(u) = 1/2 int u^2, so
 the constrained stationarity condition E'(u) + nu u = 0 is the travelling-wave
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfDomain
-from .grid import PeriodicGrid, SpectralField, aligned, irfft, rfft
+from .grid import PeriodicGrid, SpectralField
 from .longwave import ScalingExponents, exponents
 from .nonlinearity import Nonlinearity
 from .symbols import DispersionSymbol, LongWaveSymbol, multiplier_values
@@ -81,7 +81,7 @@ class DiscreteFunctional:
     """Energy/gradient engine of one problem on one grid, working directly on
     coefficient arrays; ``discretize`` is its public name.  Shared by the
     public functional evaluations, the minimizer, the fixed-point iteration
-    and the time stepper.  ``gamma``, the problem's long-wave speed exponent,
+    and the time stepper's records.  ``gamma``, the problem's long-wave speed exponent,
     sets the minimizer's preconditioner shift."""
 
     def __init__(self, prob: Problem, grid: PeriodicGrid,
@@ -123,38 +123,6 @@ class DiscreteFunctional:
         equation solved here is nu*c = m*c + nonlinear_coeffs(c)."""
         v = self.values_dealiased(c) if v is None else v
         return self.mask * self.grid.to_coeffs(self.nl.n(v))
-
-    def flux(self):
-        """The flow's nonlinear flux on the half spectrum m = 0..N/2 of a real field.
-
-        f(c, out) writes -ik mask to_coeffs(n(to_values(c mask))) at m >= 0
-        into ``out`` and returns it; ``c`` is only read and may not be ``out``.
-        The node phase, scale, mask and -ik are folded into two constant
-        complex arrays once per call of ``flux``, so an evaluation is two
-        products, one irfft, the nonlinearity's ``nodewise`` and one rfft, all
-        into work buffers that belong to this f: it casts nothing, allocates
-        nothing (but a polynomial remainder's own terms) and calls no Python
-        function of the package but the grid's transform pair, which is
-        numpy.fft's bit for bit, without its Python wrappers' cost at each of
-        the eight flux transforms of a step.  The constants and buffers start
-        on 64-byte boundaries (``aligned``) and every output is positional.
-        """
-        grid, nodewise = self.grid, self.nl.nodewise
-        n, half = grid.n, grid.n // 2 + 1
-        phase = grid.dealias_mask[:half] * grid.node_phase
-        # cast here rather than by np.multiply on every evaluation: same bits
-        to_vals = aligned((phase * grid.scale).astype(complex))
-        to_flux = aligned(-grid.ik[:half] * phase / grid.scale)
-        spec = aligned(np.empty(half, complex))
-        vals, nvals = aligned(np.empty(n)), aligned(np.empty(n))
-        mul = np.multiply
-
-        def f(c, out):
-            irfft(mul(c, to_vals, spec), n, vals)
-            rfft(nodewise(vals, nvals), out)
-            return mul(to_flux, out, out)
-
-        return f
 
 
 discretize = DiscreteFunctional

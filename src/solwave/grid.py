@@ -23,10 +23,10 @@ By ``timeit`` per row on 64-byte aligned arrays (numpy 2.4.6, 2-vCPU Xeon),
 an ``(N,)`` call against a ``(16, N)`` stack costs rfft 5.8 -> 2.5 us and
 irfft 6.6 -> 2.9 us at N = 1024, 23.4 -> 15.9 and 27.7 -> 18.8 us at N = 4096:
 a fixed 3-4 or 8 us a call, 40 % of the 66 us N = 1024 step and 26 % of the
-249 us N = 4096 one, which only a stacked ``(K, N)`` call amortises.
+249 us N = 4096 one, which only a stack amortises, as ``evolution.Stepper``'s.
 
-``aligned`` copies an array onto a 64-byte boundary.  The time step and the
-flow's flux keep their work arrays and constants there: off that boundary
+``aligned`` copies an array onto a 64-byte boundary.  The time stepper keeps
+its work arrays and constants there: off that boundary
 the same pocketfft and elementwise loops ran up to a fifth slower, so the
 step's cost would depend on where malloc happened to put them.
 """

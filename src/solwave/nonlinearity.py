@@ -21,7 +21,6 @@ from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import ConfigError
 
@@ -104,8 +103,8 @@ class Nonlinearity:
         else:
             def n(x, out):
                 return np.multiply(cp, power(x, out), out=out)
-        if rem:
-            lead, r = n, partial(P.polyval, c=np.array(rem))
+        if rem:  # by Horner's rule, highest degree first
+            lead, r = n, partial(np.polyval, np.array(rem[::-1]))
 
             def n(x, out):
                 return np.add(lead(x, out), r(x), out=out)
@@ -115,7 +114,8 @@ class Nonlinearity:
     def _remainder_primitive(self) -> Callable:
         """n_r's primitive by Horner's rule, as n_r is: x**d with integer d
         takes libm's slow pow on negative bases."""
-        return partial(P.polyval, c=P.polyint(np.array(self.remainder)))
+        integral = [r / (d + 1) for d, r in enumerate(self.remainder)]
+        return partial(np.polyval, np.array(integral[::-1] + [0.0]))
 
     def leading(self) -> Nonlinearity:
         """n_p alone, the nonlinearity of the reduced long-wave functional,

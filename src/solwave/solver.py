@@ -158,7 +158,11 @@ def _descend(eng: DiscreteFunctional, cfg: SolveConfig,
     accepted trial's dealiased samples feed the next gradient.
     """
     mu, m_top = cfg.mu, np.max(eng.mvals)
-    gap = kdv_speed() * mu ** eng.gamma
+    try:
+        gap = kdv_speed() * mu ** eng.gamma
+    except OverflowError:
+        raise ConfigError(f"mu = {mu:g}: mu^{eng.gamma:g} overflows", field="solver.mu",
+                          value=mu) from None
     if not gap > _SPEED_ULPS * np.finfo(float).eps * m_top:
         raise ConfigError(f"mu = {mu:g}: the long-wave speed gap {gap:.3g} is within "
                           f"{_SPEED_ULPS:g} ulps of m(0)", field="solver.mu", value=mu)

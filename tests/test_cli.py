@@ -169,6 +169,8 @@ BAD_INPUTS = {
     "grid_huge_mu": ("grid.points", None, ["solve", "--mu", "1e300"]),
     "grid_overflow_mu": ("solver.mu", {"problem": {"nonlinearity": "modulus:4.9,1"}},
                          ["solve", "--mu", "1e-30"]),
+    "speed_overflow_mu": ("solver.mu", {"problem": {"nonlinearity": "modulus:2.5,1"},
+                                        "grid": {"points": 16}}, ["solve", "--mu", "1e300"]),
     # configs/stability.json's grid, where the long-wave speed gap nu_lw mu^gamma
     # is within round-off of m(0) = 1: no speed there is apart from m(0)
     **{f"speed_gap_{mu}": ("solver.mu", {"grid": {"period": 800.0, "points": 1024}},

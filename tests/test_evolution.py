@@ -10,13 +10,14 @@ from pytest import approx
 from conftest import PROB
 from solwave import evolution
 from solwave.errors import Blowup, ConfigError, ResolutionLoss
-from solwave.evolution import (EvolutionConfig, evolve, perturbation, stability_experiment,
-                               travel_test)
+from solwave.evolution import (EvolutionConfig, Stepper, evolve, perturbation,
+                               stability_experiment, travel_test)
 from solwave.functionals import Problem, discretize, momentum
 from solwave.grid import (RESOLVED, PeriodicGrid, SpectralField, aligned, high_mode_ratio,
                           l2_norm, sup_norm)
 from solwave.longwave import kdv_profile
 from solwave.nonlinearity import nonlinearity_from_name, quadratic
+from solwave.solver import SolveConfig, minimize_constrained
 from solwave.symbols import whitham
 
 
@@ -79,10 +80,15 @@ def test_rk4_matches_ifrk4_on_smooth_data():
 
 
 def test_travel_test(wave):
-    cfg = EvolutionConfig(dt=0.01, t_final=5.0, stride=50)
-    rep = travel_test(PROB, wave, cfg)
-    assert rep.shape_error <= 1e-6
-    assert rep.speed_error <= 1e-5
+    # the P = 40 wave travels past the cell edge, where the recorded shift,
+    # reported in (-P/2, P/2], jumps by a period that the fit must unwrap
+    short = minimize_constrained(PROB, SolveConfig(mu=1e-2, period=40.0, points=128,
+                                                   tol_residual=1e-11))
+    for w, t_final in ((wave, 5.0), (short, 32.0)):
+        rep = travel_test(PROB, w, EvolutionConfig(dt=0.01, t_final=t_final, stride=50))
+        assert rep.shape_error <= 1e-6
+        assert rep.speed_error <= 1e-5
+    assert np.ptp(rep.trace.shifts) > 20.0
 
 
 def test_zero_perturbation_reduces_to_travel(wave):
@@ -207,13 +213,14 @@ def test_config_validation():
            ({"stride": "10"}, "stride"),
            ({"t_final": 1.0, "dt": 0.3}, "t_final"),     # would run to t = 0.9
            ({"t_final": 0.001, "dt": 0.01}, "t_final"),  # less than one step
-           ({"t_final": 1e300, "dt": 1e-300}, "t_final")]
+           ({"t_final": 1e300, "dt": 1e-300}, "t_final"),
+           ({"t_final": 1000.0000012, "dt": 1.0}, "t_final")]  # off by 1.2e-9 steps
     for kwargs, field in bad:
         with pytest.raises(ConfigError) as err:
             EvolutionConfig(**kwargs)
         assert err.value.info["field"] == f"evolution.{field}", kwargs
     # whole numbers of steps up to round-off, either direction
-    for dt, t_final in [(0.1, 0.3), (0.02, -4.0), (0.02, 0.02 * 80)]:
+    for dt, t_final in [(0.1, 0.3), (0.02, -4.0), (0.02, 0.02 * 80), (1.0, 1000.0000008)]:
         EvolutionConfig(dt=dt, t_final=t_final, stride=np.int64(5))
 
 
@@ -225,7 +232,7 @@ def test_half_spectrum_flux_matches_grid_transforms(name):
     c = g.to_coeffs(np.random.default_rng(5).standard_normal(g.n))
     assert c[g.n // 2] != 0
     nl = nonlinearity_from_name(name)
-    f = discretize(Problem(whitham(), nl), g).flux()
+    f = Stepper(Problem(whitham(), nl), g, 0.01, c[:g.n // 2 + 1]).flux
     ref = -g.ik * g.dealias_mask * g.to_coeffs(nl.n(g.to_values(c * g.dealias_mask)))
     out = np.empty(g.n // 2 + 1, complex)
     got = f(c[:g.n // 2 + 1], out)
@@ -333,8 +340,8 @@ def test_buffered_step_matches_reference(name):
 def test_flux_allocates_nothing(name):
     # poly:1,0.5 is left out: numpy's polyval allocates its Horner terms
     g = PeriodicGrid(800.0, 1024)
-    f = discretize(Problem(whitham(), nonlinearity_from_name(name)), g).flux()
     c = g.to_coeffs(0.01 * np.exp(-(g.nodes / 20.0) ** 2))[:g.n // 2 + 1].copy()
+    f = Stepper(Problem(whitham(), nonlinearity_from_name(name)), g, 0.01, c).flux
     out = np.empty_like(c)
     tracemalloc.start()
     try:
@@ -351,10 +358,10 @@ def test_flux_bits_do_not_depend_on_alignment(name):
     # numpy's vector loops may take another path off a 64-byte boundary; the
     # flux of c into out gives the same bits with both at offsets 0 to 48
     g = PeriodicGrid(800.0, 1024)
-    f = discretize(Problem(whitham(), nonlinearity_from_name(name)), g).flux()
     rng = np.random.Generator(np.random.Philox(5))
     half = g.n // 2 + 1
     c0 = 0.01 * (rng.standard_normal(half) + 1j * rng.standard_normal(half))
+    f = Stepper(Problem(whitham(), nonlinearity_from_name(name)), g, 0.01, c0).flux
     want = f(aligned(c0), aligned(np.empty_like(c0))).copy()
     size = 64 * (c0.nbytes // 64 + 1)
     buf = aligned(np.empty(2 * size, np.uint8))
@@ -400,8 +407,8 @@ def test_run_peak_does_not_grow_with_steps(name):
 def test_steps_allocate_nothing(name, monkeypatch):
     # the peak is reset as the first record ends (its last call is the
     # resolution ratio) and read as the last one starts (its first call
-    # unfolds c): in between, the steps never held more than a few hundred
-    # bytes above what was live, less than any work array of N = 512
+    # unfolds c): in between, evolve's steps never held more than a few
+    # hundred bytes above what was live, less than any work array of N = 512
     run, excess = _steps_only(name), []
     ratio, unfold = evolution.high_mode_ratio, PeriodicGrid.unfold
 
@@ -423,6 +430,44 @@ def test_steps_allocate_nothing(name, monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(excess) == 2 and excess[1] < 1024
+
+
+def _stack(name):
+    """A Whitham problem, three distinct pulses at N = 512, and their half
+    spectra as one (3, 257) stack."""
+    us = [smooth_pulse(n=512, amp=0.05 * (i + 1), decay=0.5 + 0.1 * i) for i in range(3)]
+    c = aligned(np.stack([u.coeffs[:257] for u in us]))
+    return Problem(whitham(), nonlinearity_from_name(name)), c, us
+
+
+@pytest.mark.parametrize("name", ["quadratic", "modulus:2.5,1"])
+def test_stack_steps_like_each_member_alone(name):
+    prob, c, us = _stack(name)
+    stepper = Stepper(prob, us[0].grid, 0.005, c)
+    for _ in range(400):
+        stepper.step(c)
+    for row, u in zip(c, us):
+        alone = evolve(prob, u, EvolutionConfig(dt=0.005, t_final=2.0, stride=400))
+        assert row.tobytes() == alone.final.coeffs[:257].tobytes()
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["K1", "K3"])
+@pytest.mark.parametrize("name", ["quadratic", "modulus:2.5,1"])
+def test_step_allocates_nothing(name, stacked):
+    # one half spectrum, or the stack of three; poly:1,0.5 is left out, as
+    # numpy's polyval allocates its Horner terms.  The steps never hold more
+    # than a few hundred bytes, less than any work array of N = 512
+    prob, c, us = _stack(name)
+    c = c if stacked else c[0]
+    stepper = Stepper(prob, us[0].grid, 0.005, c)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            stepper.step(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
 
 
 def _moved(u, shift):

@@ -232,8 +232,8 @@ def _power_chain(nl, x):
 
 
 @pytest.mark.parametrize("nl", [
-    quadratic(), odd_power(3, 2.0), polynomial({2: 1.0, 3: 0.5}), signed_modulus(2.5, 1.0),
-    signed_modulus(2.5, -1.0), Nonlinearity("built", 2.5, -1.0, True, (0.0, 0.0, 0.0, 0.5))])
+    quadratic(), odd_power(3, 1.5), polynomial({2: 1.0, 3: 0.5}), signed_modulus(2.5, 1.0),
+    signed_modulus(2.5, -1.0), Nonlinearity("built", 2.5, 1.5, True, (0.0, 0.0, 0.0, 0.5))])
 def test_evaluations_bit_identical_to_power_chain(nl):
     x = np.concatenate([np.random.default_rng(9).standard_normal(997) * 2.0,
                         [0.0, -0.0, 1e-200, -1e-200, 1e200, -1e200]])
