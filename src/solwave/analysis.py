@@ -89,7 +89,7 @@ def band_split(sym: DispersionSymbol, u: SpectralField) -> tuple[SpectralField, 
 def weighted_norm(u: SpectralField, mu: float, j_star: int, beta: float) -> float:
     """|||u|||_{tau,mu} = sqrt( int u^2 + mu^(-4 j_star tau beta) int (u^(2 j_star))^2 )
     at tau = TAU."""
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
     k = u.grid.wavenumbers
     c2 = np.abs(u.coeffs) ** 2

@@ -32,7 +32,8 @@ class ScalingExponents:
 
 def exponents(j_star: int, p: float) -> ScalingExponents:
     if not 2.0 <= p < 4.0 * j_star + 1.0:
-        raise ExponentWindow(f"p = {p:g} outside [2, {4 * j_star + 1}) for j_star = {j_star}")
+        raise ExponentWindow(f"p = {p:g} outside [2, {4 * j_star + 1}) for j_star = {j_star}",
+                             field="problem.nonlinearity", value=p)
     denom = 4.0 * j_star + 1.0 - p
     alpha = 2.0 * j_star / denom
     beta = (p - 1.0) / denom
@@ -48,7 +49,7 @@ def scale_down(mu: float, exps: ScalingExponents, u: SpectralField,
     otherwise), and the result takes ``period`` exactly, so that every wave
     of a sweep lands on the frame's one grid.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
     scaled = u.grid.period * mu**exps.beta
     if not abs(scaled - period) <= 1e-9 * period:

@@ -288,7 +288,7 @@ def petviashvili(prob: Problem, nu: float, cfg: SolveConfig,
     travelling wave at this speed carries.  Requires a leading-homogeneous
     nonlinearity (the stabilizer exponent is gamma = p/(p-1)).
     """
-    if nu <= prob.symbol.m_zero:
+    if not nu > prob.symbol.m_zero:
         raise SubcriticalSpeed(f"nu = {nu:g} does not exceed m(0) = {prob.symbol.m_zero:g}")
     if prob.nonlinearity.remainder:
         raise ConfigError("fixed-point oracle needs a homogeneous nonlinearity",

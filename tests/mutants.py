@@ -13,7 +13,8 @@ mutant runs, one at a time, on its own temporary copy of this checkout with
 120 s timeout; the checkout itself is only read.  A mutant is killed when
 the suite fails, survived when it passes.  The unmutated copy must pass
 first.  Prints one line per mutant, ``module:line  before -> after  outcome
-(seconds)``, then the tally.  Not collected by pytest; needs only the standard library.
+(seconds)``, then the tally, and then one tally per module that the sample
+drew from.  Not collected by pytest; needs only the standard library.
 """
 
 import argparse
@@ -89,6 +90,12 @@ def run_suite(copy, seed):
         return "timed out"
 
 
+def tally(outcomes):
+    """'K killed, S survived, T timed out of N' for a list of outcomes."""
+    return (", ".join(f"{outcomes.count(k)} {k}" for k in ("killed", "survived", "timed out"))
+            + f" of {len(outcomes)}")
+
+
 def mutant_run(seed, module=None, mutated=b""):
     """The suite's outcome on a fresh copy whose ``module`` reads ``mutated``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,15 +119,17 @@ def main(argv=None):
     if mutant_run(args.seed) != "survived":
         print("the unmutated suite does not pass: no mutant can be judged")
         return 1
-    tally = {"killed": 0, "survived": 0, "timed out": 0}
+    outcomes = []  # (module, outcome) for each mutant
     for i in picked:
         module, source, (line, start, end, before, after) = pool[i]
         t0 = time.perf_counter()
         outcome = mutant_run(args.seed, module, source[:start] + after.encode() + source[end:])
-        tally[outcome] += 1
+        outcomes.append((module, outcome))
         print(f"{module}:{line}  {before} -> {after}  {outcome} "
               f"({time.perf_counter() - t0:.0f} s)", flush=True)
-    print(", ".join(f"{n} {k}" for k, n in tally.items()) + f" of {len(picked)}")
+    print(tally([o for _, o in outcomes]))
+    for module in sorted({m for m, _ in outcomes}):
+        print(f"{module}: {tally([o for m, o in outcomes if m == module])}")
     return 0
 
 

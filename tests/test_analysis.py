@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from conftest import PROB
+from conftest import PROB, noise
 from solwave.analysis import (TAU, band_split, convergence_rows, convergence_study,
                               reduced_reference, scaling_diagnostics, weighted_norm)
 from solwave.functionals import momentum
-from solwave.grid import PeriodicGrid, SpectralField, band_noise, h1_norm, l2_norm, sup_norm
+from solwave.grid import PeriodicGrid, SpectralField, h1_norm, l2_norm, sup_norm
 from solwave.longwave import exponents
 from solwave.solver import SolveConfig, WaveProfile, continuation_sweep
 
@@ -46,8 +46,9 @@ def test_scaling_diagnostics_values(mini_sweep):
     expo = 0.9 * exps.beta * 1.0 + 2.0
     assert rec.high_band_ratio == approx(
         h1_norm(u2) ** 2 / prof.mu**expo, rel=1e-12)
-    with pytest.raises(ValueError, match="mu"):
-        weighted_norm(u1, 0.0, 1, exps.beta)
+    for bad_mu in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="mu"):
+            weighted_norm(u1, bad_mu, 1, exps.beta)
 
 
 def test_high_band_floor(mini_sweep):
@@ -79,10 +80,6 @@ def test_convergence_rows_schema(mini_sweep, reference):
     rows = convergence_rows(comps, recs)
     assert set(rows[0]) == {"mu", "dist_aligned", "speed_dev", "energy_dev",
                             "shift", "tau_ratio1", "tau_ratio2", "supnorm_ratio"}
-
-
-def noise(seed, grid, band):
-    return band_noise(grid, band, np.random.Generator(np.random.Philox(seed)))
 
 
 def test_band_split_partition():

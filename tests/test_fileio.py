@@ -62,12 +62,13 @@ def test_parsed_doubles_are_float_bit_for_bit(tmp_path):
     assert u.values.tobytes() == np.array([float(c) for c in cells]).tobytes()
 
 
-@pytest.mark.parametrize("row, sep", [
-    ("{},{}", "\r\n"), ("{},{}\n", "\n"), (" {} ,\t{} ", "\n"), ("{},{},1.5,abc", "\n")],
-    ids=["crlf", "blank_lines", "spaces", "extra_columns"])
-def test_reader_accepts_layouts(tmp_path, row, sep):
+@pytest.mark.parametrize("header, row, sep", [
+    ("x,u", "{},{}", "\r\n"), ("x,u", "{},{}\n", "\n"), ("x,u", " {} ,\t{} ", "\n"),
+    ("x,u", "{},{},1.5,abc", "\n"), ("x,u,v", "{},{},1.5", "\n")],
+    ids=["crlf", "blank_lines", "spaces", "extra_columns", "header_extra_column"])
+def test_reader_accepts_layouts(tmp_path, header, row, sep):
     cells = [f"{np.exp(-x * x):.17g}" for x in NODES]
-    text = sep.join(["x,u", *(row.format(repr(x), u) for x, u in zip(NODES, cells))]) + sep
+    text = sep.join([header, *(row.format(repr(x), u) for x, u in zip(NODES, cells))]) + sep
     u = read_or_none(tmp_path, text)
     assert u is not None
     assert u.values.tobytes() == np.array([float(c) for c in cells]).tobytes()

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from conftest import PROB
+from conftest import PROB, noise
 from solwave.errors import OutOfDomain
 from solwave.functionals import (Penalization, Problem, discretize, energy,
                                  energy_gradient, momentum, reduced_problem)
-from solwave.grid import PeriodicGrid, SpectralField, band_noise, h1_norm, inner_l2
+from solwave.grid import PeriodicGrid, SpectralField, h1_norm, inner_l2
 from solwave.longwave import exponents, kdv_soliton
 from solwave.nonlinearity import nonlinearity_from_name, quadratic, signed_modulus
 from solwave.symbols import multiplier_values, whitham
@@ -22,12 +22,7 @@ from solwave.symbols import multiplier_values, whitham
 KDV_REDUCED_ENERGY = -0.5241482788417793
 
 KDV = reduced_problem(1, -1.0 / 3.0, quadratic())  # the reduced problem of PROB
-
-
-def field(seed, grid=None, scale=1.0):
-    g = grid or PeriodicGrid(30.0, 128)
-    rng = np.random.Generator(np.random.Philox(seed))
-    return band_noise(g, g.n // 4, rng) * scale
+G = PeriodicGrid(30.0, 128)  # the grid of the noise fields
 
 
 def test_problem_computes_its_scaling_once():
@@ -67,20 +62,11 @@ def test_energy_of_cosine():
 
 
 def test_energy_translation_invariant():
-    u = field(12)
+    u = noise(12, G, 32)
     e0 = energy(PROB, u)
     for j in (1, 7, 50):
         moved = SpectralField.from_values(u.grid, np.roll(u.values, j))
         assert energy(PROB, moved) == approx(e0, abs=1e-10)
-
-
-def test_gradient_matches_finite_differences():
-    h = 1e-5
-    for seed in range(5):
-        u, v = field(seed, scale=0.5), field(seed + 100)
-        g = energy_gradient(PROB, u)
-        fd = (energy(PROB, u + h * v) - energy(PROB, u - h * v)) / (2 * h)
-        assert fd == approx(inner_l2(g, v), rel=1e-6)
 
 
 def test_gradient_constant_field():
@@ -107,7 +93,7 @@ def test_penalization_shape():
 
 def test_penalized_equals_plain_inside_ball():
     pen = Penalization(1.0)
-    u = field(3, scale=0.2)
+    u = noise(3, G, 32, 0.2)
     assert h1_norm(u) ** 2 < 1.0
     eng = discretize(PROB, u.grid, pen)
     assert eng.energy(u.coeffs) == energy(PROB, u)
@@ -117,11 +103,11 @@ def test_penalized_equals_plain_inside_ball():
 def test_penalized_gradient_finite_differences():
     pen = Penalization(0.25)  # small radius so rho is active at test scale
     h = 1e-6
-    u = field(8)
+    u = noise(8, G, 32)
     u = u * np.sqrt(0.15 / h1_norm(u) ** 2)
     t = h1_norm(u) ** 2
     assert 0.0625 < t < 0.25  # inside the active band (R^2, (2R)^2)
-    v = field(9)
+    v = noise(9, G, 32)
     eng = discretize(PROB, u.grid, pen)
     gp = SpectralField.from_coeffs(u.grid, eng.gradient(u.coeffs))
     fd = (eng.energy((u + h * v).coeffs) - eng.energy((u - h * v).coeffs)) / (2 * h)
@@ -130,7 +116,7 @@ def test_penalized_gradient_finite_differences():
 
 def test_penalized_energy_is_infinite_outside_the_barrier_domain():
     pen = Penalization(0.25)
-    u = field(8)
+    u = noise(8, G, 32)
     u = u * np.sqrt(0.3 / h1_norm(u) ** 2)  # beyond (2R)^2 = 0.25
     eng = discretize(PROB, u.grid, pen)
     assert eng.energy(u.coeffs) == np.inf
@@ -148,21 +134,12 @@ def test_reduced_energy_matches_direct_integrand():
     # same value as int( w'^2/12 - w^3/3 ) evaluated by spectral derivative
     # plus node quadrature
     g = PeriodicGrid(60.0, 512)
-    w = field(5, g, scale=0.8)
+    w = noise(5, g, 128, 0.8)
     wp = SpectralField.from_coeffs(g, g.ik * w.coeffs)
     w_dealiased = g.to_values(g.dealias_mask * w.coeffs)
     direct = (inner_l2(wp, wp) / 12.0
               - (g.period / g.n) * float(np.sum(w_dealiased ** 3)) / 3.0)
     assert energy(KDV, w) == approx(direct, rel=1e-10)
-
-
-def test_reduced_gradient_finite_differences():
-    h = 1e-5
-    u, v = field(21, scale=0.5), field(22)
-    g = energy_gradient(KDV, u)
-    e = lambda w: energy(KDV, w)
-    fd = (e(u + h * v) - e(u - h * v)) / (2 * h)
-    assert fd == approx(inner_l2(g, v), rel=1e-6)
 
 
 @pytest.mark.parametrize("j_star, d2j_star", [(1, -1.0 / 3.0), (2, -24.0)])
@@ -176,7 +153,7 @@ def test_reduced_engine_holds_the_leading_taylor_term(j_star, d2j_star):
 
 def test_reduced_functional_drops_the_remainder():
     # the reduced problem keeps n_p alone: x^2 + 0.5 x^3 reduces to x^2
-    u = field(23, scale=0.5)
+    u = noise(23, G, 32, 0.5)
     poly = nonlinearity_from_name("poly:1,0.5")
     red = reduced_problem(1, -1.0 / 3.0, poly)
     assert energy(red, u) == energy(KDV, u)
@@ -187,7 +164,7 @@ def test_reduced_functional_drops_the_remainder():
 def test_amplitude_scaling_of_energy_parts():
     # under u -> sqrt(a) u the multiplier part -1/2 <u, Lu> scales by a, the
     # cubic part by a^(3/2) (quadratic nonlinearity)
-    u = field(40, scale=0.5)
+    u = noise(40, G, 32, 0.5)
     a = 2.7
     quad = -0.5 * float(np.sum(multiplier_values(PROB.symbol, u.grid) * np.abs(u.coeffs) ** 2))
     cubic = energy(PROB, u) - quad

@@ -7,16 +7,12 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 import solwave
+from conftest import noise
 from solwave.errors import GridMismatch, ResolutionLoss, TailTooLarge
-from solwave.grid import (RESOLVED, PeriodicGrid, SpectralField, aligned, band_noise,
+from solwave.grid import (RESOLVED, PeriodicGrid, SpectralField, aligned,
                           change_points, h1_norm, high_mode_ratio, inner_l2, irfft,
                           l2_norm, rfft, sup_norm, tail_max)
 from solwave.longwave import KDV_DECAY, kdv_profile, kdv_soliton
-
-
-def random_field(grid, seed=0, band=None):
-    rng = np.random.Generator(np.random.Philox(seed))
-    return band_noise(grid, band or grid.n // 3, rng)
 
 
 grids = st.tuples(st.sampled_from([16, 64, 128, 1024, 8192]),
@@ -49,7 +45,7 @@ def test_period_must_be_finite(period):
 def test_roundtrip_and_parseval(gp, seed):
     n, period = gp
     g = PeriodicGrid(period, n)
-    u = random_field(g, seed)
+    u = noise(seed, g, g.n // 3)
     back = g.to_values(u.coeffs)
     assert np.max(np.abs(back - u.values)) <= 1e-12 * max(1.0, np.max(np.abs(u.values)))
     phys = (g.period / g.n) * np.sum(u.values**2)
@@ -154,7 +150,7 @@ def test_inner_l2_requires_same_grid():
 @given(st.integers(min_value=0, max_value=1000))
 def test_inner_l2_matches_spectral_sum(seed):
     g = PeriodicGrid(33.0, 64)
-    u, v = random_field(g, seed), random_field(g, seed + 1)
+    u, v = noise(seed, g, g.n // 3), noise(seed + 1, g, g.n // 3)
     spectral = float(np.real(np.vdot(u.coeffs, v.coeffs)))
     assert inner_l2(u, v) == approx(spectral, abs=1e-10)
 
@@ -177,7 +173,7 @@ def test_dealias():
     hi_mode = g.n // 2 - 1
     hi = SpectralField.from_values(g, np.cos(2 * np.pi * hi_mode * g.nodes / g.period))
     assert np.max(np.abs(dealias(hi).values)) < 1e-13
-    u = random_field(g, 9, band=g.n // 2 - 1)
+    u = noise(9, g, g.n // 2 - 1)
     once = dealias(u)
     twice = dealias(once)
     assert np.array_equal(once.coeffs, twice.coeffs)
@@ -185,11 +181,11 @@ def test_dealias():
 
 def test_change_points_pad_and_truncate():
     g = PeriodicGrid(30.0, 64)
-    u = random_field(g, 5, band=10)
+    u = noise(5, g, 10)
     up = change_points(u, 256)
     back = change_points(up, 64)
     assert np.max(np.abs(back.values - u.values)) < 1e-12
-    wide = random_field(g, 6, band=31)
+    wide = noise(6, g, 31)
     with pytest.raises(ResolutionLoss):
         change_points(wide, 32)
     # the Nyquist mode of the coarse grid is a cosine on the fine one
@@ -232,7 +228,7 @@ def test_high_mode_ratio_is_the_resolution_rule():
 
 def test_field_arithmetic_and_immutability():
     g = PeriodicGrid(10.0, 32)
-    u, v = random_field(g, 1), random_field(g, 2)
+    u, v = noise(1, g, g.n // 3), noise(2, g, g.n // 3)
     s = u + v
     assert np.allclose(s.values, u.values + v.values)
     d = (2.0 * u) - v
@@ -266,7 +262,7 @@ def test_ddx_closed_forms():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=1000))
 def test_ddx_antisymmetry(seed):
-    u = random_field(PeriodicGrid(30.0, 128), seed)
+    u = noise(seed, PeriodicGrid(30.0, 128), 42)
     assert inner_l2(u, deriv(u)) == approx(0.0, abs=1e-12)
 
 

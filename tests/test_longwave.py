@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
+from conftest import noise
 from solwave.errors import ExponentWindow, GridMismatch, TailTooLarge
 from solwave.functionals import energy, momentum, reduced_problem
-from solwave.grid import PeriodicGrid, SpectralField, band_noise, h1_norm, l2_norm, sup_norm
+from solwave.grid import PeriodicGrid, SpectralField, h1_norm, l2_norm, sup_norm
 from solwave.longwave import (exponents, kdv_energy, kdv_soliton, kdv_speed,
                               orbit_distance, scale_down)
 from solwave.nonlinearity import quadratic
@@ -19,12 +20,7 @@ from solwave.solver import SolveConfig, minimize_reduced
 
 KDV_CREST = 1.3103706971044483
 KDV_SPEED = 0.8735804647362989
-
-
-def field(seed, grid=None):
-    g = grid or PeriodicGrid(30.0, 128)
-    rng = np.random.Generator(np.random.Philox(seed))
-    return band_noise(g, g.n // 4, rng)
+G = PeriodicGrid(30.0, 128)  # the grid of the noise fields
 
 
 def test_exponent_examples():
@@ -56,7 +52,7 @@ def test_exponent_identities(j, p):
 
 def test_scale_roundtrip_and_supnorm():
     e = exponents(1, 2.0)
-    w = field(5)
+    w = noise(5, G, 32)
     mu = 3e-3
     # mu^alpha w(mu^beta x): the same samples on the stretched grid
     u = SpectralField.from_values(PeriodicGrid(w.grid.period * mu**-e.beta, w.grid.n),
@@ -70,7 +66,7 @@ def test_scale_roundtrip_and_supnorm():
 
 def test_scale_down_checks_the_frame():
     e = exponents(1, 2.0)
-    w = field(5)
+    w = noise(5, G, 32)
     mu = 3e-3
     u = SpectralField.from_values(PeriodicGrid(w.grid.period * mu**-e.beta, w.grid.n),
                                   mu**e.alpha * w.values)
@@ -80,7 +76,7 @@ def test_scale_down_checks_the_frame():
     for off in (w.grid.period * (1.0 + 2e-9), 2.0 * w.grid.period, float("nan")):
         with pytest.raises(GridMismatch):
             scale_down(mu, e, u, off)
-    for bad_mu in (0.0, -mu):
+    for bad_mu in (0.0, -mu, float("nan")):
         with pytest.raises(ValueError, match="mu must be positive"):
             scale_down(bad_mu, e, u, w.grid.period)
 
@@ -112,7 +108,7 @@ def test_minimize_reduced_recovers_kdv():
 
 
 def test_orbit_distance_exact_translate():
-    u = field(8)
+    u = noise(8, G, 32)
     v = SpectralField.from_coeffs(u.grid, u.coeffs * np.exp(1.7j * u.grid.wavenumbers))
     d, y = orbit_distance(u, v)
     assert d <= 1e-10
@@ -120,7 +116,7 @@ def test_orbit_distance_exact_translate():
 
 
 def test_orbit_distance_identical_fields():
-    u = field(9)
+    u = noise(9, G, 32)
     d, y = orbit_distance(u, u)
     assert d <= 1e-12
     assert abs(y) <= 1e-8
@@ -129,7 +125,7 @@ def test_orbit_distance_identical_fields():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=500))
 def test_orbit_distance_bounded_by_plain_norm(seed):
-    u, v = field(seed), field(seed + 31)
+    u, v = noise(seed, G, 32), noise(seed + 31, G, 32)
     d, _ = orbit_distance(u, v)
     assert d <= l2_norm(u - v) * (1 + 1e-12)
 
@@ -195,7 +191,7 @@ def test_orbit_distance_newton_safeguards(case):
 
 
 def test_orbit_distance_sobolev_weight():
-    u = field(10)
+    u = noise(10, G, 32)
     v = SpectralField.from_coeffs(u.grid, u.coeffs * np.exp(0.9j * u.grid.wavenumbers))
     d, y = orbit_distance(u, v, s_norm=1.0)
     assert d <= 1e-9 * h1_norm(u)

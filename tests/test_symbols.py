@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
+from conftest import noise
 from solwave.errors import SymbolViolation
-from solwave.grid import PeriodicGrid, SpectralField, band_noise, inner_l2, l2_norm
+from solwave.grid import PeriodicGrid, SpectralField, inner_l2, l2_norm
 from solwave.symbols import (DispersionSymbol, LongWaveSymbol, _bundled_cutoff,
                              cutoff_wavenumber, gaussian, multiplier_values, rational,
                              symbol_from_name, taylor_remainder, validate_symbol, whitham)
@@ -215,6 +216,10 @@ def test_symbol_from_name():
     for s in (-1.0, 0.0, 1e-300, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             rational(s)
+    # the cut-off is where the multiplier falls to m(0)/2
+    for s in (0.05, 0.5, 1.0, 1.5, 7.0):
+        sym = rational(s)
+        assert sym.eval(sym.k_cut) == approx(0.5 * sym.m_zero, rel=1e-14)
 
 
 @settings(max_examples=50, deadline=None)
@@ -230,20 +235,18 @@ def lu(u):
     return SpectralField.from_coeffs(u.grid, multiplier_values(WHITHAM, u.grid) * u.coeffs)
 
 
-def noise(seed):
-    g = PeriodicGrid(30.0, 128)
-    return band_noise(g, g.n // 3, np.random.Generator(np.random.Philox(seed)))
+G = PeriodicGrid(30.0, 128)  # the grid of the noise fields
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=1000))
 def test_multiplier_bound(seed):
-    u = noise(seed)
+    u = noise(seed, G, 42)
     assert l2_norm(lu(u)) <= WHITHAM.m_zero * l2_norm(u) * (1 + 1e-12)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=500))
 def test_multiplier_self_adjoint(seed):
-    u, v = noise(seed), noise(seed + 7777)
+    u, v = noise(seed, G, 42), noise(seed + 7777, G, 42)
     assert inner_l2(lu(u), v) == approx(inner_l2(u, lu(v)), abs=1e-10)
