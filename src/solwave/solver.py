@@ -237,11 +237,17 @@ def certify(prob: Problem, u: SpectralField, nu: float, mu: float) -> SpectralFi
 
 def _finish(prob: Problem, eng: DiscreteFunctional, mu: float, c: np.ndarray,
             nu: float, res: float, its: int) -> WaveProfile:
-    """The certified wave of ``prob``, centred."""
+    """The certified wave of ``prob``, centred; a speed or energy that is no
+    longer finite says the iteration failed, as a non-finite residual does."""
     u = center(certify(prob, SpectralField.from_coeffs(eng.grid, c), nu, mu))
-    return WaveProfile(field=u, mu=mu, speed=nu, residual=res,
-                       energy=eng.energy(u.coeffs), symbol=prob.symbol.name,
-                       nonlinearity=prob.nonlinearity.name, iterations=its)
+    energy = eng.energy(u.coeffs)
+    if not (math.isfinite(nu) and math.isfinite(energy)):
+        raise NoConvergence(f"nu = {nu:.3e} and energy {energy:.3e} at residual {res:.3e}: "
+                            "the wave left the range of doubles", nu=nu, energy=energy,
+                            residual=res, iterations=its)
+    return WaveProfile(field=u, mu=mu, speed=nu, residual=res, energy=energy,
+                       symbol=prob.symbol.name, nonlinearity=prob.nonlinearity.name,
+                       iterations=its)
 
 
 def _minimize(prob: Problem, cfg: SolveConfig, guess: SpectralField) -> WaveProfile:

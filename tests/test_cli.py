@@ -80,20 +80,6 @@ def test_validate_symbol_command(tmp_path):
     assert any(c["name"] == "NO_STRICT_MAX" for c in report["checks"])
 
 
-def test_failed_symbol_is_json_error(tmp_path, capsys):
-    rc = main(["validate-symbol", "--name", "rational:200"])
-    assert rc == 2
-    err = error_line(capsys.readouterr().err)
-    assert err["error"] == "SYMBOL_INVALID"
-    assert err["check"] == "TAYLOR_MISMATCH" and err["k"] == 0.0
-    # p = 5 is outside the exponent window [2, 5) of the j* = 1 Whitham symbol
-    cfg = write_config(tmp_path, {"problem": {"nonlinearity": "oddpower:5,1"}})
-    assert main(["--config", cfg, "solve"]) == 1
-    err = error_line(capsys.readouterr().err)
-    assert (err["error"], err["field"], err["value"]) == (
-        "EXPONENT_WINDOW", "problem.nonlinearity", 5.0)
-
-
 FULL_META = {"mu": 0.01, "nu": 1.01, "residual": 0.0, "energy": -0.01, "symbol": "whitham",
              "nonlinearity": "quadratic", "iterations": 0,
              "P": 16.0, "N": 16, "convention": "unitary-sqrtP"}
@@ -349,42 +335,51 @@ def test_profile_round_trips_through_its_files(solved_dir, tmp_path):
     assert err.value.info["field"] == "meta"
 
 
-def test_unresolved_solve_is_resolution_loss(tmp_path, capsys):
+SOLVED = ("profile.csv", "meta.json")
+# failures of the work itself, past test_bad_input_fails_closed's input checks:
+# id -> (the --config document or None, the command line, the exit code,
+# entries of its error line, the files --out must not hold)
+FAILURES = {
     # past the small-momentum regime the descent converges to a field with
     # weight at the top of the kept band, which no grid resolves
-    rc = main(["solve", "--mu", "0.1", "--out", str(tmp_path / "o")])
-    assert rc == 3
-    assert error_line(capsys.readouterr().err)["error"] == "RESOLUTION_LOSS"
-    # a failed command writes no manifest
-    for name in ("profile.csv", "manifest.json"):
-        assert not (tmp_path / "o" / name).exists(), name
-
-
-@pytest.mark.parametrize("doc, mu, code, rc, iterations", [
-    ({"solver": {"max_iter": 3}}, "1e-4", "MAX_ITER", 3, 3),
+    "unresolved": (None, ["solve", "--mu", "0.1"], 3, {"error": "RESOLUTION_LOSS"}, SOLVED),
+    "max_iter": ({"solver": {"max_iter": 3}}, ["solve", "--mu", "1e-4"], 3,
+                 {"error": "MAX_ITER", "iterations": 3}, SOLVED),
     # on 16 points the cubic descent at mu = 0.3 stalls at residual 9.7e-11
-    ({"problem": {"nonlinearity": "oddpower:3,1"}, "grid": {"points": 16},
-      "solver": {"tol_residual": 1e-16}}, "0.3", "MU_TOO_LARGE", 2, 44)],
-    ids=["max_iter", "line_search"])
-def test_descent_failure_reports_its_iterations(tmp_path, capsys, doc, mu, code, rc,
-                                                iterations):
-    cfg = write_config(tmp_path, doc)
-    assert main(["--config", cfg, "solve", "--mu", mu, "--out", str(tmp_path / "o")]) == rc
-    err = error_line(capsys.readouterr().err)
-    assert err["error"] == code and err["iterations"] == iterations
-    assert f"{err['residual']:.3e}" in err["message"]
+    "line_search": ({"problem": {"nonlinearity": "oddpower:3,1"}, "grid": {"points": 16},
+                     "solver": {"tol_residual": 1e-16}}, ["solve", "--mu", "0.3"], 2,
+                    {"error": "MU_TOO_LARGE", "iterations": 44}, SOLVED),
+    # c_p = 1e308 overflows the first gradient, and on a 1e-300 cell the seed
+    # is a constant 1.4e149 whose energy is -inf: the iteration failed, so the
+    # exit is 3 and not a model-regime verdict or a wave
+    "overflow": ({"problem": {"nonlinearity": "modulus:2.5,1e308"}, "grid": {"points": 256}},
+                 ["solve", "--mu", "1e-2"], 3,
+                 {"error": "NO_CONVERGENCE", "iterations": 0, "residual": None}, SOLVED),
+    "degenerate_cell": ({"grid": {"period": 1e-300, "points": 16}}, ["solve", "--mu", "1e-2"],
+                        3, {"error": "NO_CONVERGENCE", "iterations": 0, "energy": None}, SOLVED),
+    "symbol": (None, ["validate-symbol", "--name", "rational:200"], 2,
+               {"error": "SYMBOL_INVALID", "check": "TAYLOR_MISMATCH", "k": 0.0}, ()),
+    # p = 5 is outside the exponent window [2, 5) of the j* = 1 Whitham symbol
+    "exponent_window": ({"problem": {"nonlinearity": "oddpower:5,1"}}, ["solve"], 1, {
+        "error": "EXPONENT_WINDOW", "field": "problem.nonlinearity", "value": 5.0}, SOLVED),
+}
 
 
-def test_overflowing_descent_is_an_iteration_failure(tmp_path, capsys):
-    # c_p = 1e308 overflows the first gradient: the iteration failed, so the
-    # exit is 3 and not a model-regime verdict on a residual of inf
-    cfg = write_config(tmp_path, {"problem": {"nonlinearity": "modulus:2.5,1e308"},
-                                  "grid": {"points": 256}})
-    assert main(["--config", cfg, "solve", "--mu", "1e-2", "--out", str(tmp_path / "o")]) == 3
-    err = error_line(capsys.readouterr().err)
-    assert err["error"] == "NO_CONVERGENCE" and err["iterations"] == 0
-    assert err["residual"] is None and "residual inf" in err["message"]
-    assert not (tmp_path / "o" / "profile.csv").exists()
+@pytest.mark.parametrize("case", FAILURES)
+def test_failure_is_one_error_line(tmp_path, capsys, case):
+    doc, argv, rc, entries, absent = FAILURES[case]
+    if doc is not None:
+        argv = ["--config", write_config(tmp_path, doc), *argv]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == rc
+    line = error_line(capsys.readouterr().err)
+    assert {key: line[key] for key in entries} == entries
+    if "residual" in line:  # printed as it was, where the line holds a non-finite one as null
+        residual = INF if line["residual"] is None else line["residual"]
+        assert f"residual {residual:.3e}" in line["message"]
+    # a failed command writes no manifest
+    for name in (*absent, "manifest.json"):
+        assert not (out / name).exists(), name
 
 
 def test_solved_wave_evolves(tmp_path):
@@ -526,16 +521,6 @@ def test_sweep_outputs(sweep_dir):
     assert (sweep_dir / "profiles" / "meta_001.json").exists()
 
 
-def test_sweep_determinism(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert main(["sweep", "--mu-list", "1e-2", "--out", str(out)]) == 0
-        assert main(["compare-kdv", "--sweep-dir", str(out)]) == 0
-    for rel in ("sweep.csv", "profiles/profile_000.csv", "convergence.csv",
-                "diagnostics.csv", "scaled/scaled_000.csv"):
-        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
-
-
 def test_compare_kdv_on_sweep(sweep_dir, compare_dir):
     profiles = [read_profile(p, PROB)
                 for p in sorted((sweep_dir / "profiles").glob("profile_*.csv"))]
@@ -670,33 +655,60 @@ def test_failing_stdout_is_one_json_error_line(capsys):
                                                    "message": "[Errno 32] Broken pipe"}
 
 
-@pytest.mark.parametrize("command, flags, echoed, outputs", [
-    ("solve", ["--mu", "1e-2"], {"solver": {"mu": 1e-2}}, ["profile.csv", "meta.json"]),
+META_KEYS = "N,P,convention,energy,iterations,mu,nonlinearity,nu,residual,symbol"
+TRACE = "t,E_drift,Q_drift,orbit_dist,shift"
+# each reading command's input in the sweep directory, which is the working one
+INPUTS = {"compare-kdv": ["--sweep-dir", "."],
+          **dict.fromkeys(["evolve", "stability"], ["--profile", "profiles/profile_001.csv"])}
+
+
+def header(path):
+    """A table's first line; a JSON document's sorted keys, joined the same way."""
+    text = path.read_text()
+    return ",".join(sorted(json.loads(text))) if path.suffix == ".json" else text.split("\n")[0]
+
+
+@pytest.mark.parametrize("command, flags, echoed, outputs, adds", [
+    ("solve", ["--mu", "1e-2"], {"solver": {"mu": 1e-2}},
+     {"profile.csv": "x,u", "meta.json": META_KEYS}, []),
     ("sweep", ["--mu-list", "4e-3,1e-2"], {"sweep": {"mu_list": [4e-3, 1e-2]}},
-     ["sweep.csv", "profiles/profile_001.csv"]),
+     {"sweep.csv": "mu,P,N,nu,energy,residual,tail,iters",
+      **{f"profiles/{kind}_{i:03d}.{ext}": head for i in range(2) for kind, ext, head in (
+          ("profile", "csv", "x,u"), ("meta", "json", META_KEYS))}}, []),
+    ("compare-kdv", [], {},
+     {"convergence.csv": "mu,dist_aligned,speed_dev,energy_dev,shift,tau_ratio1,tau_ratio2,"
+                         "supnorm_ratio", "diagnostics.csv": "mu,tau_ratio2,high_band_floor",
+      "scaled/scaled_000.csv": "x,u", "scaled/scaled_001.csv": "x,u"}, []),
     ("evolve", ["--T", "1", "--dt", "0.02"], {"evolution": {"t_final": 1.0, "dt": 0.02}},
-     ["trace.csv", "final.csv"]),
-    ("stability", ["--scale", "0.01", "--seed", "42", "--T", "1"],
-     {"stability": {"scales": [0.01], "seed": 42}, "evolution": {"t_final": 1.0}},
-     ["trace_000.csv", "summary.json"]),
-], ids=["solve", "sweep", "evolve", "stability"])
-def test_manifest_echoes_every_flag_and_reruns(sweep_dir, tmp_path, command, flags,
-                                               echoed, outputs):
-    # each flag sets its config key; the manifest's config, run with no
-    # flags, writes the same files byte for byte
-    profile = []
-    if command in ("evolve", "stability"):
-        profile = ["--profile", str(sweep_dir / "profiles" / "profile_001.csv")]
+     {"trace.csv": TRACE, "final.csv": "x,u"}, ["shape_error", "measured_speed", "speed_error"]),
+    # a seed is nonnegative, so 0 is a seed like any other
+    ("stability", ["--scale", "0.01", "--seed", "0", "--T", "1"],
+     {"stability": {"scales": [0.01], "seed": 0}, "evolution": {"t_final": 1.0}},
+     {"trace_000.csv": TRACE, "summary.json": "runs"}, []),
+], ids=["solve", "sweep", "compare-kdv", "evolve", "stability"])
+def test_manifest_echoes_every_flag_and_reruns(sweep_dir, tmp_path, monkeypatch, command,
+                                               flags, echoed, outputs, adds):
+    # the command writes its outputs, each under its header, and then its
+    # manifest, and nothing else; each flag sets its config key, the manifest
+    # adds the command's results, and its config, run with no flags, writes
+    # the same outputs byte for byte
+    monkeypatch.chdir(sweep_dir)
+    inputs = INPUTS.get(command, [])
     first, again = tmp_path / "first", tmp_path / "again"
-    assert main([command, *flags, *profile, "--out", str(first)]) == 0
-    config = json.loads((first / "manifest.json").read_text())["config"]
+    assert main([command, *flags, *inputs, "--out", str(first)]) == 0
+    written = {p.relative_to(first).as_posix() for p in first.rglob("*") if p.is_file()}
+    [name] = written - set(outputs)
+    manifest = json.loads((first / name).read_text())
+    assert name.startswith("manifest") and manifest["command"] == command
+    assert sorted(manifest) == sorted(["command", "config", "versions", "elapsed_s", *adds])
     for section, keys in echoed.items():
         for key, value in keys.items():
-            assert config[section][key] == value, f"{section}.{key}"
-    assert main(["--config", write_config(tmp_path, config), command, *profile,
+            assert manifest["config"][section][key] == value, f"{section}.{key}"
+    assert main(["--config", write_config(tmp_path, manifest["config"]), command, *inputs,
                  "--out", str(again)]) == 0
-    for name in outputs:
-        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    for output, head in outputs.items():
+        assert header(first / output) == head, output
+        assert (first / output).read_bytes() == (again / output).read_bytes(), output
 
 
 # the library call that does each command's work

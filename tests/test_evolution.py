@@ -228,8 +228,11 @@ def test_half_spectrum_flux_matches_grid_transforms(name):
 
 def test_final_is_exactly_hermitian(wave):
     cfg = EvolutionConfig(dt=0.02, t_final=1.0, stride=25)
-    c = evolve(PROB, wave.field, cfg).final.coeffs
+    trace = evolve(PROB, wave.field, cfg)
+    c = trace.final.coeffs
     assert np.array_equal(c, np.conj(c[-wave.field.grid.modes]))
+    # with no reference there is no orbit to measure: distance and shift are 0
+    assert not np.any(trace.orbit_dist) and not np.any(trace.shifts)
 
 
 def test_stability_runs_are_bit_identical(wave):

@@ -74,14 +74,16 @@ def test_reader_accepts_layouts(tmp_path, header, row, sep):
     assert u.values.tobytes() == np.array([float(c) for c in cells]).tobytes()
 
 
-@pytest.mark.parametrize("j, shift", [(1, 2e-9), (15, 2e-9), (7, -1e-6)])
+@pytest.mark.parametrize("j, shift", [(1, 2e-9), (15, 2e-9), (7, -1e-6), (3, 1.2e-9)])
 def test_node_off_its_place_is_refused(tmp_path, j, shift):
-    # every node within 1e-9 of the spacing (here 1.0) of where the grid puts it
-    xs = list(NODES)
-    assert read_or_none(tmp_path, profile_text(["0.5"] * 16)) is not None
-    xs[j] += shift
-    text = "".join(["x,u\n", *(f"{x!r},0.5\n" for x in xs)])
-    assert read_or_none(tmp_path, text) is None
+    # every node within 1e-9 of the spacing of where the grid puts it, on
+    # grids of spacing 1, 1/4 and 4; node j off by shift spacings is not
+    for spacing in (1.0, 0.25, 4.0):
+        for off, refused in ((0.8e-9, False), (shift, True)):
+            xs = [spacing * x for x in NODES]
+            xs[j] += off * spacing
+            text = "".join(["x,u\n", *(f"{x!r},0.5\n" for x in xs)])
+            assert (read_or_none(tmp_path, text) is None) == refused, (spacing, off)
 
 
 @pytest.mark.parametrize("row", [

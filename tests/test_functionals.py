@@ -80,7 +80,7 @@ def test_gradient_constant_field():
 def test_penalization_shape():
     pen = Penalization(1.0)
     assert pen.rho(0.5) == 0.0
-    assert pen.rho(1.0) == 0.0
+    assert pen.rho(1.0) == pen.rho_prime(1.0) == 0.0  # at t = R^2, where s = 0
     ts = np.linspace(1.01, 3.9, 40)
     vals = [pen.rho(t) for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))

@@ -33,9 +33,9 @@ def test_grid_construction():
         PeriodicGrid(-1.0, 32)
 
 
-@pytest.mark.parametrize("period", [float("nan"), float("inf")])
+@pytest.mark.parametrize("period", [0.0, float("nan"), float("inf")])
 def test_period_must_be_finite(period):
-    # a NaN or infinite period would give a NaN or infinite spacing
+    # a zero, NaN or infinite period would give a zero, NaN or infinite spacing
     with pytest.raises(ValueError, match="finite and positive"):
         PeriodicGrid(period, 16)
 
@@ -188,6 +188,14 @@ def test_change_points_pad_and_truncate():
     wide = noise(6, g, 31)
     with pytest.raises(ResolutionLoss):
         change_points(wide, 32)
+    # the gate compares the dropped norm with drop_tol of the whole, here 0.35:
+    # 0.8e-8 of it on the modes +-20, which 32 points drop, passes; 1.2e-8 does not
+    edge = np.zeros(g.n, complex)
+    edge[[1, -1]], edge[[20, -20]] = 0.25, 0.25 * 0.8e-8
+    assert change_points(SpectralField.from_coeffs(g, edge), 32).coeffs[1] == 0.25
+    edge[[20, -20]] *= 1.5
+    with pytest.raises(ResolutionLoss):
+        change_points(SpectralField.from_coeffs(g, edge), 32)
     # the Nyquist mode of the coarse grid is a cosine on the fine one
     nyq = SpectralField.from_values(PeriodicGrid(30.0, 16), np.cos(np.pi * np.arange(16)))
     up = change_points(nyq, 32)
@@ -223,6 +231,8 @@ def test_high_mode_ratio_is_the_resolution_rule():
         spike = smooth + SpectralField.from_values(
             g, 1e-4 * np.cos(2 * np.pi * m * g.nodes / g.period))
         assert high_mode_ratio(spike) > RESOLVED, m
+    # a ratio: the same at any amplitude
+    assert high_mode_ratio(spike * 1e3) == approx(high_mode_ratio(spike), rel=1e-12)
     assert high_mode_ratio(smooth * 0.0) == 0.0
 
 

@@ -135,6 +135,13 @@ def test_validate_flags_no_strict_max():
     with pytest.raises(SymbolViolation) as err:
         report.raise_if_failed()
     assert err.value.info["k"] != 0.0
+    # odd by 1.2e-12, and m''(0) = -0.5 declared 2e-4 too large: each check
+    # fails just past its tolerance
+    m = rational(0.25).eval
+    lopsided = dataclasses.replace(rational(0.25), eval=lambda k: m(k) + 1.2e-12 * (k > 0),
+                                   d2j_star=-0.5 * (1 + 2e-4))
+    failed = {c.name for c in validate_symbol(lopsided).checks if not c.passed}
+    assert failed == {"NOT_EVEN", "TAYLOR_MISMATCH"}
 
 
 def cutoff_check(sym):
