@@ -1,6 +1,6 @@
 """Seeded mutant sample of ``src/solwave``, run against the test suite.
 
-    python tests/mutants.py --seed 7 --sample 150
+    python tests/mutants.py --seed 7 --sample 160
 
 Every candidate mutation changes one token of the source: a comparison
 (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=`` swap), an arithmetic

@@ -59,17 +59,6 @@ def solved_dir(tmp_path_factory):
     return out
 
 
-def test_solve_outputs(solved_dir):
-    assert (solved_dir / "profile.csv").exists()
-    assert not (solved_dir / "profile.spectral.csv").exists()
-    meta = json.loads((solved_dir / "meta.json").read_text())
-    assert meta["nu"] > 1.0 and "supercritical" not in meta
-    assert meta["convention"] == "unitary-sqrtP"
-    manifest = json.loads((solved_dir / "manifest.json").read_text())
-    assert manifest["command"] == "solve"
-    assert manifest["config"]["solver"]["mu"] == 1e-2
-
-
 def test_validate_symbol_command(tmp_path):
     rc = main(["validate-symbol", "--name", "whitham", "--out", str(tmp_path)])
     assert rc == 0
@@ -510,17 +499,6 @@ def compare_dir(sweep_dir, tmp_path_factory):
     return out
 
 
-def test_sweep_outputs(sweep_dir):
-    sweep = (sweep_dir / "sweep.csv").read_text().splitlines()
-    assert sweep[0] == "mu,P,N,nu,energy,residual,tail,iters"
-    assert len(sweep) == 3
-    # the long-wave comparison is compare-kdv's
-    assert not (sweep_dir / "convergence.csv").exists()
-    assert not (sweep_dir / "diagnostics.csv").exists()
-    assert (sweep_dir / "profiles" / "profile_000.csv").exists()
-    assert (sweep_dir / "profiles" / "meta_001.json").exists()
-
-
 def test_compare_kdv_on_sweep(sweep_dir, compare_dir):
     profiles = [read_profile(p, PROB)
                 for p in sorted((sweep_dir / "profiles").glob("profile_*.csv"))]
@@ -583,17 +561,6 @@ def test_compare_kdv_needs_every_meta(sweep_dir, tmp_path, capsys):
     assert "meta_001.json" in line["message"]
 
 
-def test_evolve_command(sweep_dir, tmp_path):
-    out = tmp_path / "ev"
-    rc = main(["evolve", "--profile", str(sweep_dir / "profiles" / "profile_001.csv"),
-               "--T", "1.0", "--dt", "0.02", "--out", str(out)])
-    assert rc == 0
-    trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "t,E_drift,Q_drift,orbit_dist,shift"
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["speed_error"] < 1e-4
-
-
 def nan_evolve_argv(tmp_path):
     """An evolve command whose time step is so large that the field turns NaN
     before the first record past t = 0."""
@@ -627,17 +594,6 @@ def test_stderr_is_one_json_line_or_nothing(tmp_path, request, case):
         assert line["error"] == "RESOLUTION_LOSS" and line["t"] == 25.0
     else:
         assert run.stderr == ""
-
-
-def test_stability_command(sweep_dir, tmp_path):
-    out = tmp_path / "st"
-    rc = main(["stability", "--profile", str(sweep_dir / "profiles" / "profile_001.csv"),
-               "--scale", "0.01", "--T", "1.0", "--dt", "0.02",
-               "--seed", "0", "--out", str(out)])
-    assert rc == 0  # a seed is nonnegative, so 0 is a seed like any other
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["runs"][0]["seed"] == 0
-    assert summary["runs"][0]["ratio"] >= 0
 
 
 class _ClosedPipe(io.TextIOBase):

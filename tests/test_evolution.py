@@ -1,4 +1,3 @@
-import gc
 import math
 import tracemalloc
 from dataclasses import replace
@@ -344,63 +343,37 @@ def test_flux_bits_do_not_depend_on_alignment(name):
         assert f(c, out).tobytes() == want.tobytes()
 
 
-def _steps_only(name):
-    """steps -> evolve over that many steps, recording only t = 0 and the end."""
-    prob = Problem(whitham(), nonlinearity_from_name(name))
-    u0 = smooth_pulse(n=512, amp=0.1, decay=0.5)
-    return lambda steps: evolve(prob, u0, EvolutionConfig(dt=0.005, t_final=0.005 * steps,
-                                                          stride=10**9))
-
-
-@pytest.mark.parametrize("name", ["quadratic", "modulus:2.5,1"])
-def test_run_peak_does_not_grow_with_steps(name):
-    # a run's peak jitters by a few hundred bytes with the interpreter's free
-    # lists, so each side takes the least of three interleaved runs
-    run = _steps_only(name)
-    run(10)  # the grid's and the transforms' caches are made
-
-    def peak(steps):
-        gc.collect()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            run(steps)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-
-    short, long = zip(*((peak(10), peak(1000)) for _ in range(3)))
-    assert abs(min(long) - min(short)) <= 1024
-
-
 @pytest.mark.parametrize("name", ["quadratic", "modulus:2.5,1"])
 def test_steps_allocate_nothing(name, monkeypatch):
-    # the peak is reset as the first record ends (its last call is the
-    # resolution ratio) and read as the last one starts (its first call
-    # unfolds c): in between, evolve's steps never held more than a few
-    # hundred bytes above what was live, less than any work array of N = 512
-    run, excess = _steps_only(name), []
+    # the memory is read as the first record ends (its last call is the
+    # resolution ratio, after which the peak is reset) and as the last one
+    # starts (its first call unfolds c): in between, evolve's 1,000 steps
+    # never held, nor kept, more than a few hundred bytes above what was
+    # live, less than any work array of N = 512
+    prob = Problem(whitham(), nonlinearity_from_name(name))
+    u0 = smooth_pulse(n=512, amp=0.1, decay=0.5)
+    marks = []  # (current, peak) at each record's first and last call
     ratio, unfold = evolution.high_mode_ratio, PeriodicGrid.unfold
 
     def resetting_ratio(u):
         r = ratio(u)
         tracemalloc.reset_peak()
+        marks.append(tracemalloc.get_traced_memory())
         return r
 
     def marking_unfold(grid, half):
-        current, peak = tracemalloc.get_traced_memory()
-        excess.append(peak - current)
+        marks.append(tracemalloc.get_traced_memory())
         return unfold(grid, half)
 
     monkeypatch.setattr(evolution, "high_mode_ratio", resetting_ratio)
     monkeypatch.setattr(PeriodicGrid, "unfold", marking_unfold)
     tracemalloc.start()
     try:
-        run(1000)
+        evolve(prob, u0, EvolutionConfig(dt=0.005, t_final=5.0, stride=10**9))
     finally:
         tracemalloc.stop()
-    assert len(excess) == 2 and excess[1] < 1024
+    _, (start, _), (end, peak), _ = marks
+    assert peak - end < 1024 and end - start < 1024
 
 
 def _stack(name):
@@ -422,14 +395,13 @@ def test_stack_steps_like_each_member_alone(name):
         assert row.tobytes() == alone.final.coeffs[:257].tobytes()
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["K1", "K3"])
-@pytest.mark.parametrize("name", ["quadratic", "modulus:2.5,1"])
-def test_step_allocates_nothing(name, stacked):
-    # one half spectrum, or the stack of three; poly:1,0.5 is left out, as
-    # numpy's polyval allocates its Horner terms.  The steps never hold more
-    # than a few hundred bytes, less than any work array of N = 512
+@pytest.mark.parametrize("name", ["quadratic", "modulus:2.5,1"], ids=lambda name: f"{name}-K3")
+def test_step_allocates_nothing(name):
+    # the stack of three (one half spectrum steps inside evolve in
+    # test_steps_allocate_nothing); poly:1,0.5 is left out, as numpy's
+    # polyval allocates its Horner terms.  The steps never hold more than a
+    # few hundred bytes, less than any work array of N = 512
     prob, c, us = _stack(name)
-    c = c if stacked else c[0]
     stepper = Stepper(prob, us[0].grid, 0.005, c)
     tracemalloc.start()
     try:

@@ -16,7 +16,7 @@ from conftest import PROB
 from solwave.errors import (ConfigError, MaxIterations, MuTooLarge, NoConvergence,
                             SubcriticalSpeed)
 from solwave.functionals import Penalization, Problem, discretize, momentum, reduced_problem
-from solwave.grid import PeriodicGrid, SpectralField
+from solwave.grid import PeriodicGrid, SpectralField, l2_norm
 from solwave.longwave import exponents, kdv_speed, orbit_distance
 from solwave.nonlinearity import (nonlinearity_from_name, odd_power, polynomial,
                                   quadratic, signed_modulus)
@@ -197,6 +197,16 @@ def test_petviashvili_self_consistency():
     mu_lw = ((1.01 - PROB.symbol.m_zero) / kdv_speed()) ** (1.0 / EXPS.gamma)
     assert pet.field.grid == default_grid(replace(cfg, mu=mu_lw), PROB.symbol.k_cut, EXPS)
     assert pet.mu == approx(mu_lw, rel=0.02)
+    # at p = 2.5 too, where the stabilizer exponent p/(p-1) is not 2: with no
+    # guess, at the descent's speed and on its grid, the fixed point is the
+    # descent's wave (measured: relative orbit distance 1.4e-9, Q/mu - 1 4.8e-10)
+    prob = Problem(whitham(), signed_modulus(2.5, 1.0))
+    wave = minimize_constrained(prob, SolveConfig(mu=1e-2, tol_residual=1e-12))
+    g = wave.field.grid
+    pet = petviashvili(prob, wave.speed, SolveConfig(period=g.period, points=g.n,
+                                                     tol_residual=1e-12))
+    assert orbit_distance(wave.field, pet.field)[0] <= 1e-8 * l2_norm(wave.field)
+    assert pet.mu == approx(1e-2, rel=1e-8)
 
 
 def test_petviashvili_fixed_point_invariance(wave):
